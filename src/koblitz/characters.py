@@ -30,7 +30,8 @@ def _primitive_root(p: int, pk: int) -> int:
         if all(pow(cand, ph // d, p) != 1 for d in prime_divs):
             g = cand
             break
-    assert g is not None
+    if g is None:
+        raise AssertionError(f"no primitive root found mod {p}")
     if pk == p:
         return g
     # lift: g works mod p^k unless g^(p-1) = 1 mod p^2
@@ -194,7 +195,8 @@ def characters(q: int) -> CharacterTable:
                 _values=vals,
             )
         )
-    assert len(chars) == phi_q
+    if len(chars) != phi_q:
+        raise AssertionError(f"{len(chars)} characters mod {q}, expected phi(q)={phi_q}")
     return CharacterTable(modulus=q, phi=phi_q, characters=tuple(chars))
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: constants | census | deuring | theorem1 | theorem2 | bdh | cr |
-verify.  Exit status: 0 on success, 1 on a failed acceptance check, 2 on
-usage errors (argparse's convention).
+verify.  Exit status: 0 on success; 1 on a failed acceptance check, a domain
+or capacity error, or a failed internal check (each printed as `error: ...`);
+2 on usage errors (argparse's convention).
 """
 
 from __future__ import annotations
@@ -53,15 +54,13 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    cache_dir = args.cache_dir or curves.default_cache_dir()
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
-    results = curves.census_many(primes, cache_dir=cache_dir, workers=args.workers)
+    flat = [rec for p in primes for rec in curves.census(p)]
     if args.out:
-        flat = [rec for p in primes for rec in results[p]]
         curves.write_census_file(
             args.out if args.out.endswith(".csv") else args.out + ".csv", flat
         )
-    total = sum(rec.count for p in primes for rec in results[p])
+    total = sum(rec.count for rec in flat)
     print(f"census: {len(primes)} primes <= {args.pmax}, {total} curves")
     return 0
 
@@ -84,10 +83,7 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_theorem2(args) -> int:
-    cache_dir = args.cache_dir or curves.default_cache_dir()
-    report = harness.run_theorem2(
-        args.pmax, limit=args.L, cache_dir=cache_dir, workers=args.workers
-    )
+    report = harness.run_theorem2(args.pmax, limit=args.L)
     _write_json(report.to_json(), args.out)
     return 0 if report.passed else 1
 
@@ -154,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("census", _cmd_census, help="curve censuses for all primes <= pmax")
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--cache-dir", type=str, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("deuring", _cmd_deuring, help="exact census vs class-number check")
     p.add_argument("--pmax", type=int, default=499)
@@ -168,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("theorem2", _cmd_theorem2, help="summed prime-order census experiment")
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
-    p.add_argument("--cache-dir", type=str, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("bdh", _cmd_bdh, help="dispersion statistic over a prime window")
     p.add_argument("--x", type=int, default=None)
@@ -200,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

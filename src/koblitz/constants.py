@@ -61,7 +61,8 @@ def gl2_count(ell: int) -> LocalFactorLedger:
     invertible = det != 0
     gl2 = int(invertible.sum())
     omega = int((invertible & ((det + 1 - tr) % ell == 0)).sum())
-    assert gl2 == (ell * ell - 1) * (ell * ell - ell)
+    if gl2 != (ell * ell - 1) * (ell * ell - ell):
+        raise AssertionError(f"|GL2(F_{ell})| counted as {gl2}")
     lhs = (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell))
     factor = 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
     if lhs != factor:

@@ -1,25 +1,38 @@
 """Elliptic curves y^2 = x^3 + ax + b over F_p: traces and exhaustive censuses.
 
-The census for a single p computes the full p x p trace matrix T[a, b] with
-one BLAS matmul: T = N @ K where N[a, v] counts x with x^3 + ax = v and
-K[v, b] is the quadratic-character table chi(v + b).  All entries stay below
-2^24, so float32 accumulation is exact and the results are integers.
+All traces over F_p come from three integer tables of length p, with chi the
+quadratic character mod p: t_cc[c] = a_p(E(c, c)), t_0b[b] = a_p(E(0, b)) and
+t_a0[a] = a_p(E(a, 0)).  Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by
+chi(l), and l = a/b gives a_p(E(a, b)) = chi(ab) t_cc[a^3 b^-2] for ab != 0.
+Each table is a circular correlation sum_v w[v] chi(v + c), one rfft/irfft of
+length p, checked to lie within 0.25 of an integer.  For t_cc, the factoring
+x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of chi(x + 1) over
+the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3, and t_a0 the
+squares x^2 by chi(x).  Each class c != 0 is one free orbit of p - 1 pairs,
+split evenly between t_cc[c] and -t_cc[c], and c = -27/4 is exactly the
+singular class with ab != 0, so a census costs O(p log p).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .classnumbers import kronecker_H
-from .errors import DomainError
-from .primes import is_prime, kronecker, sieve
+from .errors import CapacityError, DomainError
+from .primes import is_prime, kronecker_table, sieve
 
-CACHE_DIR_ENV = "KOBLITZ_CACHE_DIR"
+# Largest p for a full p x p trace grid (theorem1 reaches p < 5000).
+MAX_TRACE_MATRIX_PRIME = 5000
+
+
+def _check_prime(p: int) -> None:
+    if p <= 3 or not is_prime(p):
+        raise DomainError(f"p={p} must be a prime > 3")
 
 
 @dataclass(frozen=True)
@@ -31,8 +44,7 @@ class CurveModP:
     b: int
 
     def __post_init__(self):
-        if self.p <= 3 or not is_prime(self.p):
-            raise DomainError(f"p={self.p} must be a prime > 3")
+        _check_prime(self.p)
         object.__setattr__(self, "a", self.a % self.p)
         object.__setattr__(self, "b", self.b % self.p)
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
@@ -46,22 +58,79 @@ class CensusRecord:
     count: int
 
 
-def legendre_table(p: int) -> np.ndarray:
-    """chi(t) for t = 0..p-1 as int8, chi the quadratic character mod p."""
-    k = np.full(p, -1, dtype=np.int8)
-    k[0] = 0
-    x = np.arange(1, p, dtype=np.int64)
-    k[(x * x) % p] = 1
-    return k
-
-
 def trace(curve: CurveModP) -> int:
     """Trace of Frobenius a_p = -sum_x chi(x^3 + ax + b)."""
     p, a, b = curve.p, curve.a, curve.b
-    k = legendre_table(p)
+    k = kronecker_table(p, p)
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x + a * x + b) % p
     return -int(k[vals].sum())
+
+
+class _TraceTables(NamedTuple):
+    chi: np.ndarray  # chi(v), int8
+    cube: np.ndarray  # v^3 mod p
+    inv2: np.ndarray  # v^-2 mod p, and 0 at v = 0
+    c_singular: int  # -27/4 mod p
+    t_cc: np.ndarray  # a_p(E(c, c)); t_cc[0] is unused
+    t_0b: np.ndarray  # a_p(E(0, b)); t_0b[0] is unused
+    t_a0: np.ndarray  # a_p(E(a, 0)); t_a0[0] is unused
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """v^(p-2) mod p for v = 0..p-1, by square-and-multiply."""
+    base = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _correlate_chi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """[sum_v w[v] chi(v + c) for c = 0..p-1] for integer w, as exact integers."""
+    p = len(chi)
+    corr = np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(chi), n=p)
+    out = np.rint(corr)
+    err = float(np.abs(corr - out).max())
+    if err > 0.25:
+        raise AssertionError(f"correlation mod p={p} lies {err:.3g} from an integer")
+    return out.astype(np.int32)
+
+
+def _trace_tables(p: int) -> _TraceTables:
+    chi = kronecker_table(p, p)
+    x = np.arange(p, dtype=np.int64)
+    cube = x * x % p * x % p
+    inv = _inverse_table(p)
+    y = x[1:]  # y = x + 1 for x != -1; x = -1 contributes chi(-1)
+    w_cc = np.bincount(cube[y - 1] * inv[y] % p, weights=chi[y], minlength=p)
+    return _TraceTables(
+        chi=chi,
+        cube=cube,
+        inv2=inv * inv % p,
+        c_singular=int(-27 * inv[2] ** 2 % p),
+        t_cc=-chi[p - 1] - _correlate_chi(w_cc, chi),
+        t_0b=-_correlate_chi(np.bincount(cube, minlength=p), chi),
+        t_a0=-_correlate_chi(np.bincount(x * x % p, weights=chi, minlength=p), chi),
+    )
+
+
+def _grid_traces(p: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, nonsingular) on the grid of residues a (rows) by b (columns)."""
+    if a.size * b.size > MAX_TRACE_MATRIX_PRIME**2:
+        raise CapacityError(f"{a.size}x{b.size} trace grid exceeds {MAX_TRACE_MATRIX_PRIME}^2")
+    tab = _trace_tables(p)
+    c = tab.cube[a][:, None] * tab.inv2[b] % p
+    t = np.outer(tab.chi[a], tab.chi[b]) * tab.t_cc[c]
+    t[a == 0, :] = tab.t_0b[b]
+    t[:, b == 0] = tab.t_a0[a][:, None]
+    nonsingular = c != tab.c_singular
+    nonsingular[np.ix_(a == 0, b == 0)] = False
+    return t, nonsingular
 
 
 def trace_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,35 +139,23 @@ def trace_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
     T is int32; entries at singular pairs are meaningless and masked off by
     the boolean `nonsingular` array.
     """
-    if p <= 3 or not is_prime(p):
-        raise DomainError(f"p={p} must be a prime > 3")
-    if p >= 1 << 24:
-        raise DomainError("float32 exactness bound exceeded")
+    _check_prime(p)
+    if p > MAX_TRACE_MATRIX_PRIME:
+        raise CapacityError(f"p={p} exceeds trace matrix budget {MAX_TRACE_MATRIX_PRIME}")
     x = np.arange(p, dtype=np.int64)
-    x3 = x * x % p * x % p
-    # N[a, v] = #{x : x^3 + ax = v}
-    vals = (x3[None, :] + x[:, None] * x[None, :]) % p
-    n_mat = np.empty((p, p), dtype=np.float32)
-    for a in range(p):
-        n_mat[a] = np.bincount(vals[a], minlength=p)
-    del vals
-    k = legendre_table(p)
-    k_mat = k[(x[:, None] + x[None, :]) % p].astype(np.float32)  # K[v, b]
-    t = -(n_mat @ k_mat)
-    t_int = np.rint(t).astype(np.int32)
-    a4 = 4 * (x * x % p * x) % p
-    b27 = 27 * (x * x) % p
-    nonsingular = (a4[:, None] + b27[None, :]) % p != 0
-    return t_int, nonsingular
+    return _grid_traces(p, x, x)
 
 
 @functools.lru_cache(maxsize=None)
 def census(p: int) -> tuple[CensusRecord, ...]:
     """All (r, N_r(p)) with N_r(p) > 0, ascending in r."""
-    t, ns = trace_matrix(p)
-    traces = t[ns]
+    _check_prime(p)
+    tab = _trace_tables(p)
+    t_cc = np.delete(tab.t_cc, [0, tab.c_singular])
+    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[1:], tab.t_a0[1:]])
+    weights = np.repeat([(p - 1) // 2, 1], [2 * t_cc.size, 2 * (p - 1)])
     off = math.isqrt(4 * p)
-    hist = np.bincount(traces + off, minlength=2 * off + 1)
+    hist = np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
     total = int(hist.sum())
     if total != p * p - p:
         raise AssertionError(f"census total {total} != p^2 - p for p={p}")
@@ -206,23 +263,23 @@ def _residue_multiplicities(bound: int, p: int) -> np.ndarray:
 def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     """hist[r + isqrt(4p)] = #{|a| <= A, |b| <= B : a_p(E(a,b)) = r}.
 
-    Pairs singular mod p are skipped.
+    Pairs singular mod p are skipped.  Traces are gathered only on the
+    residues the box reaches.
     """
-    t, ns = trace_matrix(p)
-    wa = _residue_multiplicities(box_a, p).astype(np.float64)
-    wb = _residue_multiplicities(box_b, p).astype(np.float64)
-    w = np.outer(wa, wb)
+    _check_prime(p)
+    wa = _residue_multiplicities(box_a, p)
+    wb = _residue_multiplicities(box_b, p)
+    ia, ib = np.flatnonzero(wa), np.flatnonzero(wb)
+    t, ns = _grid_traces(p, ia, ib)
+    w = np.outer(wa[ia], wb[ib]).astype(np.float64)
     off = math.isqrt(4 * p)
-    hist = np.bincount(
-        (t[ns] + off).ravel(), weights=w[ns].ravel(), minlength=2 * off + 1
-    )
+    hist = np.bincount(t[ns] + off, weights=w[ns], minlength=2 * off + 1)
     return np.rint(hist).astype(np.int64)
 
 
 def box_count(p: int, box_a: int, box_b: int, r: int) -> int:
     """Exact N_{A,B,r}(p) over the (2A+1)(2B+1) integer box."""
-    if p <= 3 or not is_prime(p):
-        raise DomainError(f"p={p} must be a prime > 3")
+    _check_prime(p)
     if box_a < 1 or box_b < 1:
         raise DomainError("box radii must be >= 1")
     off = math.isqrt(4 * p)
@@ -232,65 +289,10 @@ def box_count(p: int, box_a: int, box_b: int, r: int) -> int:
     return int(hist[r + off])
 
 
-# ---------------------------------------------------------------------------
-# census persistence: `p,r,count` lines, sorted by (p, r), '#' comments
-# ---------------------------------------------------------------------------
-
-
-def default_cache_dir() -> str | None:
-    return os.environ.get(CACHE_DIR_ENV)
-
-
 def write_census_file(path: str, records: list[CensusRecord]) -> None:
+    """Write `p,r,count` lines, sorted by (p, r), under a '#' header line."""
     records = sorted(records, key=lambda rec: (rec.p, rec.r))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# census records: p,r,count\n")
         for rec in records:
             fh.write(f"{rec.p},{rec.r},{rec.count}\n")
-
-
-def read_census_file(path: str) -> list[CensusRecord]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            p, r, count = (int(tok) for tok in line.split(","))
-            out.append(CensusRecord(p=p, r=r, count=count))
-    return out
-
-
-def census_many(
-    primes: list[int], cache_dir: str | None = None, workers: int = 1
-) -> dict[int, tuple[CensusRecord, ...]]:
-    """Censuses for many primes, optionally cached on disk and threaded.
-
-    Results are merged in ascending p regardless of completion order.
-    """
-    primes = sorted(set(int(p) for p in primes))
-    results: dict[int, tuple[CensusRecord, ...]] = {}
-    cache_path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, "census_cache.txt")
-        if os.path.exists(cache_path):
-            by_p: dict[int, list[CensusRecord]] = {}
-            for rec in read_census_file(cache_path):
-                by_p.setdefault(rec.p, []).append(rec)
-            for p, recs in by_p.items():
-                results[p] = tuple(sorted(recs, key=lambda rec: rec.r))
-    todo = [p for p in primes if p not in results]
-    if workers > 1 and len(todo) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for p, recs in zip(todo, pool.map(census, todo)):
-                results[p] = recs
-    else:
-        for p in todo:
-            results[p] = census(p)
-    if cache_path is not None and todo:
-        flat = [rec for p in sorted(results) for rec in results[p]]
-        write_census_file(cache_path, flat)
-    return {p: results[p] for p in primes}

@@ -46,12 +46,7 @@ def _integral_main_term(pmax: int, frak_c: float) -> float:
     return frak_c * val
 
 
-def run_theorem2(
-    pmax: int,
-    limit: int = DEFAULT_TRUNCATION,
-    cache_dir: str | None = None,
-    workers: int = 1,
-) -> Report:
+def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
     """Sum of pi*(p) over p <= pmax via class numbers, against the main term.
 
     The class-number route needs no censuses; for pmax <= 3000 the exact
@@ -78,7 +73,7 @@ def run_theorem2(
     asymptotic = frak_c * pmax**3 / (3 * math.log(pmax) ** 2)
     report = Report(
         name="theorem2",
-        params={"pmax": pmax, "L": limit, "workers": workers},
+        params={"pmax": pmax, "L": limit},
     )
     summary = {
         "class_route_sum": class_route,
@@ -89,11 +84,10 @@ def run_theorem2(
         "ratio_to_asymptotic": class_route / asymptotic,
     }
     if pmax <= 3000:
-        censuses = curves.census_many(primes, cache_dir=cache_dir, workers=workers)
         census_route = 0
         for p in primes:
             census_route += sum(
-                rec.count for rec in censuses[p] if flags[p + 1 - rec.r]
+                rec.count for rec in curves.census(p) if flags[p + 1 - rec.r]
             )
         summary["census_route_sum"] = census_route
         summary["routes_match"] = census_route == class_route

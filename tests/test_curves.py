@@ -1,28 +1,33 @@
 """Curve census tests: brute-force point counts, Hasse bound, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from koblitz import curves
 from koblitz.curves import (
+    MAX_TRACE_MATRIX_PRIME,
     CensusRecord,
     CurveModP,
     box_count,
     box_trace_histogram,
     census,
-    census_many,
     deuring_check,
     pi_star,
     pi_twin,
-    read_census_file,
     singular_pair_count,
     trace,
     trace_matrix,
     write_census_file,
 )
-from koblitz.errors import DomainError
+from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime, sieve
+
+SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
 
 
 def _oracle_point_count(p, a, b):
@@ -80,6 +85,36 @@ class TestTrace:
             t, ns = trace_matrix(p)
             assert int(np.abs(t[ns]).max()) <= math.isqrt(4 * p), p
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_matrix_matches_point_count_oracle(self, p, a, b):
+        a, b = a % p, b % p
+        t, ns = trace_matrix(p)
+        assert bool(ns[a, b]) == ((4 * a**3 + 27 * b**2) % p != 0)
+        if ns[a, b]:
+            assert int(t[a, b]) == _oracle_trace(p, a, b)
+        assert sum(rec.count for rec in census(p)) == p * p - p
+
+    def test_capacity_checked_before_allocation(self):
+        p = 5003  # the first prime above the budget; its p x p grid is 200 MB
+        assert is_prime(p) and p > MAX_TRACE_MATRIX_PRIME
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                trace_matrix(p)
+            with pytest.raises(CapacityError):
+                box_trace_histogram(p, p, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_inexact_correlation_raises(self):
+        chi = np.array([0, 1, -1, -1, 1])
+        w = np.array([0.5, 0, 0, 0, 0])
+        with pytest.raises(AssertionError):
+            curves._correlate_chi(w, chi)
+
 
 class TestCensus:
     def test_p5(self):
@@ -113,6 +148,10 @@ class TestDeuring:
         rep = deuring_check(7)
         assert rep.ordinary_all_match
         assert rep.ordinary_mismatches == ()
+
+    @pytest.mark.parametrize("p", [10007, 20011])
+    def test_large_primes_all_match(self, p):
+        assert deuring_check(p).all_match
 
     def test_p11_supersingular(self):
         rep = deuring_check(11)
@@ -219,23 +258,8 @@ class TestPersistence:
         recs = [rec for p in (5, 7, 11) for rec in census(p)]
         path = str(tmp_path / "census.csv")
         write_census_file(path, recs)
-        back = read_census_file(path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "# census records: p,r,count"
+        back = [CensusRecord(*map(int, line.split(","))) for line in lines[1:]]
         assert back == sorted(recs, key=lambda rec: (rec.p, rec.r))
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = str(tmp_path / "c.csv")
-        with open(path, "w") as fh:
-            fh.write("# header\n\n5,0,4\n")
-        assert read_census_file(path) == [CensusRecord(p=5, r=0, count=4)]
-
-    def test_census_many_cache(self, tmp_path):
-        primes = [5, 7, 11, 13]
-        first = census_many(primes, cache_dir=str(tmp_path))
-        assert (tmp_path / "census_cache.txt").exists()
-        second = census_many(primes, cache_dir=str(tmp_path))
-        assert first == second
-        assert first == census_many(primes)  # no cache
-
-    def test_census_many_workers_deterministic(self):
-        primes = [5, 7, 11, 13, 17, 19]
-        assert census_many(primes, workers=4) == census_many(primes, workers=1)

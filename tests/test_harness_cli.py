@@ -2,10 +2,11 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from koblitz import cli, harness
+from koblitz import cli, curves, harness
 from koblitz.errors import DomainError
 
 
@@ -23,12 +24,6 @@ class TestTheorem2:
             s["class_route_sum"] / s["integral_main_term"], rel=1e-12
         )
         assert 0.5 < s["ratio_to_integral"] < 1.5
-
-    def test_cache_round_trip(self, tmp_path):
-        first = harness.run_theorem2(100, cache_dir=str(tmp_path))
-        assert (tmp_path / "census_cache.txt").exists()
-        second = harness.run_theorem2(100, cache_dir=str(tmp_path))
-        assert first.to_json() == second.to_json()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -118,10 +113,9 @@ class TestCli:
     def test_census_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "census")
         assert cli.main(["census", "--pmax", "30", "--out", out]) == 0
-        from koblitz.curves import read_census_file
-
-        recs = read_census_file(out + ".csv")
-        assert {rec.p for rec in recs} == {5, 7, 11, 13, 17, 19, 23, 29}
+        with open(out + ".csv") as fh:
+            rows = [line.split(",") for line in fh if not line.startswith("#")]
+        assert {int(row[0]) for row in rows} == {5, 7, 11, 13, 17, 19, 23, 29}
 
     def test_theorem2_out(self, tmp_path, capsys):
         out = str(tmp_path / "t2")
@@ -158,6 +152,13 @@ class TestCli:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["theorem2", "--pmax", "5"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_internal_check_exit_code(self, capsys, monkeypatch):
+        # 12H = 1 makes (p-1)*12H/12 non-integral at p = 5
+        monkeypatch.setattr(curves, "kronecker_H", lambda D: SimpleNamespace(twelve_h=1))
+        assert cli.main(["deuring", "--pmax", "30"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not divisible by 12" in err
 
 
 class TestReportDeterminism:
