@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import constants, curves, harness
+from .errors import CapacityError
 from .primes import sieve
 from .twinseries import DEFAULT_TRUNCATION
 
@@ -54,13 +55,18 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
-    flat = [rec for p in primes for rec in curves.census(p)]
-    if args.out:
-        curves.write_census_file(
-            args.out if args.out.endswith(".csv") else args.out + ".csv", flat
+    if args.pmax > curves.MAX_CENSUS_PRIME:
+        raise CapacityError(
+            f"pmax={args.pmax} exceeds census budget {curves.MAX_CENSUS_PRIME}"
         )
-    total = sum(rec.count for rec in flat)
+    primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
+    records = (rec for p in primes for rec in curves.census(p))
+    if args.out:
+        total = curves.write_census_file(
+            args.out if args.out.endswith(".csv") else args.out + ".csv", records
+        )
+    else:
+        total = sum(rec.count for rec in records)
     print(f"census: {len(primes)} primes <= {args.pmax}, {total} curves")
     return 0
 

@@ -15,19 +15,23 @@ singular class with ab != 0, so a census costs O(p log p).
 
 from __future__ import annotations
 
-import functools
 import math
+import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .classnumbers import kronecker_H
+from .classnumbers import twelve_h_weighted_table
 from .errors import CapacityError, DomainError
 from .primes import is_prime, kronecker_table, sieve
 
 # Largest p for a full p x p trace grid (theorem1 reaches p < 5000).
 MAX_TRACE_MATRIX_PRIME = 5000
+
+# Largest p for the length-p trace tables behind census, trace_matrix and
+# box_trace_histogram: the class-number route's budget 10^5.
+MAX_CENSUS_PRIME = 10**5
 
 
 def _check_prime(p: int) -> None:
@@ -102,6 +106,8 @@ def _correlate_chi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
 
 
 def _trace_tables(p: int) -> _TraceTables:
+    if p > MAX_CENSUS_PRIME:
+        raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
     chi = kronecker_table(p, p)
     x = np.arange(p, dtype=np.int64)
     cube = x * x % p * x % p
@@ -146,7 +152,6 @@ def trace_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _grid_traces(p, x, x)
 
 
-@functools.lru_cache(maxsize=None)
 def census(p: int) -> tuple[CensusRecord, ...]:
     """All (r, N_r(p)) with N_r(p) > 0, ascending in r."""
     _check_prime(p)
@@ -203,12 +208,13 @@ def deuring_check(p: int) -> DeuringReport:
     row is evaluated and reported separately.
     """
     counts = {rec.r: rec.count for rec in census(p)}
+    table = twelve_h_weighted_table(4 * p)
     rmax = math.isqrt(4 * p - 1)
     mismatches = []
     ordinary_ok = True
     supersingular = None
     for r in range(-rmax, rmax + 1):
-        twelve = kronecker_H(r * r - 4 * p).twelve_h
+        twelve = int(table[4 * p - r * r])
         expected12 = (p - 1) * twelve
         if expected12 % 12 != 0:
             raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={r}")
@@ -289,10 +295,22 @@ def box_count(p: int, box_a: int, box_b: int, r: int) -> int:
     return int(hist[r + off])
 
 
-def write_census_file(path: str, records: list[CensusRecord]) -> None:
-    """Write `p,r,count` lines, sorted by (p, r), under a '#' header line."""
-    records = sorted(records, key=lambda rec: (rec.p, rec.r))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# census records: p,r,count\n")
-        for rec in records:
-            fh.write(f"{rec.p},{rec.r},{rec.count}\n")
+def write_census_file(path: str, records: Iterable[CensusRecord]) -> int:
+    """Write `p,r,count` lines in the given order under a '#' header line.
+
+    Records are written as the iterable yields them, and the file appears at
+    `path` only once all are written.  Returns the total curve count.
+    """
+    total = 0
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("# census records: p,r,count\n")
+            for rec in records:
+                fh.write(f"{rec.p},{rec.r},{rec.count}\n")
+                total += rec.count
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return total

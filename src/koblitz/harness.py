@@ -18,7 +18,7 @@ from scipy import integrate
 from . import classnumbers, constants, curves, twinseries
 from .characters import characters, rho_chi
 from .errors import DomainError
-from .primes import factorize, moebius, phi, sieve, smallest_factor_sieve
+from .primes import factorize, moebius, phi, sieve
 from .twinseries import DEFAULT_TRUNCATION, TwinWindow
 
 
@@ -114,6 +114,7 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         raise DomainError("box radii must be >= 0")
     flags = sieve(x + 2 * math.isqrt(x) + 2).flags
     primes = [int(p) for p in sieve(x).primes if p > 3]
+    table = classnumbers.twelve_h_weighted_table(4 * x)
     total = 0
     refined = 0.0
     for p in primes:
@@ -123,7 +124,7 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         total += int(hist[good].sum())
         for g in good:
             r = int(g) - off
-            refined += classnumbers.kronecker_H(r * r - 4 * p).twelve_h / 12.0 / p
+            refined += int(table[4 * p - r * r]) / 12.0 / p
     n_singular = _global_singular_in_box(box_a, box_b)
     n_curves = (2 * box_a + 1) * (2 * box_b + 1) - n_singular
     if n_curves <= 0:
@@ -359,19 +360,9 @@ def _suite_series(rows: list[dict]) -> bool:
         f"first mismatch at {mism}" if mism else "all exact",
     )
     R = 10**5
-    spf = smallest_factor_sieve(R)
-    base = twinseries.singular_series(2).value
     acc = 0.0
     for r in range(2, R + 1, 2):
-        corr = 1.0
-        m = r
-        while m > 1:
-            p = int(spf[m])
-            if p != 2:
-                corr *= (p - 1.0) / (p - 2.0)
-            while m % p == 0:
-                m //= p
-        acc += base * corr
+        acc += twinseries.singular_series(r).value
     ratio = acc / R
     ok &= _check(
         rows,

@@ -234,12 +234,12 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             pairs[p] = pairs.get(p, 0) + 1
             n //= p
+    # Every prime <= 999983 is divided out, and the smallest composite left,
+    # 1000003^2, exceeds _TRIAL_LIMIT^2: a smaller cofactor is prime.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < _TRIAL_LIMIT**2 or is_prime(m):
             pairs[m] = pairs.get(m, 0) + 1
             continue
         d = _pollard_brent(m)
@@ -272,17 +272,3 @@ def omega(n: int) -> int:
     if n < 1:
         raise DomainError("omega requires n >= 1")
     return len(factorize(n).pairs)
-
-
-def smallest_factor_sieve(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n, for bulk factorization."""
-    if limit > MAX_SIEVE_LIMIT // 8:
-        raise CapacityError(f"spf sieve limit {limit} exceeds budget")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p:: p]
-            seg[seg == 0] = p
-    idx = np.flatnonzero(spf[2:] == 0) + 2
-    spf[idx] = idx
-    return spf

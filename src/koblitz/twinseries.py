@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .primes import factorize, phi, sieve, MAX_SIEVE_LIMIT
+from .errors import DomainError
+from .primes import factorize, phi, sieve, sieve_window
 
 DEFAULT_TRUNCATION = 10**6
 
@@ -153,27 +153,30 @@ class TwinWindow:
             raise DomainError("window requires X >= 0, Y >= 1")
 
 
-def _window_flags(limit: int) -> np.ndarray:
-    if limit > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"sieve limit {limit} exceeds budget")
-    return sieve(limit).flags
+def _sieved_window(
+    window: TwinWindow, R: int
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Primes of (X, X+Y], plus flags, offset and logs for (max(X-R, 0), X+Y+R].
+
+    Entry i of flags and logs describes the integer offset + i; logs holds
+    log n at primes and 0 elsewhere.  Only the window itself is sieved.
+    """
+    lo = max(window.X - R, 0)
+    flags = sieve_window(lo, window.X + window.Y + R - lo)
+    idx = np.flatnonzero(flags)
+    logs = np.zeros(len(flags), dtype=np.float64)
+    logs[idx] = np.log((idx + lo + 1).astype(np.float64))
+    p = idx[(idx >= window.X - lo) & (idx < window.X + window.Y - lo)] + lo + 1
+    return p, flags, lo + 1, logs
 
 
-def psi(window: TwinWindow, r: int, q: int, a: int, flags: np.ndarray | None = None) -> float:
+def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
     """Log-weighted count of prime pairs (p, p-r) with X < p <= X+Y, p = a mod q."""
-    hi = window.X + window.Y
-    need = hi + abs(r)
-    if flags is None or len(flags) <= need:
-        flags = _window_flags(max(need, 2))
-    idx = np.flatnonzero(flags[: hi + 1])
-    p = idx[idx > window.X]
-    keep = p % q == a % q
-    p = p[keep]
+    p, flags, off, logs = _sieved_window(window, abs(r))
+    p = p[p % q == a % q]
     pp = p - r
-    keep = (pp >= 2) & flags[np.clip(pp, 0, len(flags) - 1)] & (pp <= need)
-    p = p[keep]
-    pp = pp[keep]
-    return float(np.sum(np.log(p.astype(np.float64)) * np.log(pp.astype(np.float64))))
+    keep = (pp >= off) & flags[np.maximum(pp - off, 0)]
+    return float(np.sum(logs[p[keep] - off] * logs[pp[keep] - off]))
 
 
 def error_E(
@@ -181,12 +184,11 @@ def error_E(
     r: int,
     q: int,
     a: int,
-    flags: np.ndarray | None = None,
     limit: int = DEFAULT_TRUNCATION,
 ) -> float:
     """E = psi(window; r, q, a) - S(r,q,a) * Y."""
     expected = singular_series_mod(r, q, a, limit).value * window.Y
-    return psi(window, r, q, a, flags) - expected
+    return psi(window, r, q, a) - expected
 
 
 @dataclass(frozen=True)
@@ -213,22 +215,16 @@ def bdh_statistic(
 ) -> BdhResult:
     """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2.
 
-    One pass over the sieved window; psi values are bucketed by residue class
-    with bincount, never rescanned per (r, q, a).
+    One pass over the window (X-R, X+Y+R], sieved on its own span; psi
+    values are bucketed by residue class with bincount, never rescanned per
+    (r, q, a).
     """
     if window.X + window.Y > x:
         raise DomainError("window must satisfy X + Y <= x")
     if R > x or R < 1 or Q < 1:
         raise DomainError("require 1 <= R <= x and Q >= 1")
-    hi = window.X + window.Y
-    need = hi + R
-    flags = _window_flags(need)
-    idx = np.flatnonzero(flags[: hi + 1])
-    p = idx[idx > window.X].astype(np.int64)
-    logp = np.log(p.astype(np.float64))
-    logs_all = np.zeros(need + 1, dtype=np.float64)
-    prime_idx = np.flatnonzero(flags)
-    logs_all[prime_idx] = np.log(prime_idx.astype(np.float64))
+    p, flags, off, logs = _sieved_window(window, R)
+    logp = logs[p - off]
     residues = [None] + [p % q for q in range(1, Q + 1)]
 
     # expected densities: S(r,q,a) is constant over admissible a for fixed r, q
@@ -242,8 +238,8 @@ def bdh_statistic(
     r_values = [r for r in range(-R, R + 1) if r != 0]
     for r in r_values:
         pp = p - r
-        mask = (pp >= 2) & flags[np.clip(pp, 0, need)]
-        w = logp[mask] * logs_all[pp[mask]]
+        mask = (pp >= off) & flags[np.maximum(pp - off, 0)]
+        w = logp[mask] * logs[pp[mask] - off]
         for q in range(1, Q + 1):
             psi_by_a = np.bincount(residues[q][mask], weights=w, minlength=q)
             for a in range(q):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from koblitz import curves
 from koblitz.curves import (
+    MAX_CENSUS_PRIME,
     MAX_TRACE_MATRIX_PRIME,
     CensusRecord,
     CurveModP,
@@ -139,6 +140,18 @@ class TestCensus:
         assert rs == sorted(rs)
         assert all(rec.count > 0 for rec in recs)
 
+    def test_capacity_checked_before_allocation(self):
+        p = 100003  # the first prime above the budget; its tables take 8 MB
+        assert is_prime(p) and p > MAX_CENSUS_PRIME
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                census(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestDeuring:
     def test_p5_all_match(self):
@@ -257,9 +270,18 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         recs = [rec for p in (5, 7, 11) for rec in census(p)]
         path = str(tmp_path / "census.csv")
-        write_census_file(path, recs)
+        assert write_census_file(path, recs) == sum(p * p - p for p in (5, 7, 11))
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "# census records: p,r,count"
         back = [CensusRecord(*map(int, line.split(","))) for line in lines[1:]]
         assert back == sorted(recs, key=lambda rec: (rec.p, rec.r))
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def records():
+            yield from census(5)
+            raise DomainError("census failed midway")
+
+        with pytest.raises(DomainError):
+            write_census_file(str(tmp_path / "census.csv"), records())
+        assert list(tmp_path.iterdir()) == []

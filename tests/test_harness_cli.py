@@ -2,8 +2,9 @@
 
 import json
 import math
-from types import SimpleNamespace
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from koblitz import cli, curves, harness
@@ -117,6 +118,18 @@ class TestCli:
             rows = [line.split(",") for line in fh if not line.startswith("#")]
         assert {int(row[0]) for row in rows} == {5, 7, 11, 13, 17, 19, 23, 29}
 
+    def test_census_capacity_checked_before_sieve(self, capsys):
+        pmax = 10**7  # its sieve alone would take 15 MB
+        assert pmax > curves.MAX_CENSUS_PRIME
+        tracemalloc.start()
+        try:
+            assert cli.main(["census", "--pmax", str(pmax)]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "exceeds census budget" in capsys.readouterr().err
+
     def test_theorem2_out(self, tmp_path, capsys):
         out = str(tmp_path / "t2")
         assert cli.main(["theorem2", "--pmax", "100", "--out", out]) == 0
@@ -155,7 +168,11 @@ class TestCli:
 
     def test_failed_internal_check_exit_code(self, capsys, monkeypatch):
         # 12H = 1 makes (p-1)*12H/12 non-integral at p = 5
-        monkeypatch.setattr(curves, "kronecker_H", lambda D: SimpleNamespace(twelve_h=1))
+        monkeypatch.setattr(
+            curves,
+            "twelve_h_weighted_table",
+            lambda dmax: np.ones(dmax + 1, dtype=np.int64),
+        )
         assert cli.main(["deuring", "--pmax", "30"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not divisible by 12" in err

@@ -19,7 +19,6 @@ from koblitz.primes import (
     phi,
     sieve,
     sieve_window,
-    smallest_factor_sieve,
 )
 
 
@@ -177,6 +176,9 @@ class TestFactorize:
         assert factorize(12).pairs == ((2, 2), (3, 1))
         assert factorize(1).pairs == ()
         assert factorize(2**61 - 1).pairs == ((2**61 - 1, 1),)
+        # either side of the trial-division bound 10^12
+        assert factorize(1000003**2).pairs == ((1000003, 2),)
+        assert factorize(999983 * 1000003).pairs == ((999983, 1), (1000003, 1))
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
@@ -223,14 +225,3 @@ class TestMultiplicativeFunctions:
         for fn in (phi, moebius, omega):
             with pytest.raises(DomainError):
                 fn(0)
-
-
-class TestSmallestFactorSieve:
-    def test_against_factorize(self):
-        spf = smallest_factor_sieve(10**4)
-        for n in range(2, 10**4 + 1):
-            assert int(spf[n]) == factorize(n).pairs[0][0]
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            smallest_factor_sieve(1 << 30)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koblitz.errors import DomainError
+from koblitz.primes import is_prime
 from koblitz.twinseries import (
     F_local,
     F_mult,
@@ -206,6 +207,23 @@ class TestBdhStatistic:
         for r, q, a, psi_v, exp_v, err in res.rows:
             assert err == pytest.approx(error_E(w, r, q, a), abs=1e-9)
             assert psi_v == pytest.approx(psi(w, r, q, a), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "X, Y, R",
+        [(10**12, 3000, 6), (3, 60, 8)],  # far from 0; and X < R, reaching 0
+    )
+    def test_against_is_prime_enumeration(self, X, Y, R):
+        w = TwinWindow(X=X, Y=Y)
+        res = bdh_statistic(X + Y, R, 3, w, collect_rows=True)
+        primes = {n for n in range(X - R + 1, X + Y + R + 1) if is_prime(n)}
+        for r, q, a, psi_v, _, _ in res.rows:
+            want = sum(
+                math.log(p) * math.log(p - r)
+                for p in range(X + 1, X + Y + 1)
+                if p % q == a and p in primes and p - r in primes
+            )
+            assert psi_v == pytest.approx(want, rel=1e-12, abs=0.0), (r, q, a)
+            assert psi(w, r, q, a) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
