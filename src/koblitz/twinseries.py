@@ -227,11 +227,6 @@ def bdh_statistic(
     logp = logs[p - off]
     residues = [None] + [p % q for q in range(1, Q + 1)]
 
-    # expected densities: S(r,q,a) is constant over admissible a for fixed r, q
-    @functools.lru_cache(maxsize=None)
-    def series_val(r: int, q: int, a: int) -> float:
-        return singular_series_mod(r, q, a, limit).value
-
     total = 0.0
     per_q = {q: 0.0 for q in range(1, Q + 1)}
     rows = [] if collect_rows else None
@@ -242,8 +237,16 @@ def bdh_statistic(
         w = logp[mask] * logs[pp[mask] - off]
         for q in range(1, Q + 1):
             psi_by_a = np.bincount(residues[q][mask], weights=w, minlength=q)
+            # S(r,q,a) is the same for every admissible a (2 | r and
+            # (a,q) = (a-r,q) = 1) and 0 otherwise: evaluate it once per (r, q)
+            density = None
             for a in range(q):
-                expected = series_val(r, q, a) * window.Y
+                if r % 2 == 0 and math.gcd(a, q) == 1 and math.gcd(a - r, q) == 1:
+                    if density is None:
+                        density = singular_series_mod(r, q, a, limit).value
+                    expected = density * window.Y
+                else:
+                    expected = 0.0
                 err = float(psi_by_a[a]) - expected
                 total += err * err
                 per_q[q] += err * err

@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from koblitz import constants
 from koblitz.constants import (
     A_closed,
     B1_closed,
@@ -79,6 +81,54 @@ class TestAverageConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             average_constant(100)
+
+
+def _mp_frak_c_nlf(mp, t):
+    return -mp.log1p(-(t * t - t - 1) / ((t - 1) ** 3 * (t + 1)))
+
+
+def _mp_c_r_nlf(mp, t):
+    # the factor is 1 - (2t^2+2t-1)/((t-1)^3 (t+1)); log1p keeps large t exact
+    return -mp.log1p(-(2 * t * t + 2 * t - 1) / ((t - 1) ** 3 * (t + 1)))
+
+
+class TestLogTail:
+    FACTORS = [
+        (constants._frak_c_neg_log_factor, _mp_frak_c_nlf),
+        (constants._c_r_base_neg_log_factor, _mp_c_r_nlf),
+    ]
+
+    @pytest.mark.parametrize("limit", [10**3, 10**5, 10**6, 10**8])
+    @pytest.mark.parametrize("nlf, mp_nlf", FACTORS)
+    def test_against_mpmath(self, nlf, mp_nlf, limit):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(35):
+            L = mpmath.mpf(limit)
+            want = mpmath.quad(
+                lambda t: mp_nlf(mpmath, t) / mpmath.log(t),
+                [L, 2 * L, 10 * L, 100 * L, 10**4 * L, mpmath.inf],
+            )
+            want = float(want)
+        assert constants._log_tail(nlf, limit) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("nlf, mp_nlf", FACTORS)
+    def test_factor_matches_mpmath(self, nlf, mp_nlf):
+        mpmath = pytest.importorskip("mpmath")
+        t = np.array([3.0, 1e3, 1e6, 1e12])
+        got = nlf(t)
+        with mpmath.workdps(35):
+            want = [float(mp_nlf(mpmath, mpmath.mpf(x))) for x in t]
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("nlf", [nlf for nlf, _ in FACTORS])
+    def test_factor_finite_far_out(self, nlf):
+        # the largest Laguerre node at L = 10^8 is the farthest point the
+        # tail evaluates; no intermediate may overflow even far beyond it
+        largest = 1e8 * math.exp(constants._LAG_X[-1])
+        t = np.array([largest, 1e200, 1e300])
+        values = nlf(t)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
+        assert values[0] > 0
 
 
 class TestCfr:

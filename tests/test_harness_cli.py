@@ -26,6 +26,16 @@ class TestTheorem2:
         )
         assert 0.5 < s["ratio_to_integral"] < 1.5
 
+    @pytest.mark.parametrize("pmax", [10, 500, 3000, 10**5])
+    def test_integral_main_term_against_mpmath(self, pmax):
+        mpmath = pytest.importorskip("mpmath")
+        cuts = [2, 3] + [c for c in (10, 100, 1000, 10**4) if c < pmax] + [pmax]
+        with mpmath.workdps(35):
+            want = mpmath.quad(lambda u: u * u / mpmath.log(u) ** 2, cuts)
+            want = float(want)
+        got = harness._integral_main_term(pmax, 1.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             harness.run_theorem2(5)

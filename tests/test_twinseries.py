@@ -205,6 +205,8 @@ class TestBdhStatistic:
         w = TwinWindow(X=50, Y=300)
         res = bdh_statistic(400, 4, 3, w, collect_rows=True)
         for r, q, a, psi_v, exp_v, err in res.rows:
+            # one density per (r, q), reused for every admissible a
+            assert exp_v == singular_series_mod(r, q, a).value * w.Y
             assert err == pytest.approx(error_E(w, r, q, a), abs=1e-9)
             assert psi_v == pytest.approx(psi(w, r, q, a), abs=1e-9)
 
