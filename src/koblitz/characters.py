@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize
+from .primes import factorize, phi
 
-MAX_CHARACTER_MODULUS = 10**4
+# Largest q * phi(q): the complex128 values of all characters mod q, 16 MB.
+MAX_CHARACTER_CELLS = 2**20
 
 
 def _primitive_root(p: int, pk: int) -> int:
@@ -86,7 +87,7 @@ def _two_components(k: int) -> list[_Component]:
     ]
 
 
-def _component_conductor(comp: _Component, exponent: int, two_exponents: dict) -> int:
+def _component_conductor(comp: _Component, exponent: int) -> int:
     """Conductor contribution of one component given its character exponent."""
     if comp.kind == "odd":
         if exponent == 0:
@@ -100,7 +101,7 @@ def _component_conductor(comp: _Component, exponent: int, two_exponents: dict) -
         return p ** (s + 1)
     if comp.kind == "four":
         return 4 if exponent else 1
-    # the 2^k >= 8 pair is handled jointly via two_exponents
+    # the 2^k >= 8 pair is handled jointly by _two_part_conductor
     return 1
 
 
@@ -128,9 +129,6 @@ class DirichletCharacter:
         """chi(x) for x = 0..q-1 (0 at non-invertible residues)."""
         return self._values
 
-    def __call__(self, x):
-        return self._values[np.asarray(x) % self.modulus]
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -148,8 +146,8 @@ def characters(q: int) -> CharacterTable:
     """All phi(q) Dirichlet characters mod q."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if q > MAX_CHARACTER_MODULUS:
-        raise CapacityError(f"modulus {q} exceeds budget {MAX_CHARACTER_MODULUS}")
+    if q > MAX_CHARACTER_CELLS or q * phi(q) > MAX_CHARACTER_CELLS:
+        raise CapacityError(f"q*phi(q) for modulus {q} exceeds budget {MAX_CHARACTER_CELLS}")
     comps: list[_Component] = []
     for p, k in factorize(q).pairs:
         if p == 2:
@@ -185,7 +183,7 @@ def characters(q: int) -> CharacterTable:
                 sign_i = two_pair[0]
                 cond *= _two_part_conductor(exps[sign_i], exps[i], comp.order)
             else:
-                cond *= _component_conductor(comp, exps[i], {})
+                cond *= _component_conductor(comp, exps[i])
         chars.append(
             DirichletCharacter(
                 modulus=q,

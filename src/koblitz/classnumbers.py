@@ -137,14 +137,14 @@ class HBoundReport:
     argmax: int
 
 
-def H_bound_check(dmax: int) -> HBoundReport:
-    """Max of H(-D)/(sqrt(D) log^2 D) over discriminants 3 <= D <= dmax."""
+def H_bound_check(table: np.ndarray) -> HBoundReport:
+    """Max of H(-D)/(sqrt(D) log^2 D) over 3 <= D < len(table), from 12H."""
+    dmax = len(table) - 1
     if dmax < 16:
         raise DomainError("dmax must be >= 16")
-    t = twelve_h_weighted_table(dmax)
     k = np.arange(dmax + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (t / 12.0) / (np.sqrt(k) * np.log(k) ** 2)
+        ratio = (table / 12.0) / (np.sqrt(k) * np.log(k) ** 2)
     ratio[:3] = 0.0
     arg = int(np.argmax(ratio))
     return HBoundReport(dmax=dmax, max_ratio=float(ratio[arg]), argmax=arg)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import constants, curves, harness
+from . import classnumbers, constants, curves, harness
 from .errors import CapacityError
 from .primes import sieve
 from .twinseries import DEFAULT_TRUNCATION
@@ -60,23 +60,20 @@ def _cmd_census(args) -> int:
             f"pmax={args.pmax} exceeds census budget {curves.MAX_CENSUS_PRIME}"
         )
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
-    records = (rec for p in primes for rec in curves.census(p))
+    censuses = ((p, curves.census(p)) for p in primes)
     if args.out:
         total = curves.write_census_file(
-            args.out if args.out.endswith(".csv") else args.out + ".csv", records
+            args.out if args.out.endswith(".csv") else args.out + ".csv", censuses
         )
     else:
-        total = sum(rec.count for rec in records)
+        total = sum(int(hist.sum()) for _, hist in censuses)
     print(f"census: {len(primes)} primes <= {args.pmax}, {total} curves")
     return 0
 
 
 def _cmd_deuring(args) -> int:
-    bad = []
-    for p in (int(q) for q in sieve(args.pmax).primes if q >= 5):
-        rep = curves.deuring_check(p)
-        if not rep.all_match:
-            bad.append(p)
+    table = classnumbers.twelve_h_weighted_table(4 * args.pmax)
+    bad = [rep.p for rep in curves.deuring_sweep(args.pmax, table) if not rep.all_match]
     status = "PASS" if not bad else f"FAIL at p in {bad}"
     print(f"deuring check p <= {args.pmax}: {status}")
     return 0 if not bad else 1

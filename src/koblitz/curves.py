@@ -11,6 +11,9 @@ the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3, and t_a0 the
 squares x^2 by chi(x).  Each class c != 0 is one free orbit of p - 1 pairs,
 split evenly between t_cc[c] and -t_cc[c], and c = -27/4 is exactly the
 singular class with ab != 0, so a census costs O(p log p).
+
+census, box_trace_histogram and deuring_counts return one layout: an int64
+array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .classnumbers import twelve_h_weighted_table
 from .errors import CapacityError, DomainError
 from .primes import is_prime, kronecker_table, sieve
 
@@ -53,13 +55,6 @@ class CurveModP:
         object.__setattr__(self, "b", self.b % self.p)
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
             raise DomainError(f"singular curve (a,b)=({self.a},{self.b}) mod {self.p}")
-
-
-@dataclass(frozen=True)
-class CensusRecord:
-    p: int
-    r: int
-    count: int
 
 
 def trace(curve: CurveModP) -> int:
@@ -152,8 +147,14 @@ def trace_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _grid_traces(p, x, x)
 
 
-def census(p: int) -> tuple[CensusRecord, ...]:
-    """All (r, N_r(p)) with N_r(p) > 0, ascending in r."""
+def trace_grid(p: int) -> np.ndarray:
+    """The traces r = -isqrt(4p)..isqrt(4p) that index every census array."""
+    off = math.isqrt(4 * p)
+    return np.arange(-off, off + 1, dtype=np.int64)
+
+
+def census(p: int) -> np.ndarray:
+    """hist[r + isqrt(4p)] = N_r(p), the number of curves over F_p of trace r."""
     _check_prime(p)
     tab = _trace_tables(p)
     t_cc = np.delete(tab.t_cc, [0, tab.c_singular])
@@ -164,11 +165,7 @@ def census(p: int) -> tuple[CensusRecord, ...]:
     total = int(hist.sum())
     if total != p * p - p:
         raise AssertionError(f"census total {total} != p^2 - p for p={p}")
-    return tuple(
-        CensusRecord(p=p, r=int(r - off), count=int(c))
-        for r, c in enumerate(hist)
-        if c > 0
-    )
+    return hist
 
 
 def singular_pair_count(p: int) -> int:
@@ -177,6 +174,22 @@ def singular_pair_count(p: int) -> int:
     a4 = 4 * (x * x % p * x) % p
     b27 = 27 * (x * x) % p
     return int(((a4[:, None] + b27[None, :]) % p == 0).sum())
+
+
+def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
+    """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p.
+
+    By Deuring's identity this equals census(p); each (p-1)*12H is checked
+    to be divisible by 12.
+    """
+    if len(table) <= 4 * p:
+        raise DomainError(f"12H table of length {len(table)} does not reach 4p={4 * p}")
+    r = trace_grid(p)
+    counts12 = (p - 1) * table[4 * p - r * r]
+    bad = np.flatnonzero(counts12 % 12)
+    if bad.size:
+        raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={int(r[bad[0]])}")
+    return counts12 // 12
 
 
 @dataclass(frozen=True)
@@ -190,53 +203,44 @@ class DeuringRow:
 @dataclass(frozen=True)
 class DeuringReport:
     p: int
-    ordinary_all_match: bool
     ordinary_mismatches: tuple[DeuringRow, ...]
-    supersingular: DeuringRow | None
+    supersingular: DeuringRow
+
+    @property
+    def ordinary_all_match(self) -> bool:
+        return not self.ordinary_mismatches
 
     @property
     def all_match(self) -> bool:
-        return self.ordinary_all_match and (
-            self.supersingular is None or self.supersingular.matches
-        )
+        return self.ordinary_all_match and self.supersingular.matches
 
 
-def deuring_check(p: int) -> DeuringReport:
-    """Compare census counts N_r(p) to (p-1)*H(r^2-4p), exactly.
+def deuring_check(p: int, table: np.ndarray) -> DeuringReport:
+    """Compare census(p) to deuring_counts(p, table), exactly.
 
     Ordinary traces (p does not divide r) are the asserted case; the r = 0
     row is evaluated and reported separately.
     """
-    counts = {rec.r: rec.count for rec in census(p)}
-    table = twelve_h_weighted_table(4 * p)
-    rmax = math.isqrt(4 * p - 1)
-    mismatches = []
-    ordinary_ok = True
-    supersingular = None
-    for r in range(-rmax, rmax + 1):
-        twelve = int(table[4 * p - r * r])
-        expected12 = (p - 1) * twelve
-        if expected12 % 12 != 0:
-            raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={r}")
-        expected = expected12 // 12
-        got = counts.get(r, 0)
-        row = DeuringRow(r=r, census_count=got, expected_count=expected, matches=got == expected)
-        if r == 0:
-            supersingular = row
-        elif not row.matches:
-            ordinary_ok = False
-            mismatches.append(row)
-    return DeuringReport(
-        p=p,
-        ordinary_all_match=ordinary_ok,
-        ordinary_mismatches=tuple(mismatches),
-        supersingular=supersingular,
-    )
+    got, want = census(p), deuring_counts(p, table)
+    off = len(got) // 2
+
+    def row(i: int) -> DeuringRow:
+        c, e = int(got[i]), int(want[i])
+        return DeuringRow(r=i - off, census_count=c, expected_count=e, matches=c == e)
+
+    mismatches = tuple(row(int(i)) for i in np.flatnonzero(got != want) if i != off)
+    return DeuringReport(p=p, ordinary_mismatches=mismatches, supersingular=row(off))
+
+
+def deuring_sweep(pmax: int, table: np.ndarray) -> tuple[DeuringReport, ...]:
+    """deuring_check for every prime 5 <= p <= pmax, all against one 12H table."""
+    return tuple(deuring_check(int(p), table) for p in sieve(pmax).primes if p >= 5)
 
 
 def pi_star(p: int) -> int:
     """#{curves over F_p with a prime number of points}."""
-    return sum(rec.count for rec in census(p) if is_prime(p + 1 - rec.r))
+    hist, r = census(p), trace_grid(p)
+    return int(hist[sieve(p + 1 + r[-1]).flags[p + 1 - r]].sum())
 
 
 def pi_twin(a: int, b: int, x: int) -> int:
@@ -295,20 +299,23 @@ def box_count(p: int, box_a: int, box_b: int, r: int) -> int:
     return int(hist[r + off])
 
 
-def write_census_file(path: str, records: Iterable[CensusRecord]) -> int:
-    """Write `p,r,count` lines in the given order under a '#' header line.
+def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> int:
+    """Write a `p,r,count` line per nonzero count under a '#' header line.
 
-    Records are written as the iterable yields them, and the file appears at
-    `path` only once all are written.  Returns the total curve count.
+    `censuses` yields (p, census(p)) pairs; each is written as it arrives, in
+    ascending r, and the file appears at `path` only once all are written.
+    Returns the total curve count.
     """
     total = 0
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("# census records: p,r,count\n")
-            for rec in records:
-                fh.write(f"{rec.p},{rec.r},{rec.count}\n")
-                total += rec.count
+            for p, hist in censuses:
+                off = len(hist) // 2
+                for i in np.flatnonzero(hist).tolist():
+                    fh.write(f"{p},{i - off},{int(hist[i])}\n")
+                total += int(hist.sum())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

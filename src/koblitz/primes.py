@@ -189,7 +189,7 @@ _trial_primes: list[int] | None = None
 def _get_trial_primes() -> list[int]:
     global _trial_primes
     if _trial_primes is None:
-        _trial_primes = [int(p) for p in sieve(_TRIAL_LIMIT).primes]
+        _trial_primes = sieve(_TRIAL_LIMIT).primes.tolist()
     return _trial_primes
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from koblitz import constants, curves, harness, twinseries
 from koblitz.characters import characters, rho_chi
+from koblitz.classnumbers import twelve_h_weighted_table
 from koblitz.primes import factorize, moebius, sieve
 
 
@@ -20,12 +21,13 @@ def test_criterion_01_deuring_exactness():
     """Census equals (p-1)H(r^2-4p) exactly for 5 <= p <= 499, in < 60 s."""
     t0 = time.monotonic()
     supersingular_deviations = []
-    for p in (int(q) for q in sieve(499).primes if q >= 5):
-        rep = curves.deuring_check(p)
-        assert rep.ordinary_all_match, f"ordinary mismatch at p={p}: {rep.ordinary_mismatches}"
-        assert rep.supersingular is not None
+    reps = curves.deuring_sweep(499, twelve_h_weighted_table(4 * 499))
+    assert [rep.p for rep in reps] == [int(q) for q in sieve(499).primes if q >= 5]
+    for rep in reps:
+        assert rep.ordinary_all_match, f"ordinary mismatch at p={rep.p}: {rep.ordinary_mismatches}"
+        assert rep.supersingular.r == 0
         if not rep.supersingular.matches:
-            supersingular_deviations.append((p, rep.supersingular))
+            supersingular_deviations.append((rep.p, rep.supersingular))
     # the r = 0 rows are evaluated and reported; empirically they also match
     assert supersingular_deviations == []
     assert time.monotonic() - t0 < 60.0

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from koblitz.characters import characters, rho_chi
+from koblitz.characters import MAX_CHARACTER_CELLS, characters, rho_chi
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import moebius, phi
+from koblitz.primes import factorize, moebius, phi
 from koblitz.twinseries import rho
 
 
@@ -33,7 +34,7 @@ class TestCharacterGroup:
         assert table.phi == 1
         assert len(table.characters) == 1
         assert table.characters[0].is_principal
-        assert table.characters[0](7) == 1
+        assert table.characters[0].values[7 % 1] == 1
 
     def test_q5(self):
         table = characters(5)
@@ -70,6 +71,25 @@ class TestCharacterGroup:
             characters(0)
         with pytest.raises(CapacityError):
             characters(10**4 + 1)
+
+    def test_capacity_checked_before_allocation(self):
+        q = 9973  # prime; its phi(q) x q table would take 1.6 GB
+        assert q * phi(q) > MAX_CHARACTER_CELLS
+        factorize(q)  # the trial-division primes are built once per process
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                characters(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_tables_within_budget(self):
+        assert 1021 * phi(1021) <= MAX_CHARACTER_CELLS < 1031 * phi(1031)
+        assert characters(1021).phi == 1020
+        with pytest.raises(CapacityError):
+            characters(1031)
 
 
 class TestConductors:

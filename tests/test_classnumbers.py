@@ -120,11 +120,12 @@ class TestVectorizedTables:
 
 class TestHBound:
     def test_finite_and_slow_growth(self):
-        r4 = H_bound_check(10**4)
-        r5 = H_bound_check(10**5)
+        r4 = H_bound_check(twelve_h_weighted_table(10**4))
+        r5 = H_bound_check(twelve_h_weighted_table(10**5))
+        assert (r4.dmax, r5.dmax) == (10**4, 10**5)
         assert 0 < r4.max_ratio < 10.0
         assert r5.max_ratio <= 2.0 * r4.max_ratio
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            H_bound_check(15)
+            H_bound_check(twelve_h_weighted_table(15))

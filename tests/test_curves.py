@@ -12,19 +12,22 @@ from koblitz import curves
 from koblitz.curves import (
     MAX_CENSUS_PRIME,
     MAX_TRACE_MATRIX_PRIME,
-    CensusRecord,
     CurveModP,
     box_count,
     box_trace_histogram,
     census,
     deuring_check,
+    deuring_counts,
+    deuring_sweep,
     pi_star,
     pi_twin,
     singular_pair_count,
     trace,
+    trace_grid,
     trace_matrix,
     write_census_file,
 )
+from koblitz.classnumbers import kronecker_H, twelve_h_weighted_table
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime, sieve
 
@@ -94,7 +97,7 @@ class TestTrace:
         assert bool(ns[a, b]) == ((4 * a**3 + 27 * b**2) % p != 0)
         if ns[a, b]:
             assert int(t[a, b]) == _oracle_trace(p, a, b)
-        assert sum(rec.count for rec in census(p)) == p * p - p
+        assert int(census(p).sum()) == p * p - p
 
     def test_capacity_checked_before_allocation(self):
         p = 5003  # the first prime above the budget; its p x p grid is 200 MB
@@ -117,28 +120,37 @@ class TestTrace:
             curves._correlate_chi(w, chi)
 
 
+def _by_r(p):
+    return dict(zip(trace_grid(p).tolist(), census(p).tolist()))
+
+
 class TestCensus:
     def test_p5(self):
-        recs = census(5)
-        assert sum(rec.count for rec in recs) == 20
-        by_r = {rec.r: rec.count for rec in recs}
-        assert by_r[0] == 4  # the four curves y^2 = x^3 + b
+        hist = census(5)
+        assert int(hist.sum()) == 20
+        assert _by_r(5)[0] == 4  # the four curves y^2 = x^3 + b
 
     def test_p7_r5(self):
-        by_r = {rec.r: rec.count for rec in census(7)}
-        assert by_r[5] == 1
+        assert _by_r(7)[5] == 1
 
     def test_total_with_independent_singular_count(self):
         for p in (int(q) for q in sieve(100).primes if q > 3):
-            total = sum(rec.count for rec in census(p))
+            total = int(census(p).sum())
             assert total == p * p - singular_pair_count(p)
             assert singular_pair_count(p) == p
 
-    def test_records_sorted_and_positive(self):
-        recs = census(31)
-        rs = [rec.r for rec in recs]
-        assert rs == sorted(rs)
-        assert all(rec.count > 0 for rec in recs)
+    def test_layout_spans_hasse_range(self):
+        # one int64 entry per r in [-isqrt(4p), isqrt(4p)]; H(r^2 - 4p) > 0
+        # for each, so every count in the Hasse range is positive
+        for p in (31, 37):
+            hist = census(p)
+            off = math.isqrt(4 * p)
+            assert hist.dtype == np.int64 and hist.shape == (2 * off + 1,)
+            assert trace_grid(p).tolist() == list(range(-off, off + 1))
+            assert (hist > 0).all()
+            assert hist.shape == box_trace_histogram(p, 1, 1).shape
+            table = twelve_h_weighted_table(4 * p)
+            assert hist.shape == deuring_counts(p, table).shape
 
     def test_capacity_checked_before_allocation(self):
         p = 100003  # the first prime above the budget; its tables take 8 MB
@@ -153,25 +165,59 @@ class TestCensus:
         assert peak < 1 << 20
 
 
+def _deuring(p):
+    return deuring_check(p, twelve_h_weighted_table(4 * p))
+
+
 class TestDeuring:
     def test_p5_all_match(self):
-        assert deuring_check(5).all_match
+        assert _deuring(5).all_match
 
     def test_p7_r5_row(self):
-        rep = deuring_check(7)
+        rep = _deuring(7)
         assert rep.ordinary_all_match
         assert rep.ordinary_mismatches == ()
 
     @pytest.mark.parametrize("p", [10007, 20011])
     def test_large_primes_all_match(self, p):
-        assert deuring_check(p).all_match
+        assert _deuring(p).all_match
 
     def test_p11_supersingular(self):
-        rep = deuring_check(11)
-        assert rep.supersingular is not None
+        rep = _deuring(11)
         assert rep.supersingular.r == 0
         assert rep.supersingular.matches
         assert rep.supersingular.census_count == 20
+
+    def test_counts_against_scalar_class_numbers(self):
+        for p in (5, 7, 37):
+            r = trace_grid(p).tolist()
+            want = [(p - 1) * kronecker_H(t * t - 4 * p).twelve_h // 12 for t in r]
+            assert deuring_counts(p, twelve_h_weighted_table(4 * p)).tolist() == want
+
+    def test_table_must_reach_4p(self):
+        with pytest.raises(DomainError):
+            deuring_counts(37, twelve_h_weighted_table(4 * 37 - 1))
+        with pytest.raises(DomainError):
+            deuring_check(37, twelve_h_weighted_table(100))
+
+    def test_mismatch_rows(self):
+        # a doubled table doubles every expected count: every nonzero row of
+        # the census mismatches, and r = 0 is reported only as supersingular
+        p = 11
+        rep = deuring_check(p, 2 * twelve_h_weighted_table(4 * p))
+        assert not rep.ordinary_all_match and not rep.all_match
+        assert not rep.supersingular.matches
+        assert rep.supersingular.expected_count == 2 * rep.supersingular.census_count
+        by_r = _by_r(p)
+        assert [row.r for row in rep.ordinary_mismatches] == [
+            r for r, c in by_r.items() if c and r != 0
+        ]
+        assert all(row.expected_count == 2 * row.census_count for row in rep.ordinary_mismatches)
+
+    def test_sweep_covers_primes_from_5(self):
+        reps = deuring_sweep(60, twelve_h_weighted_table(240))
+        assert [rep.p for rep in reps] == [int(q) for q in sieve(60).primes if q >= 5]
+        assert all(rep.all_match for rep in reps)
 
 
 class TestPiStar:
@@ -268,20 +314,22 @@ class TestBoxCounts:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        recs = [rec for p in (5, 7, 11) for rec in census(p)]
+        primes = (5, 7, 11)
         path = str(tmp_path / "census.csv")
-        assert write_census_file(path, recs) == sum(p * p - p for p in (5, 7, 11))
+        total = write_census_file(path, ((p, census(p)) for p in primes))
+        assert total == sum(p * p - p for p in primes)
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "# census records: p,r,count"
-        back = [CensusRecord(*map(int, line.split(","))) for line in lines[1:]]
-        assert back == sorted(recs, key=lambda rec: (rec.p, rec.r))
+        back = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        want = [(p, r, c) for p in primes for r, c in _by_r(p).items() if c > 0]
+        assert back == want
 
     def test_failed_write_leaves_no_file(self, tmp_path):
-        def records():
-            yield from census(5)
+        def censuses():
+            yield 5, census(5)
             raise DomainError("census failed midway")
 
         with pytest.raises(DomainError):
-            write_census_file(str(tmp_path / "census.csv"), records())
+            write_census_file(str(tmp_path / "census.csv"), censuses())
         assert list(tmp_path.iterdir()) == []

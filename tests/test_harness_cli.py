@@ -1,5 +1,6 @@
 """Experiment-driver and command-line tests."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from koblitz import cli, curves, harness
+from koblitz import classnumbers, cli, curves, harness
 from koblitz.errors import DomainError
 
 
@@ -179,13 +180,55 @@ class TestCli:
     def test_failed_internal_check_exit_code(self, capsys, monkeypatch):
         # 12H = 1 makes (p-1)*12H/12 non-integral at p = 5
         monkeypatch.setattr(
-            curves,
+            classnumbers,
             "twelve_h_weighted_table",
             lambda dmax: np.ones(dmax + 1, dtype=np.int64),
         )
         assert cli.main(["deuring", "--pmax", "30"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not divisible by 12" in err
+
+
+class TestOneTablePerSweep:
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        build = classnumbers.twelve_h_weighted_table
+
+        def counting(dmax):
+            calls.append(dmax)
+            return build(dmax)
+
+        monkeypatch.setattr(classnumbers, "twelve_h_weighted_table", counting)
+        return calls
+
+    def test_deuring_cli(self, table_calls, capsys):
+        assert cli.main(["deuring", "--pmax", "499"]) == 0
+        assert table_calls == [4 * 499]
+
+    def test_verify_deuring_suite(self, table_calls, capsys):
+        assert cli.main(["verify", "--suite", "deuring"]) == 0
+        assert table_calls == [10**4]
+
+
+class TestPinnedOutputs:
+    """Integer outputs pinned exactly: a refactor must leave them unchanged."""
+
+    def test_census_csv(self, tmp_path, capsys):
+        out = str(tmp_path / "census")
+        assert cli.main(["census", "--pmax", "200", "--out", out]) == 0
+        digest = hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest()
+        assert digest == "6071a255d589433bdc7cd51b03353f637a3f196567130b62ca113055e4c26860"
+        assert capsys.readouterr().out == "census: 44 primes <= 200, 560830 curves\n"
+
+    def test_deuring_stdout(self, capsys):
+        assert cli.main(["deuring", "--pmax", "499"]) == 0
+        assert capsys.readouterr().out == "deuring check p <= 499: PASS\n"
+
+    @pytest.mark.parametrize("pmax, total", [(500, 596076), (3000, 76353690)])
+    def test_theorem2_route_sums(self, pmax, total):
+        s = harness.run_theorem2(pmax).summary
+        assert (s["class_route_sum"], s["census_route_sum"]) == (total, total)
 
 
 class TestReportDeterminism:
