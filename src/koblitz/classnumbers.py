@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+# Largest dmax for h_table: 4p at the class-number route's budget p = 10^5.
+MAX_H_TABLE = 4 * 10**5
 
 
 def _check_discriminant(d: int) -> None:
@@ -93,6 +96,8 @@ def h_table(dmax: int) -> np.ndarray:
     """
     if dmax < 3:
         raise DomainError("dmax must be >= 3")
+    if dmax > MAX_H_TABLE:
+        raise CapacityError(f"dmax={dmax} exceeds class-number table budget {MAX_H_TABLE}")
     h = np.zeros(dmax + 1, dtype=np.int64)
     for a in range(1, math.isqrt(dmax // 3) + 1):
         for b in range(-a + 1, a + 1):

@@ -54,11 +54,13 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _check_census_budget(pmax: int) -> None:
+    if pmax > curves.MAX_CENSUS_PRIME:
+        raise CapacityError(f"pmax={pmax} exceeds census budget {curves.MAX_CENSUS_PRIME}")
+
+
 def _cmd_census(args) -> int:
-    if args.pmax > curves.MAX_CENSUS_PRIME:
-        raise CapacityError(
-            f"pmax={args.pmax} exceeds census budget {curves.MAX_CENSUS_PRIME}"
-        )
+    _check_census_budget(args.pmax)
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
     censuses = ((p, curves.census(p)) for p in primes)
     if args.out:
@@ -72,6 +74,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_deuring(args) -> int:
+    _check_census_budget(args.pmax)
     table = classnumbers.twelve_h_weighted_table(4 * args.pmax)
     bad = [rep.p for rep in curves.deuring_sweep(args.pmax, table) if not rep.all_match]
     status = "PASS" if not bad else f"FAIL at p in {bad}"

@@ -185,11 +185,11 @@ def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
     if len(table) <= 4 * p:
         raise DomainError(f"12H table of length {len(table)} does not reach 4p={4 * p}")
     r = trace_grid(p)
-    counts12 = (p - 1) * table[4 * p - r * r]
-    bad = np.flatnonzero(counts12 % 12)
-    if bad.size:
-        raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={int(r[bad[0]])}")
-    return counts12 // 12
+    counts, rem = np.divmod((p - 1) * table[4 * p - r * r], 12)
+    if np.count_nonzero(rem):
+        bad = int(r[np.flatnonzero(rem)[0]])
+        raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={bad}")
+    return counts
 
 
 @dataclass(frozen=True)

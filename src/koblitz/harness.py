@@ -76,7 +76,8 @@ def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
     with_census = pmax <= 3000
     class_route = census_route = 0
     for p in (int(q) for q in sieve(pmax).primes if q > 3):
-        good = flags[p + 1 - curves.trace_grid(p)]
+        off = math.isqrt(4 * p)
+        good = flags[p + 1 + off : p - off : -1]  # flags[p + 1 - r] over trace_grid(p)
         class_route += int(curves.deuring_counts(p, table)[good].sum())
         if with_census:
             census_route += int(curves.census(p)[good].sum())
@@ -208,16 +209,11 @@ def _check(rows: list[dict], name: str, passed: bool, detail: str = "") -> bool:
 
 
 def _suite_deuring(rows: list[dict]) -> bool:
-    ok = True
-    bad_ordinary: list[int] = []
-    bad_supersingular: list[int] = []
     table = classnumbers.twelve_h_weighted_table(10**4)
-    for rep in curves.deuring_sweep(499, table):
-        if not rep.ordinary_all_match:
-            bad_ordinary.append(rep.p)
-        if not rep.supersingular.matches:
-            bad_supersingular.append(rep.p)
-    ok &= _check(
+    reps = curves.deuring_sweep(499, table)
+    bad_ordinary = [rep.p for rep in reps if not rep.ordinary_all_match]
+    bad_supersingular = [rep.p for rep in reps if not rep.supersingular.matches]
+    ok = _check(
         rows,
         "deuring ordinary traces exact, p in [5, 499]",
         not bad_ordinary,

@@ -3,6 +3,7 @@
 import pytest
 
 from koblitz.classnumbers import (
+    MAX_H_TABLE,
     H_bound_check,
     form_class_number,
     h_table,
@@ -10,7 +11,7 @@ from koblitz.classnumbers import (
     twelve_h_weighted_table,
     unit_count,
 )
-from koblitz.errors import DomainError
+from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import kronecker
 
 
@@ -116,6 +117,10 @@ class TestVectorizedTables:
     def test_domain(self):
         with pytest.raises(DomainError):
             h_table(2)
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            twelve_h_weighted_table(MAX_H_TABLE + 1)
 
 
 class TestHBound:

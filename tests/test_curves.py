@@ -200,6 +200,12 @@ class TestDeuring:
         with pytest.raises(DomainError):
             deuring_check(37, twelve_h_weighted_table(100))
 
+    def test_one_entry_not_divisible_by_12(self):
+        table = twelve_h_weighted_table(20)
+        table[20 - 3 * 3] += 1  # (5-1)*(12H(-11) + 1) = 28 at r = +-3
+        with pytest.raises(AssertionError, match="p=5, r=-3"):
+            deuring_counts(5, table)
+
     def test_mismatch_rows(self):
         # a doubled table doubles every expected count: every nonzero row of
         # the census mismatches, and r = 0 is reported only as supersingular

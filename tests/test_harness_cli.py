@@ -205,6 +205,13 @@ class TestOneTablePerSweep:
     def test_deuring_cli(self, table_calls, capsys):
         assert cli.main(["deuring", "--pmax", "499"]) == 0
         assert table_calls == [4 * 499]
+        assert capsys.readouterr().out == "deuring check p <= 499: PASS\n"
+
+    def test_deuring_capacity_checked_before_table(self, table_calls, capsys):
+        pmax = curves.MAX_CENSUS_PRIME + 1
+        assert cli.main(["deuring", "--pmax", str(pmax)]) == 1
+        assert table_calls == []
+        assert "exceeds census budget" in capsys.readouterr().err
 
     def test_verify_deuring_suite(self, table_calls, capsys):
         assert cli.main(["verify", "--suite", "deuring"]) == 0
@@ -220,10 +227,6 @@ class TestPinnedOutputs:
         digest = hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest()
         assert digest == "6071a255d589433bdc7cd51b03353f637a3f196567130b62ca113055e4c26860"
         assert capsys.readouterr().out == "census: 44 primes <= 200, 560830 curves\n"
-
-    def test_deuring_stdout(self, capsys):
-        assert cli.main(["deuring", "--pmax", "499"]) == 0
-        assert capsys.readouterr().out == "deuring check p <= 499: PASS\n"
 
     @pytest.mark.parametrize("pmax, total", [(500, 596076), (3000, 76353690)])
     def test_theorem2_route_sums(self, pmax, total):
