@@ -101,14 +101,8 @@ def _cmd_bdh(args) -> int:
     )
     if args.out is not None:
         _write_csv(harness.bdh_rows_csv(report), args.out)
-        rows, report.rows = report.rows, []
-        _write_json(report.to_json(), args.out)
-        report.rows = rows
-    else:
-        slim = harness.Report(
-            name=report.name, params=report.params, summary=report.summary
-        )
-        _write_json(slim.to_json(), None)
+    report.rows = []  # the rows go to the CSV only
+    _write_json(report.to_json(), args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ from .twinseries import DEFAULT_TRUNCATION, TwinWindow
 class Report:
     name: str
     params: dict
-    rows: list[dict] = field(default_factory=list)
+    rows: list = field(default_factory=list)  # dicts; bdh's are tuples
     summary: dict = field(default_factory=dict)
     passed: bool = True
 
@@ -178,21 +178,17 @@ def run_bdh(
         },
     )
     if result.rows is not None:
-        report.rows = [
-            {"r": r, "q": q, "a": a, "psi": psi_v, "expected": exp_v, "error": err}
-            for (r, q, a, psi_v, exp_v, err) in result.rows
-        ]
+        report.rows = result.rows
     return report
 
 
 def bdh_rows_csv(report: Report) -> str:
-    """CSV for bdh rows: `r,q,a,psi,expected,error` plus a summary line."""
+    """CSV for bdh rows: `r,q,a,psi,expected,error` plus a summary line.
+
+    The rows are run_bdh's (r, q, a, psi, expected, error) tuples.
+    """
     lines = ["r,q,a,psi,expected,error"]
-    for row in report.rows:
-        lines.append(
-            f"{row['r']},{row['q']},{row['a']},{row['psi']!r},"
-            f"{row['expected']!r},{row['error']!r}"
-        )
+    lines.extend("%d,%d,%d,%r,%r,%r" % row for row in report.rows)
     s = report.summary
     lines.append(f"# summary S={s['S']!r} normalized={s['normalized']!r}")
     return "\n".join(lines) + "\n"
@@ -359,10 +355,8 @@ def _suite_series(rows: list[dict]) -> bool:
         f"first mismatch at {mism}" if mism else "all exact",
     )
     R = 10**5
-    acc = 0.0
-    for r in range(2, R + 1, 2):
-        acc += twinseries.singular_series(r).value
-    ratio = acc / R
+    # S(r) at even r <= R, summed in ascending r
+    ratio = float(np.cumsum(twinseries.singular_series_table(R)[2::2])[-1]) / R
     ok &= _check(
         rows,
         "singular series averages to 1 over r <= 10^5",

@@ -183,13 +183,22 @@ class Factorization:
         return tuple(p for p, _ in self.pairs if p != 2)
 
 
-_trial_primes: list[int] | None = None
+# Every prime <= _trial_bound, ascending; grown on demand up to _TRIAL_LIMIT.
+_trial_primes: list[int] = []
+_trial_bound = 1
 
 
-def _get_trial_primes() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = sieve(_TRIAL_LIMIT).primes.tolist()
+def _get_trial_primes(n: int) -> list[int]:
+    """The trial-division primes for n: every prime <= min(isqrt(n), _TRIAL_LIMIT).
+
+    The list grows at least twofold at a time, so the sieves it takes cost
+    about as much as one sieve to the largest bound asked for.
+    """
+    global _trial_primes, _trial_bound
+    need = min(math.isqrt(n), _TRIAL_LIMIT)
+    if need > _trial_bound:
+        _trial_bound = min(max(need, 2 * _trial_bound), _TRIAL_LIMIT)
+        _trial_primes = sieve(_trial_bound).primes.tolist()
     return _trial_primes
 
 
@@ -228,14 +237,15 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     pairs: dict[int, int] = {}
-    for p in _get_trial_primes():
+    for p in _get_trial_primes(n):
         if p * p > n:
             break
         while n % p == 0:
             pairs[p] = pairs.get(p, 0) + 1
             n //= p
-    # Every prime <= 999983 is divided out, and the smallest composite left,
-    # 1000003^2, exceeds _TRIAL_LIMIT^2: a smaller cofactor is prime.
+    # Every prime <= min(isqrt(n), 999983) is divided out.  Below 10^12 that
+    # leaves no composite cofactor; above, the smallest composite left,
+    # 1000003^2, exceeds _TRIAL_LIMIT^2: either way a smaller cofactor is prime.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .primes import factorize, phi, sieve, sieve_window
 
 DEFAULT_TRUNCATION = 10**6
+
+# Budget for bdh_statistic's (r, q, a) grid: 2R * Q(Q+1)/2 cells, 16 MB per
+# float64 array over it.
+MAX_BDH_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,21 @@ def _odd_prime_correction(r: int) -> float:
     for p in factorize(abs(r)).odd_primes():
         out *= (p - 1.0) / (p - 2.0)
     return out
+
+
+def singular_series_table(n: int, limit: int = DEFAULT_TRUNCATION) -> np.ndarray:
+    """S(m) for 1 <= m <= n (entry 0 is unused), from one sieve pass.
+
+    Each even entry takes its factors (ell-1)/(ell-2) in ascending ell and
+    then 2*C2, the same float operations as singular_series, so entry m
+    equals singular_series(m, limit).value bit for bit.
+    """
+    corr = np.ones(n + 1)
+    if n >= 6:
+        for ell in sieve(n // 2).primes[1:].tolist():
+            corr[2 * ell :: 2 * ell] *= (ell - 1.0) / (ell - 2.0)
+    corr[1::2] = 0.0
+    return _twin_constant(limit)[0] * corr
 
 
 def singular_series(r: int, limit: int = DEFAULT_TRUNCATION) -> SingularSeriesValue:
@@ -215,43 +234,89 @@ def bdh_statistic(
 ) -> BdhResult:
     """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2.
 
-    One pass over the window (X-R, X+Y+R], sieved on its own span; psi
-    values are bucketed by residue class with bincount, never rescanned per
-    (r, q, a).
+    Array passes over a grid with one row per shift r = -R..-1, 1..R and one
+    column per class (q, a), q = 1..Q, a = 0..q-1.  The window (X-R, X+Y+R]
+    is sieved once; per shift, one bincount buckets the pair weights into
+    every column, each bin summing in ascending p as psi does.  S(r,q,a) is
+    read from one singular_series_table, and S and per_q are sequential
+    cumsums in (r, q, a) order, so every value equals the per-class loop's
+    bit for bit.
     """
     if window.X + window.Y > x:
         raise DomainError("window must satisfy X + Y <= x")
     if R > x or R < 1 or Q < 1:
         raise DomainError("require 1 <= R <= x and Q >= 1")
+    # 2R * Q(Q+1)/2 grid cells; the R*Q + 1 entry S table is smaller
+    if R * Q * (Q + 1) > MAX_BDH_CELLS:
+        raise CapacityError(
+            f"R={R}, Q={Q} give {R * Q * (Q + 1)} cells, over budget {MAX_BDH_CELLS}"
+        )
     p, flags, off, logs = _sieved_window(window, R)
-    logp = logs[p - off]
-    residues = [None] + [p % q for q in range(1, Q + 1)]
+    # R leading zeros: the partner p - r >= off - R of a prime p sits at
+    # index at + R - r >= 0, and the integers below off read as non-prime
+    flags = np.concatenate((np.zeros(R, dtype=bool), flags))
+    logs = np.concatenate((np.zeros(R), logs))
+    at = p - off
+    logp = logs[R:][at]
+    qs = np.arange(1, Q + 1)
+    starts = np.cumsum(qs) - qs  # first column of each q
+    q_col = np.repeat(qs, qs)
+    start_col = np.repeat(starts, qs)
+    a_col = np.arange(q_col.size) - start_col
+    r_values = np.concatenate((np.arange(-R, 0), np.arange(1, R + 1)))
 
-    total = 0.0
-    per_q = {q: 0.0 for q in range(1, Q + 1)}
-    rows = [] if collect_rows else None
-    r_values = [r for r in range(-R, R + 1) if r != 0]
-    for r in r_values:
-        pp = p - r
-        mask = (pp >= off) & flags[np.maximum(pp - off, 0)]
-        w = logp[mask] * logs[pp[mask] - off]
-        for q in range(1, Q + 1):
-            psi_by_a = np.bincount(residues[q][mask], weights=w, minlength=q)
-            # S(r,q,a) is the same for every admissible a (2 | r and
-            # (a,q) = (a-r,q) = 1) and 0 otherwise: evaluate it once per (r, q)
-            density = None
-            for a in range(q):
-                if r % 2 == 0 and math.gcd(a, q) == 1 and math.gcd(a - r, q) == 1:
-                    if density is None:
-                        density = singular_series_mod(r, q, a, limit).value
-                    expected = density * window.Y
-                else:
-                    expected = 0.0
-                err = float(psi_by_a[a]) - expected
-                total += err * err
-                per_q[q] += err * err
-                if rows is not None:
-                    rows.append((r, q, a, float(psi_by_a[a]), expected, err))
+    psi_grid = np.zeros((r_values.size, q_col.size))
+    for i, r in enumerate(r_values.tolist()):
+        hit = np.flatnonzero(flags[R - r :][at])
+        if hit.size == 0:  # most odd shifts
+            continue
+        w = logp[hit] * logs[R - r :][at[hit]]
+        codes = p[hit][:, None] % qs + starts
+        psi_grid[i] = np.bincount(
+            codes.ravel(), weights=np.repeat(w, Q), minlength=q_col.size
+        )
+
+    # S(r,q,a) = S(rq)/phi(q) on admissible classes (2 | r and
+    # (a,q) = (a-r,q) = 1), 0 elsewhere; cross-checked against S(r)/rho(r,q)
+    units = np.gcd(a_col, q_col) == 1
+    even = r_values % 2 == 0
+    admissible = units & units[(a_col - r_values[:, None]) % q_col + start_col]
+    table = singular_series_table(R * Q, limit)
+    r_even = np.abs(r_values[even])
+    via_product = table[r_even[:, None] * qs] / np.add.reduceat(units, starts)
+    rho_even = np.add.reduceat(admissible[even], starts, axis=1)
+    via_rho = table[r_even][:, None] / rho_even
+    bad = np.abs(via_product - via_rho) > 1e-10 * np.abs(via_product)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        a = int(np.argmax(admissible[even][i, starts[j] : starts[j] + j + 1]))
+        r = r_values[even][i]
+        raise AssertionError(
+            f"singular series routes disagree at (r,q,a)=({r},{j + 1},{a})"
+        )
+    density = np.zeros((r_values.size, Q))  # 0 at odd r
+    density[even] = via_product
+    expected = np.where(admissible, density[:, q_col - 1] * window.Y, 0.0)
+    err = psi_grid - expected
+    sq = err * err
+    total = float(np.cumsum(sq)[-1])
+    per_q = {
+        q: float(np.cumsum(sq[:, s : s + q])[-1])
+        for q, s in zip(qs.tolist(), starts.tolist())
+    }
+    rows = None
+    if collect_rows:
+        n = r_values.size
+        rows = list(
+            zip(
+                np.repeat(r_values, q_col.size).tolist(),
+                np.tile(q_col, n).tolist(),
+                np.tile(a_col, n).tolist(),
+                psi_grid.ravel().tolist(),
+                expected.ravel().tolist(),
+                err.ravel().tolist(),
+            )
+        )
     return BdhResult(
         x=x,
         R=R,

@@ -228,6 +228,19 @@ class TestPinnedOutputs:
         assert digest == "6071a255d589433bdc7cd51b03353f637a3f196567130b62ca113055e4c26860"
         assert capsys.readouterr().out == "census: 44 primes <= 200, 560830 curves\n"
 
+    def test_bdh_csv_and_json(self, tmp_path, capsys):
+        argv = ["bdh", "--R", "300", "--Q", "10", "--X", "4000000", "--Y", "50000"]
+        out = str(tmp_path / "bdh")
+        assert cli.main([*argv, "--out", out]) == 0
+        csv = hashlib.sha256((tmp_path / "bdh.csv").read_bytes()).hexdigest()
+        assert csv == "15bc98c343c5ff6483abd742160a6885347b351e78d0abb0a4c26e0a22f7dd2e"
+        report = (tmp_path / "bdh.json").read_text()
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == report
+        digest = hashlib.sha256(report.encode("ascii")).hexdigest()
+        assert digest == "6644702e530ce063908343c0dab07dfbb65525cbd87d495f54cfa9b6430d3374"
+
     @pytest.mark.parametrize("pmax, total", [(500, 596076), (3000, 76353690)])
     def test_theorem2_route_sums(self, pmax, total):
         s = harness.run_theorem2(pmax).summary

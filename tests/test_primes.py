@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koblitz import primes
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import (
     factorize,
@@ -179,6 +180,22 @@ class TestFactorize:
         # either side of the trial-division bound 10^12
         assert factorize(1000003**2).pairs == ((1000003, 2),)
         assert factorize(999983 * 1000003).pairs == ((999983, 1), (1000003, 1))
+
+    def test_trial_primes_sized_to_need(self, monkeypatch):
+        monkeypatch.setattr(primes, "_trial_primes", [])
+        monkeypatch.setattr(primes, "_trial_bound", 1)
+        assert factorize(3).pairs == ((3, 1),)
+        assert primes._trial_primes == []
+        assert factorize(499).pairs == ((499, 1),)
+        assert primes._trial_primes == _oracle_sieve(22)
+        # a small step still doubles the bound
+        assert factorize(23 * 23).pairs == ((23, 2),)
+        assert primes._trial_bound == 44
+        assert factorize(999983 * 999979).pairs == ((999979, 1), (999983, 1))
+        assert primes._trial_bound == 999980
+        assert factorize(1000003**2).pairs == ((1000003, 2),)
+        assert primes._trial_bound == 10**6
+        assert len(primes._trial_primes) == 78498
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033

@@ -2,24 +2,29 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koblitz.errors import DomainError
+from koblitz import twinseries
+from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime
 from koblitz.twinseries import (
+    MAX_BDH_CELLS,
     F_local,
     F_mult,
     TwinWindow,
+    _sieved_window,
     bdh_statistic,
     error_E,
     psi,
     rho,
     singular_series,
     singular_series_mod,
+    singular_series_table,
 )
 
 # Hardy-Littlewood twin prime constant C2, literature value
@@ -46,6 +51,18 @@ class TestSingularSeries:
         assert singular_series(10).value / singular_series(2).value == pytest.approx(
             4.0 / 3.0, rel=1e-12
         )
+
+    def test_table_matches_scalar_route(self):
+        table = singular_series_table(2 * 10**4)
+        for r in range(1, 2 * 10**4 + 1):
+            assert table[r] == singular_series(r).value, r
+
+    def test_table_small(self):
+        for n in (1, 2, 5, 6, 7):
+            table = singular_series_table(n, limit=1000)
+            assert table[1:].tolist() == [
+                singular_series(r, limit=1000).value for r in range(1, n + 1)
+            ]
 
     def test_against_literature_constant(self):
         got = singular_series(2).value
@@ -188,7 +205,92 @@ class TestPsi:
         assert e == pytest.approx(psi(w, 2, 3, 1) - expected, rel=1e-12)
 
 
+def _bdh_oracle(x, R, Q, window):
+    """bdh_statistic as one loop over (r, q, a) with the scalar S(r,q,a).
+
+    Returns (S, per_q, rows) with the same float operations in the same
+    order as the array passes, so the results must agree exactly.
+    """
+    p, flags, off, logs = _sieved_window(window, R)
+    logp = logs[p - off]
+    total = 0.0
+    per_q = {q: 0.0 for q in range(1, Q + 1)}
+    rows = []
+    for r in (r for r in range(-R, R + 1) if r != 0):
+        pp = p - r
+        mask = (pp >= off) & flags[np.maximum(pp - off, 0)]
+        w = logp[mask] * logs[pp[mask] - off]
+        for q in range(1, Q + 1):
+            psi_by_a = np.bincount(p[mask] % q, weights=w, minlength=q)
+            for a in range(q):
+                expected = singular_series_mod(r, q, a).value * window.Y
+                err = float(psi_by_a[a]) - expected
+                total += err * err
+                per_q[q] += err * err
+                rows.append((r, q, a, float(psi_by_a[a]), expected, err))
+    return total, per_q, rows
+
+
 class TestBdhStatistic:
+    @given(
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_scalar_oracle(self, X, Y, R, Q):
+        w = TwinWindow(X=X, Y=Y)
+        x = max(X + Y, R)
+        res = bdh_statistic(x, R, Q, w, collect_rows=True)
+        S, per_q, rows = _bdh_oracle(x, R, Q, w)
+        assert res.rows == rows
+        assert res.S == S
+        assert res.per_q == per_q
+        assert res.normalized == S / (R * float(x) ** 2)
+
+    def test_oracle_at_large_X(self):
+        w = TwinWindow(X=10**12, Y=2000)
+        res = bdh_statistic(10**12 + 2000, 12, 4, w, collect_rows=True)
+        assert (res.S, res.per_q, res.rows) == _bdh_oracle(10**12 + 2000, 12, 4, w)
+
+    def test_no_floating_point_warnings(self):
+        # odd shifts have no admissible class; their rho is never divided by
+        with np.errstate(all="raise"):
+            bdh_statistic(200, 7, 6, TwinWindow(X=0, Y=200))
+
+    def test_routes_cross_checked(self, monkeypatch):
+        build = singular_series_table
+
+        def skewed(n, limit):
+            table = build(n, limit)
+            table[6] *= 1 + 1e-8  # over the 1e-10 tolerance
+            return table
+
+        monkeypatch.setattr(twinseries, "singular_series_table", skewed)
+        # the first even (r, q) that reads S(6) is (-2, 3); a = 2 is its
+        # first admissible class
+        with pytest.raises(AssertionError, match=r"\(r,q,a\)=\(-2,3,2\)"):
+            bdh_statistic(50, 2, 3, TwinWindow(X=0, Y=50))
+
+    def test_capacity_checked_before_allocation(self):
+        R, Q = 10**6, 10  # a 2R x 55 float64 grid would take 880 MB
+        assert R * Q * (Q + 1) > MAX_BDH_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                bdh_statistic(10**7, R, Q, TwinWindow(X=0, Y=10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_capacity_boundary(self):
+        # criterion 09's R = 1000, Q = 10 fits; Q = 50 does not
+        assert 1000 * 10 * 11 <= MAX_BDH_CELLS < 1000 * 50 * 51
+        with pytest.raises(CapacityError):
+            bdh_statistic(2000, 1000, 50, TwinWindow(X=0, Y=100))
+
     def test_hand_oracle_small(self):
         w = TwinWindow(X=0, Y=10)
         res = bdh_statistic(10, 2, 1, w)
