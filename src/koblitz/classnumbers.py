@@ -6,6 +6,11 @@ integer 12*H(D) so that curve-census identities can be checked in integer
 arithmetic.  w is the unit count of the *order* of discriminant D/f^2
 (6 only at -3, 4 only at -4, else 2); the field-unit reading would break the
 census identities already at D = -12.
+
+A reduced form of discriminant D with content f is f times a primitive
+reduced form of discriminant D/f^2, so 12*H(D) is 6 times the count of all
+reduced forms of discriminant D, less 4 when D = -3f^2 (the form f(1,1,1))
+and less 3 when D = -4f^2 (the form f(1,0,1)).
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Largest dmax for h_table: 4p at the class-number route's budget p = 10^5.
+# Largest dmax for twelve_h_weighted_table, which counts every reduced form with
+# 4ac - b^2 <= dmax: 4p at the class-number route's budget p = 10^5.
 MAX_H_TABLE = 4 * 10**5
 
 
@@ -88,51 +94,28 @@ def kronecker_H(d: int) -> ExactClassNumber:
     return ExactClassNumber(discriminant=d, twelve_h=twelve)
 
 
-def h_table(dmax: int) -> np.ndarray:
-    """h[k] = form class number of discriminant -k, for all 0 < k <= dmax.
+def twelve_h_weighted_table(dmax: int) -> np.ndarray:
+    """t[k] = 12*H(-k) for all 0 < k <= dmax (0 where -k is no discriminant).
 
-    Entries at k with -k not a discriminant (k = 1, 2 mod 4) stay 0.
-    Vectorized enumeration of all reduced primitive forms with |disc| <= dmax.
+    One count of every reduced form (a, b, c) with 4ac - b^2 <= dmax, whether
+    primitive or not: -a < b <= a, c >= a, and c > a when b < 0.
     """
     if dmax < 3:
         raise DomainError("dmax must be >= 3")
     if dmax > MAX_H_TABLE:
         raise CapacityError(f"dmax={dmax} exceeds class-number table budget {MAX_H_TABLE}")
-    h = np.zeros(dmax + 1, dtype=np.int64)
+    forms = np.zeros(dmax + 1, dtype=np.int64)
     for a in range(1, math.isqrt(dmax // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            # c >= a, and c > a when b < 0 (reduced forms with a = c need b >= 0)
-            cmin = a + 1 if b < 0 else a
-            cmax = (dmax + b * b) // (4 * a)
-            if cmax < cmin:
-                continue
-            c = np.arange(cmin, cmax + 1, dtype=np.int64)
-            k = 4 * a * c - b * b  # = |disc| > 0 since c >= a >= |b|
-            g = math.gcd(a, abs(b))
-            if g == 1:
-                np.add.at(h, k, 1)
-            else:
-                prim = np.gcd(c, g) == 1
-                np.add.at(h, k[prim], 1)
-    return h
-
-
-def twelve_h_weighted_table(dmax: int) -> np.ndarray:
-    """t[k] = 12*H(-k) for all 0 < k <= dmax (0 where -k is no discriminant)."""
-    h = h_table(dmax)
-    w12 = np.full(dmax + 1, 6, dtype=np.int64)  # 12/w for the generic w = 2
-    if dmax >= 3:
-        w12[3] = 2
-    if dmax >= 4:
-        w12[4] = 3
-    weighted = h * w12
-    out = np.zeros(dmax + 1, dtype=np.int64)
-    for f in range(1, math.isqrt(dmax) + 1):
-        f2 = f * f
-        m = np.arange(1, dmax // f2 + 1, dtype=np.int64)
-        m = m[(m % 4 == 0) | (m % 4 == 3)]
-        out[m * f2] += weighted[m]
-    return out
+        b = np.arange(1 - a, a + 1, dtype=np.int64)
+        c = np.arange(a, (dmax + a * a) // (4 * a) + 1, dtype=np.int64)
+        k = 4 * a * c[:, None] - b * b  # >= 3a^2 > 0; entries past dmax are dropped
+        k[0, : a - 1] = dmax + 1  # a = c needs b >= 0
+        forms += np.bincount(k.ravel(), minlength=dmax + 1)[: dmax + 1]
+    # Each form weighs 12/w = 6, except f(1,1,1) with w = 6 and f(1,0,1) with w = 4.
+    t = 6 * forms
+    t[3 * np.arange(1, math.isqrt(dmax // 3) + 1) ** 2] -= 4
+    t[4 * np.arange(1, math.isqrt(dmax // 4) + 1) ** 2] -= 3
+    return t
 
 
 @dataclass(frozen=True)

@@ -287,18 +287,6 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     return np.rint(hist).astype(np.int64)
 
 
-def box_count(p: int, box_a: int, box_b: int, r: int) -> int:
-    """Exact N_{A,B,r}(p) over the (2A+1)(2B+1) integer box."""
-    _check_prime(p)
-    if box_a < 1 or box_b < 1:
-        raise DomainError("box radii must be >= 1")
-    off = math.isqrt(4 * p)
-    if abs(r) > off:
-        return 0
-    hist = box_trace_histogram(p, box_a, box_b)
-    return int(hist[r + off])
-
-
 def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> int:
     """Write a `p,r,count` line per nonzero count under a '#' header line.
 

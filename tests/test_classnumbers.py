@@ -1,12 +1,14 @@
 """Class-number tests: reduced-form counts against the analytic formula."""
 
+import math
+
+import numpy as np
 import pytest
 
 from koblitz.classnumbers import (
     MAX_H_TABLE,
     H_bound_check,
     form_class_number,
-    h_table,
     kronecker_H,
     twelve_h_weighted_table,
     unit_count,
@@ -98,14 +100,6 @@ class TestKroneckerH:
 
 
 class TestVectorizedTables:
-    def test_h_table_matches_scalar(self):
-        table = h_table(3000)
-        for k in range(3, 3001):
-            if (-k) % 4 in (0, 1):
-                assert int(table[k]) == form_class_number(-k), k
-            else:
-                assert int(table[k]) == 0
-
     def test_weighted_table_matches_scalar(self):
         table = twelve_h_weighted_table(2000)
         for k in range(3, 2001):
@@ -116,11 +110,58 @@ class TestVectorizedTables:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            h_table(2)
+            twelve_h_weighted_table(2)
+
+    def test_prefix_of_larger_table(self):
+        # the cmax edge and the first 3f^2 and 4f^2 corrections at every small d
+        full = twelve_h_weighted_table(2000)
+        for d in range(3, 61):
+            assert np.array_equal(twelve_h_weighted_table(d), full[: d + 1]), d
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
             twelve_h_weighted_table(MAX_H_TABLE + 1)
+
+
+def _r3_brute(n):
+    """#{(x, y, z) in Z^3 : x^2 + y^2 + z^2 = n}."""
+    m = math.isqrt(n)
+    count = 0
+    for x in range(-m, m + 1):
+        for y in range(-m, m + 1):
+            z2 = n - x * x - y * y
+            if z2 >= 0 and math.isqrt(z2) ** 2 == z2:
+                count += 1 if z2 == 0 else 2
+    return count
+
+
+def _r3_fft(nmax):
+    """r_3(n) for 0 <= n <= nmax, from the coefficients of theta^3 by one FFT."""
+    theta = np.zeros(nmax + 1)
+    theta[0] = 1.0
+    theta[np.arange(1, math.isqrt(nmax) + 1) ** 2] = 2.0
+    size = 3 * nmax + 1  # theta^3 has degree 3 nmax: no wrap-around
+    cube = np.fft.irfft(np.fft.rfft(theta, n=size) ** 3, n=size)[: nmax + 1]
+    out = np.rint(cube)
+    err = float(np.abs(cube - out).max())
+    assert err <= 0.25, f"theta^3 coefficient lies {err:.3g} from an integer"
+    return out.astype(np.int64)
+
+
+class TestWholeTable:
+    """Hurwitz: r_3(n) = 12(H(4n) - 2H(n)) with Hurwitz's H, twice the H here."""
+
+    def test_r3_fft_matches_brute_force(self):
+        r3 = _r3_fft(299)
+        assert [int(v) for v in r3] == [_r3_brute(n) for n in range(300)]
+
+    def test_three_squares_identity(self):
+        nmax = 10**5
+        table = twelve_h_weighted_table(4 * nmax)
+        n = np.arange(1, nmax + 1)
+        r3 = _r3_fft(nmax)[1:]
+        bad = np.flatnonzero(r3 != 2 * (table[4 * n] - 2 * table[n]))
+        assert bad.size == 0, f"r_3(n) != 2(T[4n] - 2T[n]) at n = {n[bad[:5]].tolist()}"
 
 
 class TestHBound:

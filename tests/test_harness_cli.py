@@ -246,6 +246,11 @@ class TestPinnedOutputs:
         s = harness.run_theorem2(pmax).summary
         assert (s["class_route_sum"], s["census_route_sum"]) == (total, total)
 
+    @pytest.mark.parametrize("pmax, total", [(20000, 14682378898), (10**5, 1355175869944)])
+    def test_theorem2_class_route_sum(self, pmax, total):
+        # no census route above pmax 3000: this pins the 12H table entries it sums
+        assert harness.run_theorem2(pmax).summary["class_route_sum"] == total
+
 
 class TestReportDeterminism:
     def test_repeated_runs_identical(self):
