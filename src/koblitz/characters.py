@@ -1,115 +1,34 @@
-"""Dirichlet characters mod q via prime-power decomposition and generators.
+"""Dirichlet characters mod q from one exact integer angle table.
 
-Characters are stored as exponent tuples against the cyclic components of
-(Z/q)^*; values are complex binary64 built from exact rational exponents on
-the unit circle.  Conductors come from the component orders, so primitivity
-is decided without any brute-force minimization.
+(Z/q)^* is a product of cyclic groups: one per odd prime power p^k, generated
+by a primitive root, and for 2^k the groups generated by -1 (k >= 2) and by 5
+(k >= 3).  Each generator g_j, of order o_j, is lifted to mod q by the CRT,
+and every unit x is g_1^l_1 ... g_n^l_n for exactly one log vector l(x).  The
+character with exponent tuple e sends x to exp(2 pi i ang / M), M = phi(q),
+where
+
+    ang(e, x) = sum_j e_j l_j(x) (M / o_j)  mod M
+
+is exact integer arithmetic, one matrix product for all characters.  Values
+are read from one table of M-th roots of unity.  The conductor is read from
+the same integers by its definition: the least d | q such that ang = 0 at
+every unit x = 1 mod d.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize, phi
+from .primes import factorize, phi, primitive_root
 
 # Largest q * phi(q): the complex128 values of all characters mod q, 16 MB.
+# characters(1021) peaks at 21 MB (tracemalloc), the values plus the int32
+# angle table.
 MAX_CHARACTER_CELLS = 2**20
-
-
-def _primitive_root(p: int, pk: int) -> int:
-    """Primitive root mod p^k for odd p."""
-    ph = p - 1
-    prime_divs = factorize(ph).primes
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, ph // d, p) != 1 for d in prime_divs):
-            g = cand
-            break
-    if g is None:
-        raise AssertionError(f"no primitive root found mod {p}")
-    if pk == p:
-        return g
-    # lift: g works mod p^k unless g^(p-1) = 1 mod p^2
-    if pow(g, ph, p * p) == 1:
-        g += p
-    return g
-
-
-@dataclass(frozen=True)
-class _Component:
-    """One cyclic factor of (Z/q)^*: index table and order."""
-
-    modulus: int  # the prime power it lives on
-    order: int
-    index: np.ndarray  # index[x mod modulus] = discrete log, -1 for non-units
-    kind: str  # 'odd', 'four', 'two_sign', 'two_five'
-    prime: int
-
-
-def _odd_component(p: int, k: int) -> _Component:
-    pk = p**k
-    order = pk - pk // p
-    g = _primitive_root(p, pk)
-    index = np.full(pk, -1, dtype=np.int64)
-    val = 1
-    for j in range(order):
-        index[val] = j
-        val = val * g % pk
-    return _Component(modulus=pk, order=order, index=index, kind="odd", prime=p)
-
-
-def _two_components(k: int) -> list[_Component]:
-    pk = 2**k
-    if k == 1:
-        return []
-    if k == 2:
-        index = np.array([-1, 0, -1, 1], dtype=np.int64)
-        return [_Component(modulus=4, order=2, index=index, kind="four", prime=2)]
-    sign = np.full(pk, -1, dtype=np.int64)
-    five = np.full(pk, -1, dtype=np.int64)
-    order5 = pk // 4
-    val = 1
-    for j in range(order5):
-        sign[val] = 0
-        five[val] = j
-        sign[pk - val] = 1
-        five[pk - val] = j
-        val = val * 5 % pk
-    return [
-        _Component(modulus=pk, order=2, index=sign, kind="two_sign", prime=2),
-        _Component(modulus=pk, order=order5, index=five, kind="two_five", prime=2),
-    ]
-
-
-def _component_conductor(comp: _Component, exponent: int) -> int:
-    """Conductor contribution of one component given its character exponent."""
-    if comp.kind == "odd":
-        if exponent == 0:
-            return 1
-        order = comp.order // math.gcd(exponent, comp.order)
-        p = comp.prime
-        s = 0
-        while order % p == 0:
-            order //= p
-            s += 1
-        return p ** (s + 1)
-    if comp.kind == "four":
-        return 4 if exponent else 1
-    # the 2^k >= 8 pair is handled jointly by _two_part_conductor
-    return 1
-
-
-def _two_part_conductor(sign_e: int, five_e: int, order5: int) -> int:
-    if five_e:
-        o5 = order5 // math.gcd(five_e, order5)
-        return 4 * o5
-    return 4 if sign_e else 1
 
 
 @dataclass(frozen=True)
@@ -117,17 +36,15 @@ class DirichletCharacter:
     modulus: int
     exponents: tuple[int, ...]
     conductor: int
-    is_principal: bool
-    _values: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)  # chi(x), x = 0..q-1
+
+    @property
+    def is_principal(self) -> bool:
+        return not any(self.exponents)
 
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
-
-    @property
-    def values(self) -> np.ndarray:
-        """chi(x) for x = 0..q-1 (0 at non-invertible residues)."""
-        return self._values
 
 
 @dataclass(frozen=True)
@@ -135,74 +52,80 @@ class CharacterTable:
     modulus: int
     phi: int
     characters: tuple[DirichletCharacter, ...]
+    values: np.ndarray = field(repr=False, compare=False)  # [chi, x], 0 off the units
 
     @property
     def principal(self) -> DirichletCharacter:
         return next(chi for chi in self.characters if chi.is_principal)
 
 
+def _generators(q: int) -> list[tuple[int, int]]:
+    """(generator lifted to mod q, order) of each cyclic factor of (Z/q)^*."""
+    gens = []
+    for p, k in factorize(q).pairs:
+        pk = p**k
+        if p == 2:
+            local = [(pk - 1, 2), (5, pk // 4)][: max(k - 1, 0)]
+        else:
+            g = primitive_root(p)
+            if k > 1 and pow(g, p - 1, p * p) == 1:
+                g += p  # g generates mod p^k unless g^(p-1) = 1 mod p^2
+            local = [(g, pk - pk // p)]
+        rest = q // pk
+        for g, order in local:
+            # congruent to g mod p^k and to 1 mod q / p^k
+            gens.append(((g + pk * ((1 - g) * pow(pk, -1, rest))) % q, order))
+    return gens
+
+
 @functools.lru_cache(maxsize=64)
 def characters(q: int) -> CharacterTable:
-    """All phi(q) Dirichlet characters mod q."""
+    """All phi(q) Dirichlet characters mod q, in exponent-tuple order."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
     if q > MAX_CHARACTER_CELLS or q * phi(q) > MAX_CHARACTER_CELLS:
         raise CapacityError(f"q*phi(q) for modulus {q} exceeds budget {MAX_CHARACTER_CELLS}")
-    comps: list[_Component] = []
-    for p, k in factorize(q).pairs:
-        if p == 2:
-            comps.extend(_two_components(k))
-        else:
-            comps.append(_odd_component(p, k))
-    x = np.arange(q, dtype=np.int64)
-    unit = np.ones(q, dtype=bool)
-    if q > 1:
-        unit = np.gcd(x, q) == 1
-    # component discrete logs of every residue, as a fraction of each order
-    comp_logs = [comp.index[x % comp.modulus] for comp in comps]
-    orders = [comp.order for comp in comps]
-    phi_q = 1
-    for o in orders:
-        phi_q *= o
-    chars = []
-    two_pair = [i for i, comp in enumerate(comps) if comp.kind in ("two_sign", "two_five")]
-    for exps in itertools.product(*(range(o) for o in orders)):
-        angle = np.zeros(q, dtype=np.float64)
-        for e, logs, o in zip(exps, comp_logs, orders):
-            if e:
-                angle[unit] += (e * logs[unit]) / o
-        vals = np.zeros(q, dtype=np.complex128)
-        vals[unit] = np.exp(2j * np.pi * angle[unit])
-        if q == 1:
-            vals = np.ones(1, dtype=np.complex128)
-        cond = 1
-        for i, comp in enumerate(comps):
-            if comp.kind == "two_sign":
-                continue  # handled with its partner below
-            if comp.kind == "two_five":
-                sign_i = two_pair[0]
-                cond *= _two_part_conductor(exps[sign_i], exps[i], comp.order)
-            else:
-                cond *= _component_conductor(comp, exps[i])
-        chars.append(
-            DirichletCharacter(
-                modulus=q,
-                exponents=exps,
-                conductor=cond,
-                is_principal=all(e == 0 for e in exps),
-                _values=vals,
-            )
-        )
-    if len(chars) != phi_q:
-        raise AssertionError(f"{len(chars)} characters mod {q}, expected phi(q)={phi_q}")
-    return CharacterTable(modulus=q, phi=phi_q, characters=tuple(chars))
+    m = phi(q)
+    gens = _generators(q)
+    orders = np.array([order for _, order in gens], dtype=np.int32)
+    # logs[:, u] is the log vector of the u-th unit, units[u]; the same tuples
+    # in the same order are the characters' exponents
+    logs = np.indices(orders, dtype=np.int32).reshape(len(gens), m)
+    units = np.array([1 % q], dtype=np.int64)
+    for g, order in gens:
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * g % q)
+        units = (units[:, None] * np.array(powers, dtype=np.int64) % q).ravel()
+    is_unit = np.zeros(q, dtype=bool)
+    is_unit[units] = True
+    if np.count_nonzero(is_unit) != m:
+        raise AssertionError(f"generators of (Z/{q})^* reach {np.count_nonzero(is_unit)} units")
+    # ang[chi, x] in 0..m-1 on the units, m (a zero value) elsewhere; int32
+    # is exact, as each of the few terms of the product is below m^2 <= 2^20
+    ang = np.full((m, q), m, dtype=np.int32)
+    ang[:, units] = (logs.T * (m // orders)) @ logs % m
+    trivial = ang == 0
+    x = np.arange(q)
+    conductor = np.zeros(m, dtype=np.int64)
+    for d in range(1, q + 1):
+        if q % d == 0:
+            kernel = is_unit & (x % d == 1 % d)
+            conductor[(conductor == 0) & trivial[:, kernel].all(axis=1)] = d
+    del trivial
+    roots = np.append(np.exp(2j * np.pi * np.arange(m) / m), 0)
+    values = roots[ang]
+    values.setflags(write=False)  # shared by every caller through the cache
+    chars = tuple(
+        DirichletCharacter(modulus=q, exponents=tuple(e), conductor=f, values=row)
+        for e, f, row in zip(logs.T.tolist(), conductor.tolist(), values)
+    )
+    return CharacterTable(modulus=q, phi=m, characters=chars, values=values)
 
 
-def rho_chi(r: int, chi: DirichletCharacter) -> complex:
-    """rho(r, chi) = sum over b mod q with (b-r, q) = 1 of chi(b)."""
-    q = chi.modulus
-    b = np.arange(q, dtype=np.int64)
-    if q == 1:
-        return complex(chi.values[0])
-    mask = np.gcd((b - r) % q, q) == 1
-    return complex(chi.values[mask].sum())
+def rho_chi(r: int, table: CharacterTable) -> np.ndarray:
+    """rho(r, chi) = sum over b mod q with (b-r, q) = 1 of chi(b), for every chi of `table`."""
+    q = table.modulus
+    mask = np.gcd((np.arange(q) - r) % q, q) == 1
+    # compress keeps each row contiguous, so each row sum is pairwise
+    return np.compress(mask, table.values, axis=1).sum(axis=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classnumbers, constants, curves, harness
@@ -18,20 +19,23 @@ from .primes import sieve
 from .twinseries import DEFAULT_TRUNCATION
 
 
-def _write_json(payload: str, out: str | None) -> None:
+def _write(payload: str, out: str | None, suffix: str = ".json") -> None:
+    """Print `payload`, or write it to `out` (with `suffix` added if missing).
+
+    The file appears at its path only once it is complete.
+    """
     if out is None:
         sys.stdout.write(payload)
-    else:
-        path = out if out.endswith(".json") else out + ".json"
-        with open(path, "w", encoding="ascii") as fh:
+        return
+    path = out if out.endswith(suffix) else out + suffix
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
             fh.write(payload)
-        print(f"wrote {path}")
-
-
-def _write_csv(payload: str, out: str) -> None:
-    path = out if out.endswith(".csv") else out + ".csv"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     print(f"wrote {path}")
 
 
@@ -50,7 +54,7 @@ def _cmd_constants(args) -> int:
             for led in (constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13))
         ],
     }
-    _write_json(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
@@ -84,13 +88,13 @@ def _cmd_deuring(args) -> int:
 
 def _cmd_theorem1(args) -> int:
     report = harness.run_theorem1(args.x, args.A, args.B)
-    _write_json(report.to_json(), args.out)
+    _write(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_theorem2(args) -> int:
     report = harness.run_theorem2(args.pmax, limit=args.L)
-    _write_json(report.to_json(), args.out)
+    _write(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
@@ -100,9 +104,9 @@ def _cmd_bdh(args) -> int:
         x, args.R, args.Q, args.X, args.Y, limit=args.L, collect_rows=args.out is not None
     )
     if args.out is not None:
-        _write_csv(harness.bdh_rows_csv(report), args.out)
+        _write(harness.bdh_rows_csv(report), args.out, ".csv")
     report.rows = []  # the rows go to the CSV only
-    _write_json(report.to_json(), args.out)
+    _write(report.to_json(), args.out)
     return 0
 
 
@@ -121,13 +125,13 @@ def _cmd_cr(args) -> int:
         payload["oracle_abs_error"] = abs(oracle - cv.value)
         payload["U"] = args.U
         payload["V"] = v
-    _write_json(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = harness.run_verify(args.suite)
-    _write_json(report.to_json(), args.out)
+    _write(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .primes import (
     factorize,
+    is_prime,
     kronecker_table,
-    phi,
     sieve,
 )
 from .twinseries import DEFAULT_TRUNCATION, singular_series_mod
@@ -47,8 +47,6 @@ def gl2_count(ell: int) -> LocalFactorLedger:
     identity (1 - |Omega'|/|GL2|)/(1 - 1/ell) = 1 - (l^2-l-1)/((l-1)^3(l+1))
     is verified before returning.
     """
-    from .primes import is_prime
-
     if not is_prime(ell) or ell == 2:
         raise DomainError(f"{ell} must be an odd prime")
     if ell > MAX_GL2_PRIME:
@@ -273,8 +271,6 @@ class LocalSums:
 
 def local_sums(ell: int, r: int) -> LocalSums:
     """Closed-form values of the three local geometric sums at (ell, r)."""
-    from .primes import is_prime
-
     if ell == 2 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
     if r % 2 == 0 or r == 1:

@@ -10,14 +10,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import classnumbers, constants, curves, twinseries
 from .characters import characters, rho_chi
 from .errors import DomainError
-from .primes import factorize, moebius, phi, sieve
+from .primes import moebius, phi, sieve
 from .twinseries import DEFAULT_TRUNCATION, TwinWindow
 
 
@@ -302,16 +301,7 @@ def _suite_constants(rows: list[dict]) -> bool:
 
 def _suite_series(rows: list[dict]) -> bool:
     ok = True
-    worst_pair = None
-    for q in range(1, 501):
-        units = np.array([math.gcd(a, q) == 1 for a in range(q)])
-        for r in range(-50, 51):
-            enum = int(np.sum(units & units[(np.arange(q) - r) % q]))
-            if enum != twinseries.rho(r, q):
-                worst_pair = (r, q)
-                break
-        if worst_pair:
-            break
+    worst_pair = _first_rho_mismatch()
     ok &= _check(
         rows,
         "rho closed form vs enumeration, q <= 500, |r| <= 50",
@@ -332,22 +322,18 @@ def _suite_series(rows: list[dict]) -> bool:
         worst <= 1e-10,
         f"worst relative deviation {worst:.3e}",
     )
-    mism = None
-    for s in range(1, 101):
-        if any(e > 1 for _, e in factorize(s).pairs):
-            continue
-        for r in range(-10, 11):
-            for a in range(-10, 11):
-                for q in (1, 2, 3, 4, 6, 12):
-                    if twinseries.F_mult(s, r, q, a) != _brute_F(s, r, q, a):
-                        mism = (s, r, q, a)
-                        break
-                if mism:
-                    break
-            if mism:
-                break
-        if mism:
-            break
+    mism = next(
+        (
+            (s, r, q, a)
+            for s in range(1, 101)
+            if moebius(s)
+            for r in range(-10, 11)
+            for a in range(-10, 11)
+            for q in (1, 2, 3, 4, 6, 12)
+            if twinseries.F_mult(s, r, q, a) != _brute_F(s, r, q, a)
+        ),
+        None,
+    )
     ok &= _check(
         rows,
         "F multiplicative vs exponential sum, squarefree s <= 100",
@@ -364,6 +350,16 @@ def _suite_series(rows: list[dict]) -> bool:
         f"mean = {ratio!r}",
     )
     return ok
+
+
+def _first_rho_mismatch() -> tuple[int, int] | None:
+    """First (r, q), q <= 500 outer, |r| <= 50 inner, where rho differs from enumeration."""
+    for q in range(1, 501):
+        units = np.array([math.gcd(a, q) == 1 for a in range(q)])
+        for r in range(-50, 51):
+            if int(np.sum(units & units[(np.arange(q) - r) % q])) != twinseries.rho(r, q):
+                return (r, q)
+    return None
 
 
 def _brute_F(s: int, r: int, q: int, a: int) -> int:
@@ -397,8 +393,7 @@ def _suite_characters(rows: list[dict]) -> bool:
             n_principal == 1,
             f"found {n_principal}",
         )
-        vals = np.array([chi.values for chi in table.characters])
-        gram = vals @ vals.conj().T
+        gram = table.values @ table.values.conj().T
         dev = float(np.abs(gram - table.phi * np.eye(table.phi)).max())
         worst = max(worst, dev)
     ok &= _check(
@@ -409,14 +404,15 @@ def _suite_characters(rows: list[dict]) -> bool:
     )
     worst = 0.0
     for f in range(1, 201):
-        for chi in characters(f).characters:
-            if not chi.is_primitive:
-                continue
-            mu = moebius(f)
-            for r in range(-20, 21):
-                got = rho_chi(r, chi)
-                want = mu * complex(chi.values[r % f]) if f > 1 else complex(mu)
-                worst = max(worst, abs(got - want))
+        table = characters(f)
+        primitive = np.array([chi.is_primitive for chi in table.characters])
+        if not primitive.any():
+            continue
+        mu = moebius(f)
+        for r in range(-20, 21):
+            got = rho_chi(r, table)[primitive]
+            want = mu * table.values[primitive, r % f]
+            worst = max(worst, float(np.abs(got - want).max()))
     ok &= _check(
         rows,
         "rho(r, chi) = mu(f) chi(r) for primitive chi, f <= 200",

@@ -32,18 +32,6 @@ class PrimeTable:
     flags: np.ndarray
     primes: np.ndarray
 
-    def is_prime_member(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise DomainError(f"{n} outside table range 0..{self.limit}")
-        return bool(self.flags[n])
-
-    def primes_in(self, lo: int, hi: int) -> np.ndarray:
-        """Primes p with lo < p <= hi."""
-        if hi > self.limit:
-            raise DomainError(f"window end {hi} exceeds table limit {self.limit}")
-        p = self.primes
-        return p[np.searchsorted(p, lo, side="right"):np.searchsorted(p, hi, side="right")]
-
 
 def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including `limit`."""
@@ -277,8 +265,9 @@ def moebius(n: int) -> int:
     return -1 if len(fac.pairs) % 2 else 1
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    if n < 1:
-        raise DomainError("omega requires n >= 1")
-    return len(factorize(n).pairs)
+def primitive_root(p: int) -> int:
+    """Least primitive root mod the prime p."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    divs = factorize(p - 1).primes
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // d, p) != 1 for d in divs))

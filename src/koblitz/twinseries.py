@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize, phi, sieve, sieve_window
+from .primes import factorize, is_prime, phi, sieve, sieve_window
 
 DEFAULT_TRUNCATION = 10**6
 
@@ -131,8 +131,6 @@ def F_local(p: int, r: int, q: int, a: int) -> int:
     familiar four-case table; when p divides both q and a the c-sum is empty
     and the factor is 0.
     """
-    from .primes import is_prime
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if q % p == 0:

@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koblitz.characters import MAX_CHARACTER_CELLS, characters, rho_chi
+from koblitz.characters import MAX_CHARACTER_CELLS, _generators, characters, rho_chi
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import factorize, moebius, phi
 from koblitz.twinseries import rho
@@ -66,6 +68,14 @@ class TestCharacterGroup:
                         rhs = chi.values[a] * chi.values[b]
                         assert abs(lhs - rhs) < 1e-9
 
+    def test_generator_lifts_past_non_lifting_root(self):
+        # 5, the least primitive root mod 40487, has 5^40486 = 1 mod 40487^2
+        q = 40487**2
+        assert pow(5, 40486, q) == 1
+        [(g, order)] = _generators(q)
+        assert order == phi(q)
+        assert all(pow(g, order // ell, q) != 1 for ell in factorize(order).primes)
+
     def test_domain_and_capacity(self):
         with pytest.raises(DomainError):
             characters(0)
@@ -102,6 +112,21 @@ class TestConductors:
                     chi.exponents,
                 )
 
+    @settings(max_examples=50, deadline=None)
+    @given(q=st.integers(1, 400), b=st.integers(0, 399), r=st.integers(-400, 400))
+    def test_table_against_definitions(self, q, b, r):
+        table = characters(q)
+        vals = table.values
+        x = np.arange(q)
+        for chi in table.characters:
+            assert chi.conductor == _oracle_conductor(chi), (q, chi.exponents)
+        # chi(x b) = chi(x) chi(b) for every character and every residue x
+        assert np.abs(vals[:, x * b % q] - vals * vals[:, [b % q]]).max() < 1e-9
+        got = rho_chi(r, table)
+        for chi, g in zip(table.characters, got):
+            want = sum(chi.values[c] for c in range(q) if math.gcd(c - r, q) == 1)
+            assert abs(g - want) < 1e-10, (q, r, chi.exponents)
+
     def test_primitive_flag(self):
         for q in (5, 8, 12, 45):
             for chi in characters(q).characters:
@@ -116,6 +141,12 @@ class TestOrthogonality:
             gram = vals @ vals.conj().T
             assert np.abs(gram - table.phi * np.eye(table.phi)).max() < 1e-9
 
+    def test_row_orthogonality_largest_table(self):
+        # exact integer angles keep the largest table's Gram matrix near phi*I
+        table = characters(1021)
+        gram = table.values @ table.values.conj().T
+        assert np.abs(gram - table.phi * np.eye(table.phi)).max() < 1e-11
+
     def test_column_sum(self):
         # sum over chi of chi(a) = phi(q) iff a = 1
         for q in (5, 12, 36):
@@ -129,25 +160,27 @@ class TestOrthogonality:
 class TestRhoChi:
     def test_principal_reduces_to_rho(self):
         for q in (3, 4, 15, 45):
-            chi0 = characters(q).principal
+            table = characters(q)
+            i = table.characters.index(table.principal)
             for r in range(-6, 7):
-                assert rho_chi(r, chi0) == pytest.approx(rho(r, q), abs=1e-9)
+                assert rho_chi(r, table)[i] == pytest.approx(rho(r, q), abs=1e-9)
 
     def test_primitive_identity_mod5(self):
-        for chi in characters(5).characters:
-            if not chi.is_primitive:
-                continue
-            got = rho_chi(2, chi)
-            want = moebius(5) * chi.values[2]
-            assert abs(got - want) < 1e-10
+        table = characters(5)
+        got = rho_chi(2, table)
+        for chi, g in zip(table.characters, got):
+            if chi.is_primitive:
+                assert abs(g - moebius(5) * chi.values[2]) < 1e-10
 
     def test_definition_unrolled(self):
         q = 12
-        for chi in characters(q).characters:
-            for r in (0, 5):
+        table = characters(q)
+        for r in (0, 5):
+            got = rho_chi(r, table)
+            for chi, g in zip(table.characters, got):
                 want = sum(
                     chi.values[b]
                     for b in range(q)
                     if math.gcd(b - r, q) == 1
                 )
-                assert abs(rho_chi(r, chi) - want) < 1e-10
+                assert abs(g - want) < 1e-10

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from koblitz import classnumbers, cli, curves, harness
+from koblitz import classnumbers, cli, curves, harness, twinseries
 from koblitz.errors import DomainError
 
 
@@ -101,6 +101,25 @@ class TestVerify:
         with pytest.raises(DomainError):
             harness.run_verify("bogus")
 
+    @pytest.mark.parametrize(
+        "name, point, check",
+        [
+            ("rho", (7, 30), "rho closed form vs enumeration"),
+            ("F_mult", (6, 1, 2, 3), "F multiplicative vs exponential sum"),
+        ],
+    )
+    def test_series_mismatch_names_first_point(self, monkeypatch, name, point, check):
+        true_fn = getattr(twinseries, name)
+
+        def wrong_at_point(*args):
+            return true_fn(*args) + (args == point)
+
+        monkeypatch.setattr(twinseries, name, wrong_at_point)
+        rep = harness.run_verify("series")
+        row = next(row for row in rep.rows if row["check"].startswith(check))
+        assert not rep.passed and not row["passed"]
+        assert row["detail"] == f"first mismatch at {point}"
+
     def test_report_json_shape(self):
         rep = harness.run_verify("characters")
         payload = json.loads(rep.to_json())
@@ -161,6 +180,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["r"] == 3
         assert payload["oracle_abs_error"] < 0.2
+
+    def test_write_is_atomic(self, tmp_path, capsys):
+        out = str(tmp_path / "report")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write("x" * 100_000 + "\u00e9\n", out)
+        assert sorted(tmp_path.iterdir()) == []
+        cli._write("{}\n", out)
+        assert (tmp_path / "report.json").read_bytes() == b"{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert capsys.readouterr().out == f"wrote {out}.json\n"
 
     def test_verify_suite(self, capsys):
         assert cli.main(["verify", "--suite", "characters"]) == 0

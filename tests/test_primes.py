@@ -16,8 +16,8 @@ from koblitz.primes import (
     kronecker,
     kronecker_table,
     moebius,
-    omega,
     phi,
+    primitive_root,
     sieve,
     sieve_window,
 )
@@ -78,16 +78,6 @@ class TestSieve:
 
     def test_against_independent_sieve(self):
         assert sieve(10**4).primes.tolist() == _oracle_sieve(10**4)
-
-    def test_membership_and_window_queries(self):
-        table = sieve(1000)
-        assert table.is_prime_member(997)
-        assert not table.is_prime_member(1000)
-        assert table.primes_in(10, 30).tolist() == [11, 13, 17, 19, 23, 29]
-        with pytest.raises(DomainError):
-            table.primes_in(0, 2000)
-        with pytest.raises(DomainError):
-            table.is_prime_member(-1)
 
     def test_domain_and_capacity(self):
         with pytest.raises(DomainError):
@@ -224,8 +214,6 @@ class TestMultiplicativeFunctions:
         assert phi(12) == 4
         assert moebius(30) == -1
         assert moebius(4) == 0
-        assert omega(1) == 0
-        assert omega(60) == 3
 
     def test_divisor_sum_identities(self):
         n_max = 10**4
@@ -239,6 +227,25 @@ class TestMultiplicativeFunctions:
         assert (mu_sum[2:] == 0).all()
 
     def test_domain(self):
-        for fn in (phi, moebius, omega):
+        for fn in (phi, moebius):
             with pytest.raises(DomainError):
                 fn(0)
+
+
+class TestPrimitiveRoot:
+    def test_against_multiplicative_order(self):
+        def order(g, p):
+            k, x = 1, g % p
+            while x != 1:
+                k, x = k + 1, x * g % p
+            return k
+
+        for p in _oracle_sieve(2000)[1:]:
+            g = primitive_root(p)
+            assert order(g, p) == p - 1, p
+            assert all(order(h, p) < p - 1 for h in range(1, g)), p
+
+    def test_two_and_domain(self):
+        assert primitive_root(2) == 1
+        with pytest.raises(DomainError):
+            primitive_root(15)
