@@ -100,12 +100,9 @@ def _cmd_theorem2(args) -> int:
 
 def _cmd_bdh(args) -> int:
     x = args.x if args.x is not None else args.X + args.Y
-    report = harness.run_bdh(
-        x, args.R, args.Q, args.X, args.Y, limit=args.L, collect_rows=args.out is not None
-    )
+    report, result = harness.run_bdh(x, args.R, args.Q, args.X, args.Y, limit=args.L)
     if args.out is not None:
-        _write(harness.bdh_rows_csv(report), args.out, ".csv")
-    report.rows = []  # the rows go to the CSV only
+        _write(harness.bdh_rows_csv(result), args.out, ".csv")
     _write(report.to_json(), args.out)
     return 0
 

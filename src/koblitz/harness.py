@@ -24,7 +24,7 @@ from .twinseries import DEFAULT_TRUNCATION, TwinWindow
 class Report:
     name: str
     params: dict
-    rows: list = field(default_factory=list)  # dicts; bdh's are tuples
+    rows: list = field(default_factory=list)  # dicts
     summary: dict = field(default_factory=dict)
     passed: bool = True
 
@@ -158,13 +158,13 @@ def run_bdh(
     X: int,
     Y: int,
     limit: int = DEFAULT_TRUNCATION,
-    collect_rows: bool = True,
-) -> Report:
-    """The dispersion statistic over a window, with per-q marginals."""
+) -> tuple[Report, twinseries.BdhResult]:
+    """The dispersion statistic over a window, with per-q marginals.
+
+    Returns the Report and the statistic's grid, which bdh_rows_csv writes.
+    """
     window = TwinWindow(X=X, Y=Y)
-    result = twinseries.bdh_statistic(
-        x, R, Q, window, limit=limit, collect_rows=collect_rows
-    )
+    result = twinseries.bdh_statistic(x, R, Q, window, limit=limit)
     single_class = result.per_q[1] / (R * float(Y) ** 2)
     report = Report(
         name="bdh",
@@ -176,20 +176,31 @@ def run_bdh(
             "per_q": {str(q): v for q, v in sorted(result.per_q.items())},
         },
     )
-    if result.rows is not None:
-        report.rows = result.rows
-    return report
+    return report, result
 
 
-def bdh_rows_csv(report: Report) -> str:
-    """CSV for bdh rows: `r,q,a,psi,expected,error` plus a summary line.
+def bdh_rows_csv(result: twinseries.BdhResult) -> str:
+    """CSV of the grid: `r,q,a,psi,expected,error`, one row per cell (r, q, a)
+    in grid order, then `# summary S=... normalized=...`.
 
-    The rows are run_bdh's (r, q, a, psi, expected, error) tuples.
+    Values print as repr.  A cell whose three values are all +0.0 (odd
+    shifts, classes that are not admissible) shares one preformatted line
+    tail per column; only the other cells are formatted one by one.
     """
+    heads = [f"{q},{a}," for q, a in zip(result.q_col.tolist(), result.a_col.tolist())]
+    n = len(heads)
+    tails = [head + "0.0,0.0,0.0" for head in heads] * result.r_values.size
+    grids = (result.psi, result.expected, result.error)
+    # bit test, so -0.0 is not taken for +0.0
+    zero = np.logical_and.reduce([g.view(np.int64) == 0 for g in grids])
+    at = np.flatnonzero(~zero)
+    values = np.stack([g.ravel()[at] for g in grids], axis=1).tolist()
+    for k, (psi, expected, error) in zip(at.tolist(), values):
+        tails[k] = "%s%r,%r,%r" % (heads[k % n], psi, expected, error)
     lines = ["r,q,a,psi,expected,error"]
-    lines.extend("%d,%d,%d,%r,%r,%r" % row for row in report.rows)
-    s = report.summary
-    lines.append(f"# summary S={s['S']!r} normalized={s['normalized']!r}")
+    for i, r in enumerate(result.r_values.tolist()):
+        lines.append(f"{r}," + f"\n{r},".join(tails[i * n : (i + 1) * n]))
+    lines.append(f"# summary S={result.S!r} normalized={result.normalized!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -51,7 +51,10 @@ def sieve(limit: int) -> PrimeTable:
 def sieve_window(x: int, y: int) -> np.ndarray:
     """Primality flags for the window (x, x+y]: entry i marks x+1+i.
 
-    Segmented sieve; only primes up to sqrt(x+y) are materialized.
+    Segmented sieve; only primes up to sqrt(x+y) are materialized.  A base
+    prime p > y has at most one multiple in the window, so those primes
+    strike in one array pass; int64 holds their starts, since the base
+    sieve's budget keeps x + y below (MAX_SIEVE_LIMIT + 1)^2 < 2^61.
     """
     if y < 1 or x < 0:
         raise DomainError("window requires x >= 0, y >= 1")
@@ -61,13 +64,16 @@ def sieve_window(x: int, y: int) -> np.ndarray:
     flags = np.ones(y, dtype=bool)
     if x == 0:
         flags[0] = False  # the integer 1
-    base = sieve(max(2, math.isqrt(hi)))
-    for p in base.primes:
-        p = int(p)
-        start = max(p * p, ((x + 1 + p - 1) // p) * p)
+    base = sieve(max(2, math.isqrt(hi))).primes
+    split = int(np.searchsorted(base, y, side="right"))
+    for p in base[:split].tolist():
+        start = max(p * p, ((x + p) // p) * p)
         if start > hi:
             continue
         flags[start - x - 1:: p] = False
+    large = base[split:]
+    starts = np.maximum(large * large, (x + large) // large * large)
+    flags[starts[starts <= hi] - x - 1] = False
     return flags
 
 

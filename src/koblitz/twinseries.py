@@ -210,6 +210,12 @@ def error_E(
 
 @dataclass(frozen=True)
 class BdhResult:
+    """The dispersion statistic and the grid it sums.
+
+    Row i of the psi, expected and error grids is the shift r_values[i];
+    column j is the class (q_col[j], a_col[j]), q ascending, then a.
+    """
+
     x: int
     R: int
     Q: int
@@ -217,9 +223,12 @@ class BdhResult:
     S: float
     normalized: float
     per_q: dict[int, float] = field(repr=False)
-    rows: list[tuple[int, int, int, float, float, float]] | None = field(
-        default=None, repr=False
-    )
+    r_values: np.ndarray = field(repr=False)
+    q_col: np.ndarray = field(repr=False)
+    a_col: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)
+    expected: np.ndarray = field(repr=False)
+    error: np.ndarray = field(repr=False)
 
 
 def bdh_statistic(
@@ -228,14 +237,14 @@ def bdh_statistic(
     Q: int,
     window: TwinWindow,
     limit: int = DEFAULT_TRUNCATION,
-    collect_rows: bool = False,
 ) -> BdhResult:
     """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2.
 
     Array passes over a grid with one row per shift r = -R..-1, 1..R and one
     column per class (q, a), q = 1..Q, a = 0..q-1.  The window (X-R, X+Y+R]
-    is sieved once; per shift, one bincount buckets the pair weights into
-    every column, each bin summing in ascending p as psi does.  S(r,q,a) is
+    is sieved once and each prime's column per q is computed once; per
+    shift, one bincount buckets the pair weights into every column, each
+    bin summing in ascending p as psi does.  S(r,q,a) is
     read from one singular_series_table, and S and per_q are sequential
     cumsums in (r, q, a) order, so every value equals the per-class loop's
     bit for bit.
@@ -263,15 +272,15 @@ def bdh_statistic(
     a_col = np.arange(q_col.size) - start_col
     r_values = np.concatenate((np.arange(-R, 0), np.arange(1, R + 1)))
 
+    codes = p[:, None] % qs + starts  # column of each prime, per q
     psi_grid = np.zeros((r_values.size, q_col.size))
     for i, r in enumerate(r_values.tolist()):
         hit = np.flatnonzero(flags[R - r :][at])
         if hit.size == 0:  # most odd shifts
             continue
         w = logp[hit] * logs[R - r :][at[hit]]
-        codes = p[hit][:, None] % qs + starts
         psi_grid[i] = np.bincount(
-            codes.ravel(), weights=np.repeat(w, Q), minlength=q_col.size
+            codes[hit].ravel(), weights=np.repeat(w, Q), minlength=q_col.size
         )
 
     # S(r,q,a) = S(rq)/phi(q) on admissible classes (2 | r and
@@ -302,19 +311,6 @@ def bdh_statistic(
         q: float(np.cumsum(sq[:, s : s + q])[-1])
         for q, s in zip(qs.tolist(), starts.tolist())
     }
-    rows = None
-    if collect_rows:
-        n = r_values.size
-        rows = list(
-            zip(
-                np.repeat(r_values, q_col.size).tolist(),
-                np.tile(q_col, n).tolist(),
-                np.tile(a_col, n).tolist(),
-                psi_grid.ravel().tolist(),
-                expected.ravel().tolist(),
-                err.ravel().tolist(),
-            )
-        )
     return BdhResult(
         x=x,
         R=R,
@@ -323,5 +319,10 @@ def bdh_statistic(
         S=total,
         normalized=total / (R * float(x) ** 2),
         per_q=per_q,
-        rows=rows,
+        r_values=r_values,
+        q_col=q_col,
+        a_col=a_col,
+        psi=psi_grid,
+        expected=expected,
+        error=err,
     )

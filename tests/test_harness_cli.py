@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koblitz import classnumbers, cli, curves, harness, twinseries
 from koblitz.errors import DomainError
@@ -72,22 +74,87 @@ class TestTheorem1:
             harness.run_theorem1(5001, 10, 10)
 
 
+def _oracle_bdh_csv(result):
+    """The CSV one `%` per (r, q, a) row, as bdh_rows_csv wrote it from row tuples."""
+    lines = ["r,q,a,psi,expected,error"]
+    for i, r in enumerate(result.r_values.tolist()):
+        for j, (q, a) in enumerate(zip(result.q_col.tolist(), result.a_col.tolist())):
+            row = (
+                r,
+                q,
+                a,
+                float(result.psi[i, j]),
+                float(result.expected[i, j]),
+                float(result.error[i, j]),
+            )
+            lines.append("%d,%d,%d,%r,%r,%r" % row)
+    lines.append(f"# summary S={result.S!r} normalized={result.normalized!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestBdhDriver:
     def test_summary_and_rows(self):
-        rep = harness.run_bdh(100, 3, 2, 0, 100, collect_rows=True)
+        rep, res = harness.run_bdh(100, 3, 2, 0, 100)
         s = rep.summary
         assert set(s) == {"S", "normalized", "single_class_statistic", "per_q"}
         assert s["normalized"] == pytest.approx(s["S"] / (3 * 100.0**2), rel=1e-12)
-        # rows: 6 values of r, q=1 has 1 class, q=2 has 2
-        assert len(rep.rows) == 6 * 3
+        assert rep.rows == []
+        # grid: 6 values of r, q=1 has 1 class, q=2 has 2
+        assert res.r_values.tolist() == [-3, -2, -1, 1, 2, 3]
+        assert (res.q_col.tolist(), res.a_col.tolist()) == ([1, 2, 2], [0, 0, 1])
+        for grid in (res.psi, res.expected, res.error):
+            assert grid.shape == (6, 3)
 
     def test_csv_shape(self):
-        rep = harness.run_bdh(50, 2, 1, 0, 50, collect_rows=True)
-        text = harness.bdh_rows_csv(rep)
+        _, res = harness.run_bdh(50, 2, 1, 0, 50)
+        text = harness.bdh_rows_csv(res)
         lines = text.strip().split("\n")
         assert lines[0] == "r,q,a,psi,expected,error"
         assert lines[-1].startswith("# summary S=")
         assert len(lines) == 2 + 4  # header + 4 rows + summary
+
+    @given(
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_csv_equals_per_row_formatter(self, X, Y, R, Q):
+        res = twinseries.bdh_statistic(
+            max(X + Y, R), R, Q, twinseries.TwinWindow(X=X, Y=Y)
+        )
+        assert harness.bdh_rows_csv(res) == _oracle_bdh_csv(res)
+
+    def test_csv_of_hand_made_grid(self):
+        # -0.0 is not +0.0 and goes through repr; r = -2 and -1 are all +0.0
+        psi = np.array([[0.0] * 3, [0.0] * 3, [-0.0, 5e-324, 1e300], [0.0, 0.0, 2.5]])
+        expected = np.array([[0.0] * 3, [0.0] * 3, [0.0, -0.0, 0.0], [0.0, 1.0, 0.0]])
+        res = twinseries.BdhResult(
+            x=10,
+            R=2,
+            Q=2,
+            window=twinseries.TwinWindow(X=0, Y=10),
+            S=1.5,
+            normalized=0.125,
+            per_q={1: 0.0, 2: 1.5},
+            r_values=np.array([-2, -1, 1, 2]),
+            q_col=np.array([1, 2, 2]),
+            a_col=np.array([0, 0, 1]),
+            psi=psi,
+            expected=expected,
+            error=psi - expected,
+        )
+        text = harness.bdh_rows_csv(res)
+        assert text == _oracle_bdh_csv(res)
+        assert text == (
+            "r,q,a,psi,expected,error\n"
+            "-2,1,0,0.0,0.0,0.0\n-2,2,0,0.0,0.0,0.0\n-2,2,1,0.0,0.0,0.0\n"
+            "-1,1,0,0.0,0.0,0.0\n-1,2,0,0.0,0.0,0.0\n-1,2,1,0.0,0.0,0.0\n"
+            "1,1,0,-0.0,0.0,-0.0\n1,2,0,5e-324,-0.0,5e-324\n1,2,1,1e+300,0.0,1e+300\n"
+            "2,1,0,0.0,0.0,0.0\n2,2,0,0.0,1.0,-1.0\n2,2,1,2.5,0.0,2.5\n"
+            "# summary S=1.5 normalized=0.125\n"
+        )
 
 
 class TestVerify:
@@ -286,6 +353,7 @@ class TestReportDeterminism:
         a = harness.run_theorem2(150).to_json()
         b = harness.run_theorem2(150).to_json()
         assert a == b
-        c = harness.run_bdh(80, 2, 2, 0, 80).to_json()
-        d = harness.run_bdh(80, 2, 2, 0, 80).to_json()
-        assert c == d
+        c, c_grid = harness.run_bdh(80, 2, 2, 0, 80)
+        d, d_grid = harness.run_bdh(80, 2, 2, 0, 80)
+        assert c.to_json() == d.to_json()
+        assert harness.bdh_rows_csv(c_grid) == harness.bdh_rows_csv(d_grid)

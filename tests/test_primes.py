@@ -91,6 +91,17 @@ class TestSieve:
             full = sieve(x + y).flags
             assert flags.tolist() == full[x + 1 : x + y + 1].tolist()
 
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_property_against_flat_sieve(self, x, y):
+        # y < sqrt(x + y) here is common, so the base primes above y
+        # (one strike each, in one array pass) are exercised
+        full = sieve(max(2, x + y)).flags
+        assert np.array_equal(sieve_window(x, y), full[x + 1 : x + y + 1])
+
     def test_window_domain(self):
         with pytest.raises(DomainError):
             sieve_window(-1, 10)

@@ -231,6 +231,21 @@ def _bdh_oracle(x, R, Q, window):
     return total, per_q, rows
 
 
+def _cells(res):
+    """(r, q, a, psi, expected, error) per cell of res's grid, in (r, q, a) order."""
+    n = res.r_values.size
+    return list(
+        zip(
+            np.repeat(res.r_values, res.q_col.size).tolist(),
+            np.tile(res.q_col, n).tolist(),
+            np.tile(res.a_col, n).tolist(),
+            res.psi.ravel().tolist(),
+            res.expected.ravel().tolist(),
+            res.error.ravel().tolist(),
+        )
+    )
+
+
 class TestBdhStatistic:
     @given(
         st.integers(min_value=0, max_value=400),
@@ -242,17 +257,17 @@ class TestBdhStatistic:
     def test_equals_scalar_oracle(self, X, Y, R, Q):
         w = TwinWindow(X=X, Y=Y)
         x = max(X + Y, R)
-        res = bdh_statistic(x, R, Q, w, collect_rows=True)
+        res = bdh_statistic(x, R, Q, w)
         S, per_q, rows = _bdh_oracle(x, R, Q, w)
-        assert res.rows == rows
+        assert _cells(res) == rows
         assert res.S == S
         assert res.per_q == per_q
         assert res.normalized == S / (R * float(x) ** 2)
 
     def test_oracle_at_large_X(self):
         w = TwinWindow(X=10**12, Y=2000)
-        res = bdh_statistic(10**12 + 2000, 12, 4, w, collect_rows=True)
-        assert (res.S, res.per_q, res.rows) == _bdh_oracle(10**12 + 2000, 12, 4, w)
+        res = bdh_statistic(10**12 + 2000, 12, 4, w)
+        assert (res.S, res.per_q, _cells(res)) == _bdh_oracle(10**12 + 2000, 12, 4, w)
 
     def test_no_floating_point_warnings(self):
         # odd shifts have no admissible class; their rho is never divided by
@@ -305,8 +320,8 @@ class TestBdhStatistic:
 
     def test_matches_error_E_per_row(self):
         w = TwinWindow(X=50, Y=300)
-        res = bdh_statistic(400, 4, 3, w, collect_rows=True)
-        for r, q, a, psi_v, exp_v, err in res.rows:
+        res = bdh_statistic(400, 4, 3, w)
+        for r, q, a, psi_v, exp_v, err in _cells(res):
             # one density per (r, q), reused for every admissible a
             assert exp_v == singular_series_mod(r, q, a).value * w.Y
             assert err == pytest.approx(error_E(w, r, q, a), abs=1e-9)
@@ -318,9 +333,9 @@ class TestBdhStatistic:
     )
     def test_against_is_prime_enumeration(self, X, Y, R):
         w = TwinWindow(X=X, Y=Y)
-        res = bdh_statistic(X + Y, R, 3, w, collect_rows=True)
+        res = bdh_statistic(X + Y, R, 3, w)
         primes = {n for n in range(X - R + 1, X + Y + R + 1) if is_prime(n)}
-        for r, q, a, psi_v, _, _ in res.rows:
+        for r, q, a, psi_v, _, _ in _cells(res):
             want = sum(
                 math.log(p) * math.log(p - r)
                 for p in range(X + 1, X + Y + 1)
