@@ -110,37 +110,47 @@ def _frak_c_neg_log_factor(t: np.ndarray) -> np.ndarray:
     return -np.log1p(-g)
 
 
-@functools.lru_cache(maxsize=8)
-def _frak_c_parts(limit: int) -> tuple[float, float, float]:
-    """(form1, form2, tail) for the average constant at truncation `limit`.
+# (form2, tail) per truncation limit; average_constant_forms passes in the
+# primes it sieved for form1, so the two forms share one sieve
+_frak_c_memo: dict[int, tuple[float, float]] = {}
 
-    form1 = (2/3) prod_{odd l} (l^4-2l^3-l^2+3l)/((l-1)^3 (l+1));
-    form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))).  Both raw (no tail).
+
+def _frak_c_parts(limit: int, ell: np.ndarray | None = None) -> tuple[float, float]:
+    """(form2, tail) for the average constant at truncation `limit`.
+
+    form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))), raw (no tail).  `ell` is
+    the primes <= limit as float64, sieved here when not given.
     """
+    if limit not in _frak_c_memo:
+        if ell is None:
+            ell = sieve(limit).primes.astype(np.float64)
+        g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
+        form2 = math.exp(np.sum(np.log1p(-g)))
+        _frak_c_memo[limit] = form2, _log_tail(_frak_c_neg_log_factor, limit)
+    return _frak_c_memo[limit]
+
+
+def average_constant_forms(limit: int) -> tuple[float, float]:
+    """The two displayed product forms of the average constant, raw at L.
+
+    form1 = (2/3) prod_{odd l} (l^4-2l^3-l^2+3l)/((l-1)^3 (l+1)); form2 is
+    the product over every l of _frak_c_parts.
+    """
+    if limit < 10**3:
+        raise DomainError("truncation limit must be >= 1000")
     ell = sieve(limit).primes.astype(np.float64)
     odd = ell[1:]
     num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
     den = (odd - 1) ** 3 * (odd + 1)
     form1 = (2.0 / 3.0) * math.exp(np.sum(np.log(num) - np.log(den)))
-    g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
-    form2 = math.exp(np.sum(np.log1p(-g)))
-    tail = _log_tail(_frak_c_neg_log_factor, limit)
-    return form1, form2, tail
-
-
-def average_constant_forms(limit: int) -> tuple[float, float]:
-    """The two displayed product forms of the average constant, raw at L."""
-    if limit < 10**3:
-        raise DomainError("truncation limit must be >= 1000")
-    form1, form2, _ = _frak_c_parts(limit)
-    return form1, form2
+    return form1, _frak_c_parts(limit, ell)[0]
 
 
 def average_constant(limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
     """The average density constant, tail-completed at truncation `limit`."""
     if limit < 10**3:
         raise DomainError("truncation limit must be >= 1000")
-    _, form2, tail = _frak_c_parts(limit)
+    form2, tail = _frak_c_parts(limit)
     return ConstantValue(
         value=form2 * math.exp(-tail), truncation_limit=limit, tail_bound=tail
     )

@@ -4,13 +4,14 @@ All traces over F_p come from three integer tables of length p, with chi the
 quadratic character mod p: t_cc[c] = a_p(E(c, c)), t_0b[b] = a_p(E(0, b)) and
 t_a0[a] = a_p(E(a, 0)).  Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by
 chi(l), and l = a/b gives a_p(E(a, b)) = chi(ab) t_cc[a^3 b^-2] for ab != 0.
-Each table is a circular correlation sum_v w[v] chi(v + c), one rfft/irfft of
-length p, checked to lie within 0.25 of an integer.  For t_cc, the factoring
-x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of chi(x + 1) over
-the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3, and t_a0 the
-squares x^2 by chi(x).  Each class c != 0 is one free orbit of p - 1 pairs,
-split evenly between t_cc[c] and -t_cc[c], and c = -27/4 is exactly the
-singular class with ab != 0, so a census costs O(p log p).
+Each table is a circular correlation sum_v w[v] chi(v + c mod p); all three
+come from one zero-padded power-of-two rfft/irfft pair (see _correlate_chi),
+and every entry is checked to lie within 0.25 of an integer.  For t_cc, the
+factoring x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of
+chi(x + 1) over the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3,
+and t_a0 the squares x^2 by chi(x).  Each class c != 0 is one free orbit of
+p - 1 pairs, split evenly between t_cc[c] and -t_cc[c], and c = -27/4 is
+exactly the singular class with ab != 0, so a census costs O(p log p).
 
 census, box_trace_histogram and deuring_counts return one layout: an int64
 array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
@@ -90,14 +91,28 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def _correlate_chi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """[sum_v w[v] chi(v + c) for c = 0..p-1] for integer w, as exact integers."""
+    """[sum_v w[v] chi(v + c mod p) for c = 0..p-1] per row of integer w, exactly.
+
+    With d = [chi, chi] zero-padded to n = 2^ceil(log2(2p)), the sum is the
+    circular correlation mod n of w with d: for v, c < p the index v + c is
+    at most 2p - 2 < n, so it never wraps and d[v + c] = chi(v + c mod p).
+    Every row of w and d share one rfft, and the products one irfft.
+    """
     p = len(chi)
-    corr = np.fft.irfft(np.conj(np.fft.rfft(w)) * np.fft.rfft(chi), n=p)
+    rows = np.atleast_2d(w)
+    k = len(rows)
+    n = 1 << (2 * p - 1).bit_length()
+    padded = np.zeros((k + 1, 2 * p))
+    padded[:k, :p] = rows
+    padded[k, :p] = padded[k, p:] = chi
+    f = np.fft.rfft(padded, n=n)
+    corr = np.fft.irfft(np.conj(f[:k]) * f[k], n=n)[:, :p]
     out = np.rint(corr)
     err = float(np.abs(corr - out).max())
     if err > 0.25:
         raise AssertionError(f"correlation mod p={p} lies {err:.3g} from an integer")
-    return out.astype(np.int32)
+    out = out.astype(np.int32)
+    return out if np.ndim(w) > 1 else out[0]
 
 
 def _trace_tables(p: int) -> _TraceTables:
@@ -109,14 +124,17 @@ def _trace_tables(p: int) -> _TraceTables:
     inv = _inverse_table(p)
     y = x[1:]  # y = x + 1 for x != -1; x = -1 contributes chi(-1)
     w_cc = np.bincount(cube[y - 1] * inv[y] % p, weights=chi[y], minlength=p)
+    w_0b = np.bincount(cube, minlength=p)
+    w_a0 = np.bincount(x * x % p, weights=chi, minlength=p)
+    corr_cc, corr_0b, corr_a0 = _correlate_chi(np.stack([w_cc, w_0b, w_a0]), chi)
     return _TraceTables(
         chi=chi,
         cube=cube,
         inv2=inv * inv % p,
         c_singular=int(-27 * inv[2] ** 2 % p),
-        t_cc=-chi[p - 1] - _correlate_chi(w_cc, chi),
-        t_0b=-_correlate_chi(np.bincount(cube, minlength=p), chi),
-        t_a0=-_correlate_chi(np.bincount(x * x % p, weights=chi, minlength=p), chi),
+        t_cc=-chi[p - 1] - corr_cc,
+        t_0b=-corr_0b,
+        t_a0=-corr_a0,
     )
 
 

@@ -74,7 +74,7 @@ def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
     frak_c = constants.average_constant(limit).value
     with_census = pmax <= 3000
     class_route = census_route = 0
-    for p in (int(q) for q in sieve(pmax).primes if q > 3):
+    for p in np.flatnonzero(flags[: pmax + 1])[2:].tolist():  # 5 <= p <= pmax
         off = math.isqrt(4 * p)
         good = flags[p + 1 + off : p - off : -1]  # flags[p + 1 - r] over trace_grid(p)
         class_route += int(curves.deuring_counts(p, table)[good].sum())

@@ -28,7 +28,7 @@ from koblitz.curves import (
 )
 from koblitz.classnumbers import kronecker_H, twelve_h_weighted_table
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import is_prime, sieve
+from koblitz.primes import is_prime, kronecker_table, sieve
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
 
@@ -118,6 +118,33 @@ class TestTrace:
         with pytest.raises(AssertionError):
             curves._correlate_chi(w, chi)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([int(q) for q in sieve(1000).primes if q >= 5]),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_correlation_matches_direct_sum(self, p, k, one_row, seed):
+        # oracle: sum_v w[v] chi((v + c) mod p), one np.roll of chi per lag c
+        chi = kronecker_table(p, p)
+        w = np.random.default_rng(seed).integers(-p, p + 1, size=(k, p))
+        if one_row:
+            w = w[0]
+        shifted = np.stack([np.roll(chi, -c) for c in range(p)]).astype(np.int64)
+        got = curves._correlate_chi(w, chi)
+        assert got.shape == w.shape
+        assert np.array_equal(got, w @ shifted.T)
+
+    def test_inexact_last_row_of_batch_raises(self):
+        chi = kronecker_table(5, 5)
+        w = np.zeros((3, 5))
+        w[:2] = [[1, 2, 3, 4, 5], [0, -1, 0, 1, 0]]
+        w[2, 0] = 0.5
+        curves._correlate_chi(w[:2], chi)  # the integer rows alone pass
+        with pytest.raises(AssertionError):
+            curves._correlate_chi(w, chi)
+
 
 def _by_r(p):
     return dict(zip(trace_grid(p).tolist(), census(p).tolist()))
@@ -180,6 +207,16 @@ class TestDeuring:
     @pytest.mark.parametrize("p", [10007, 20011])
     def test_large_primes_all_match(self, p):
         assert _deuring(p).all_match
+
+    def test_largest_census_primes_match(self):
+        # p = 99989 and 99991 are the largest primes under MAX_CENSUS_PRIME,
+        # so their correlations run at the largest padded length 2^18
+        table = twelve_h_weighted_table(4 * 99991)
+        for p in (99989, 99991):
+            assert p <= MAX_CENSUS_PRIME and is_prime(p)
+            got, want = census(p), deuring_counts(p, table)
+            ordinary = trace_grid(p) != 0
+            assert np.array_equal(got[ordinary], want[ordinary]), p
 
     def test_p11_supersingular(self):
         rep = _deuring(11)
