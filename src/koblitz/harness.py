@@ -185,23 +185,28 @@ def bdh_rows_csv(result: twinseries.BdhResult) -> str:
 
     Values print as repr.  A cell whose three values are all +0.0 (odd
     shifts, classes that are not admissible) shares one preformatted line
-    tail per column; only the other cells are formatted one by one.
+    tail per column.  The values of the other cells are keyed by their bit
+    patterns, so -0.0 stays apart from +0.0, and each distinct pattern goes
+    through repr once.
     """
     heads = [f"{q},{a}," for q, a in zip(result.q_col.tolist(), result.a_col.tolist())]
     n = len(heads)
     tails = [head + "0.0,0.0,0.0" for head in heads] * result.r_values.size
-    grids = (result.psi, result.expected, result.error)
-    # bit test, so -0.0 is not taken for +0.0
-    zero = np.logical_and.reduce([g.view(np.int64) == 0 for g in grids])
-    at = np.flatnonzero(~zero)
-    values = np.stack([g.ravel()[at] for g in grids], axis=1).tolist()
-    for k, (psi, expected, error) in zip(at.tolist(), values):
-        tails[k] = "%s%r,%r,%r" % (heads[k % n], psi, expected, error)
+    bits = [g.view(np.int64).ravel() for g in (result.psi, result.expected, result.error)]
+    at = np.flatnonzero(bits[0] | bits[1] | bits[2])
+    # 1-D input: the inverse's shape for N-D input differs across numpy 2.0.x
+    keys = np.concatenate([b[at] for b in bits])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    psi, expected, error = text[inverse].reshape(3, -1).tolist()
+    for k, p, e, d in zip(at.tolist(), psi, expected, error):
+        tails[k] = f"{heads[k % n]}{p},{e},{d}"
     lines = ["r,q,a,psi,expected,error"]
     for i, r in enumerate(result.r_values.tolist()):
         lines.append(f"{r}," + f"\n{r},".join(tails[i * n : (i + 1) * n]))
-    lines.append(f"# summary S={result.S!r} normalized={result.normalized!r}")
-    return "\n".join(lines) + "\n"
+    # the closing newline rides on the last line, so the file is joined once
+    lines.append(f"# summary S={result.S!r} normalized={result.normalized!r}\n")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

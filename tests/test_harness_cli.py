@@ -92,6 +92,49 @@ def _oracle_bdh_csv(result):
     return "\n".join(lines) + "\n"
 
 
+# +0.0 first: a cell drawn as None is an all-(+0.0) cell
+_POOL = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 5e-324, 1e300]
+    + [v for x in (1.0, 0.1, -2.5, 1e-300) for v in (x, np.nextafter(x, np.inf))]
+)
+
+
+@st.composite
+def _pooled_grids(draw):
+    """A BdhResult whose values come from _POOL, so they repeat across cells,
+    rows and all three columns."""
+    R = draw(st.integers(min_value=1, max_value=3))
+    Q = draw(st.integers(min_value=1, max_value=3))
+    q_col, a_col = zip(*[(q, a) for q in range(1, Q + 1) for a in range(q)])
+    shape = (2 * R, len(q_col))
+    index = st.integers(min_value=0, max_value=len(_POOL) - 1)
+    cells = draw(
+        st.lists(
+            st.one_of(st.none(), st.tuples(index, index, index)),
+            min_size=shape[0] * shape[1],
+            max_size=shape[0] * shape[1],
+        )
+    )
+    picks = np.array([cell or (0, 0, 0) for cell in cells]).reshape(*shape, 3)
+    psi, expected, error = (_POOL[picks[..., k]] for k in range(3))
+    S, normalized = (float(_POOL[draw(index)]) for _ in range(2))
+    return twinseries.BdhResult(
+        x=10,
+        R=R,
+        Q=Q,
+        window=twinseries.TwinWindow(X=0, Y=10),
+        S=S,
+        normalized=normalized,
+        per_q={q: 0.0 for q in range(1, Q + 1)},
+        r_values=np.array([*range(-R, 0), *range(1, R + 1)]),
+        q_col=np.array(q_col),
+        a_col=np.array(a_col),
+        psi=psi,
+        expected=expected,
+        error=error,
+    )
+
+
 class TestBdhDriver:
     def test_summary_and_rows(self):
         rep, res = harness.run_bdh(100, 3, 2, 0, 100)
@@ -155,6 +198,40 @@ class TestBdhDriver:
             "2,1,0,0.0,0.0,0.0\n2,2,0,0.0,1.0,-1.0\n2,2,1,2.5,0.0,2.5\n"
             "# summary S=1.5 normalized=0.125\n"
         )
+
+    @given(_pooled_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_of_pooled_values_equals_per_row_formatter(self, res):
+        assert harness.bdh_rows_csv(res) == _oracle_bdh_csv(res)
+
+    def test_one_repr_per_distinct_value(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(harness, "repr", counting, raising=False)
+        _, res = harness.run_bdh(2000, 20, 4, 0, 2000)
+        text = harness.bdh_rows_csv(res)
+        monkeypatch.undo()
+        assert text == _oracle_bdh_csv(res)
+        grids = (res.psi, res.expected, res.error)
+        columns = (g.view(np.int64).ravel().tolist() for g in grids)
+        cells = [cell for cell in zip(*columns) if cell != (0, 0, 0)]
+        distinct = {bits for cell in cells for bits in cell}
+        assert len(distinct) < 3 * len(cells)  # values repeat, so the count tells
+        assert len(calls) == len(distinct)
+
+    def test_csv_peak_memory_at_window_argv(self):
+        _, res = harness.run_bdh(4_050_000, 300, 10, 4_000_000, 50_000)
+        tracemalloc.start()
+        try:
+            text = harness.bdh_rows_csv(res)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
 
 
 class TestVerify:
