@@ -15,7 +15,6 @@ and less 3 when D = -4f^2 (the form f(1,0,1)).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,72 +25,6 @@ from .errors import CapacityError, DomainError
 # Largest dmax for twelve_h_weighted_table, which counts every reduced form with
 # 4ac - b^2 <= dmax: 4p at the class-number route's budget p = 10^5.
 MAX_H_TABLE = 4 * 10**5
-
-
-def _check_discriminant(d: int) -> None:
-    if d >= 0 or d % 4 not in (0, 1):
-        raise DomainError(f"{d} is not a negative discriminant")
-
-
-def form_class_number(d: int) -> int:
-    """Count of primitive reduced forms of discriminant d < 0.
-
-    Reduced means |B| <= A <= C with B >= 0 whenever |B| = A or A = C.
-    """
-    _check_discriminant(d)
-    h = 0
-    for a in range(1, math.isqrt(-d // 3) + 1):
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            t = b * b - d
-            if t % four_a:
-                continue
-            c = t // four_a
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) == 1:
-                h += 1
-    return h
-
-
-def unit_count(d: int) -> int:
-    """Units of the quadratic order of discriminant d."""
-    _check_discriminant(d)
-    if d == -3:
-        return 6
-    if d == -4:
-        return 4
-    return 2
-
-
-@dataclass(frozen=True)
-class ExactClassNumber:
-    """H(D) held exactly as the integer 12*H(D)."""
-
-    discriminant: int
-    twelve_h: int
-
-    @property
-    def value(self) -> float:
-        return self.twelve_h / 12.0
-
-
-@functools.lru_cache(maxsize=None)
-def kronecker_H(d: int) -> ExactClassNumber:
-    """Weighted class number H(d) = sum_{f^2 | d, d/f^2 disc} h(d/f^2)/w(d/f^2)."""
-    _check_discriminant(d)
-    twelve = 0
-    f = 1
-    while f * f <= -d:
-        if d % (f * f) == 0:
-            d0 = d // (f * f)
-            if d0 % 4 in (0, 1):
-                # w | 12 in every case, so each summand is an integer
-                twelve += 12 * form_class_number(d0) // unit_count(d0)
-        f += 1
-    return ExactClassNumber(discriminant=d, twelve_h=twelve)
 
 
 def twelve_h_weighted_table(dmax: int) -> np.ndarray:

@@ -9,9 +9,13 @@ or capacity error, or a failed internal check (each printed as `error: ...`);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from typing import Iterable
+
+import numpy as np
 
 from . import classnumbers, constants, curves, harness
 from .errors import CapacityError
@@ -19,24 +23,50 @@ from .primes import sieve
 from .twinseries import DEFAULT_TRUNCATION
 
 
-def _write(payload: str, out: str | None, suffix: str = ".json") -> None:
-    """Print `payload`, or write it to `out` (with `suffix` added if missing).
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text file for writing that appears at `path` only once the block completes.
 
-    The file appears at its path only once it is complete.
+    The text goes to `path.tmp`, which replaces `path` on success and is
+    removed on any error.
     """
-    if out is None:
-        sys.stdout.write(payload)
-        return
-    path = out if out.endswith(suffix) else out + suffix
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _write(payload: str, out: str | None, suffix: str = ".json") -> None:
+    """Print `payload`, or write it to `out` (with `suffix` added if missing)."""
+    if out is None:
+        sys.stdout.write(payload)
+        return
+    path = out if out.endswith(suffix) else out + suffix
+    with _atomic_open(path) as fh:
+        fh.write(payload)
     print(f"wrote {path}")
+
+
+def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> int:
+    """Write a `p,r,count` line per nonzero count under a '#' header line.
+
+    `censuses` yields (p, census(p)) pairs; each is written as it arrives, in
+    ascending r, and the file appears at `path` only once all are written.
+    Returns the total curve count.
+    """
+    total = 0
+    with _atomic_open(path) as fh:
+        fh.write("# census records: p,r,count\n")
+        for p, hist in censuses:
+            off = len(hist) // 2
+            for i in np.flatnonzero(hist).tolist():
+                fh.write(f"{p},{i - off},{int(hist[i])}\n")
+            total += int(hist.sum())
+    return total
 
 
 def _cmd_constants(args) -> int:
@@ -68,7 +98,7 @@ def _cmd_census(args) -> int:
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
     censuses = ((p, curves.census(p)) for p in primes)
     if args.out:
-        total = curves.write_census_file(
+        total = write_census_file(
             args.out if args.out.endswith(".csv") else args.out + ".csv", censuses
         )
     else:

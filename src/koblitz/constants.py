@@ -110,24 +110,16 @@ def _frak_c_neg_log_factor(t: np.ndarray) -> np.ndarray:
     return -np.log1p(-g)
 
 
-# (form2, tail) per truncation limit; average_constant_forms passes in the
-# primes it sieved for form1, so the two forms share one sieve
-_frak_c_memo: dict[int, tuple[float, float]] = {}
-
-
-def _frak_c_parts(limit: int, ell: np.ndarray | None = None) -> tuple[float, float]:
+@functools.lru_cache(maxsize=8)
+def _frak_c_parts(limit: int) -> tuple[float, float]:
     """(form2, tail) for the average constant at truncation `limit`.
 
-    form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))), raw (no tail).  `ell` is
-    the primes <= limit as float64, sieved here when not given.
+    form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))), raw (no tail).
     """
-    if limit not in _frak_c_memo:
-        if ell is None:
-            ell = sieve(limit).primes.astype(np.float64)
-        g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
-        form2 = math.exp(np.sum(np.log1p(-g)))
-        _frak_c_memo[limit] = form2, _log_tail(_frak_c_neg_log_factor, limit)
-    return _frak_c_memo[limit]
+    ell = sieve(limit).primes.astype(np.float64)
+    g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
+    form2 = math.exp(np.sum(np.log1p(-g)))
+    return form2, _log_tail(_frak_c_neg_log_factor, limit)
 
 
 def average_constant_forms(limit: int) -> tuple[float, float]:
@@ -143,7 +135,7 @@ def average_constant_forms(limit: int) -> tuple[float, float]:
     num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
     den = (odd - 1) ** 3 * (odd + 1)
     form1 = (2.0 / 3.0) * math.exp(np.sum(np.log(num) - np.log(den)))
-    return form1, _frak_c_parts(limit, ell)[0]
+    return form1, _frak_c_parts(limit)[0]
 
 
 def average_constant(limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
@@ -187,22 +179,6 @@ def c_f_r(n: int, f: int, r: int) -> int:
         else:
             out *= lead * (-2 if alpha % 2 else ell - 3)
     return out
-
-
-def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
-    """Direct evaluation: sum of (a|n) over invertible a mod 4n with
-    (r^2 - a f^2, 4 n f^2) = 4 and ((r-2)^2 - a f^2, 4 n f^2) = 4."""
-    _check_cfr_args(f, r)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    m = 4 * n
-    mod = 4 * n * f * f
-    a = np.arange(m, dtype=np.int64)
-    invertible = np.gcd(a, m) == 1
-    cond1 = np.gcd((r * r - a * f * f) % mod, mod) == 4
-    cond2 = np.gcd(((r - 2) ** 2 - a * f * f) % mod, mod) == 4
-    kron = kronecker_table(n, m).astype(np.int64)
-    return int(kron[invertible & cond1 & cond2].sum())
 
 
 # ---------------------------------------------------------------------------

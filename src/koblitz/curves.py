@@ -20,9 +20,8 @@ array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,31 +39,6 @@ MAX_CENSUS_PRIME = 10**5
 def _check_prime(p: int) -> None:
     if p <= 3 or not is_prime(p):
         raise DomainError(f"p={p} must be a prime > 3")
-
-
-@dataclass(frozen=True)
-class CurveModP:
-    """Nonsingular short Weierstrass curve over F_p, p > 3."""
-
-    p: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "b", self.b % self.p)
-        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
-            raise DomainError(f"singular curve (a,b)=({self.a},{self.b}) mod {self.p}")
-
-
-def trace(curve: CurveModP) -> int:
-    """Trace of Frobenius a_p = -sum_x chi(x^3 + ax + b)."""
-    p, a, b = curve.p, curve.a, curve.b
-    k = kronecker_table(p, p)
-    x = np.arange(p, dtype=np.int64)
-    vals = (x * x % p * x + a * x + b) % p
-    return -int(k[vals].sum())
 
 
 class _TraceTables(NamedTuple):
@@ -186,14 +160,6 @@ def census(p: int) -> np.ndarray:
     return hist
 
 
-def singular_pair_count(p: int) -> int:
-    """#{(a,b) mod p : 4a^3 + 27b^2 = 0}, by direct enumeration."""
-    x = np.arange(p, dtype=np.int64)
-    a4 = 4 * (x * x % p * x) % p
-    b27 = 27 * (x * x) % p
-    return int(((a4[:, None] + b27[None, :]) % p == 0).sum())
-
-
 def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
     """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p.
 
@@ -261,24 +227,6 @@ def pi_star(p: int) -> int:
     return int(hist[sieve(p + 1 + r[-1]).flags[p + 1 - r]].sum())
 
 
-def pi_twin(a: int, b: int, x: int) -> int:
-    """#{3 < p <= x of good reduction : p + 1 - a_p(E) is prime}."""
-    disc = 4 * a**3 + 27 * b**2
-    if disc == 0:
-        raise DomainError("curve is singular over Q")
-    if x < 5:
-        raise DomainError("x must be >= 5")
-    count = 0
-    for p in sieve(x).primes[2:]:
-        p = int(p)
-        if disc % p == 0:
-            continue
-        r = trace(CurveModP(p=p, a=a, b=b))
-        if is_prime(p + 1 - r):
-            count += 1
-    return count
-
-
 def _residue_multiplicities(bound: int, p: int) -> np.ndarray:
     """How many integers in [-bound, bound] fall in each residue class mod p."""
     n = 2 * bound + 1
@@ -303,27 +251,3 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     off = math.isqrt(4 * p)
     hist = np.bincount(t[ns] + off, weights=w[ns], minlength=2 * off + 1)
     return np.rint(hist).astype(np.int64)
-
-
-def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> int:
-    """Write a `p,r,count` line per nonzero count under a '#' header line.
-
-    `censuses` yields (p, census(p)) pairs; each is written as it arrives, in
-    ascending r, and the file appears at `path` only once all are written.
-    Returns the total curve count.
-    """
-    total = 0
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("# census records: p,r,count\n")
-            for p, hist in censuses:
-                off = len(hist) // 2
-                for i in np.flatnonzero(hist).tolist():
-                    fh.write(f"{p},{i - off},{int(hist[i])}\n")
-                total += int(hist.sum())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return total

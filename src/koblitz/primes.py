@@ -7,7 +7,7 @@ Euler products) lean on the numpy-backed sieve and on `kronecker_table`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,37 +100,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), full extension to all integer a, n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    res = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            res = -1
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        e = (n & -n).bit_length() - 1
-        n >>= e
-        if e % 2 == 1 and a % 8 in (3, 5):
-            res = -res
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                res = -res
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            res = -res
-        a %= n
-    return res if n == 1 else 0
-
-
 def kronecker_table(n: int, length: int) -> np.ndarray:
-    """Vector of kronecker(a, n) for a = 0..length-1 (n >= 1), dtype int8."""
+    """Vector of the Kronecker symbols (a|n) for a = 0..length-1 (n >= 1), dtype int8."""
     if n < 1:
         raise DomainError("kronecker_table requires n >= 1")
     a = np.arange(length, dtype=np.int64)
@@ -160,14 +131,6 @@ class Factorization:
     """Prime factorization as ascending (prime, exponent) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    n: int = field(default=0)
-
-    def __post_init__(self):
-        if self.n == 0:
-            prod = 1
-            for p, e in self.pairs:
-                prod *= p**e
-            object.__setattr__(self, "n", prod)
 
     @property
     def primes(self) -> tuple[int, ...]:

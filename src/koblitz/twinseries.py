@@ -1,9 +1,9 @@
 """Twin-prime singular series, residue densities, and the BDH statistic.
 
 The singular series S(r) is the Hardy-Littlewood density for prime pairs at
-distance r; S(r,q,a) restricts to an arithmetic progression.  psi/error_E are
-the log-weighted empirical counterparts over a window, and bdh_statistic is
-the mean-square dispersion over all (r, q, a).
+distance r; S(r,q,a) restricts to an arithmetic progression.  psi is the
+log-weighted empirical counterpart over a window, and bdh_statistic is the
+mean-square dispersion of psi - S(r,q,a) Y over all (r, q, a).
 """
 
 from __future__ import annotations
@@ -194,18 +194,6 @@ def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
     pp = p - r
     keep = (pp >= off) & flags[np.maximum(pp - off, 0)]
     return float(np.sum(logs[p[keep] - off] * logs[pp[keep] - off]))
-
-
-def error_E(
-    window: TwinWindow,
-    r: int,
-    q: int,
-    a: int,
-    limit: int = DEFAULT_TRUNCATION,
-) -> float:
-    """E = psi(window; r, q, a) - S(r,q,a) * Y."""
-    expected = singular_series_mod(r, q, a, limit).value * window.Y
-    return psi(window, r, q, a) - expected
 
 
 @dataclass(frozen=True)

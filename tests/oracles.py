@@ -1,0 +1,220 @@
+"""Scalar and brute-force routes that the tests check the package against.
+
+Each one computes a quantity straight from its definition, independently of
+the array kernel the package uses for it: point-count traces, the singular
+pairs mod p and the per-curve twin count (curves), reduced-form class numbers
+(classnumbers), the scalar Kronecker symbol (primes), the character sum
+c_f^r(n) (constants) and the window error E (twinseries).
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from koblitz.constants import _check_cfr_args
+from koblitz.curves import _check_prime
+from koblitz.errors import DomainError
+from koblitz.primes import is_prime, kronecker_table, sieve
+from koblitz.twinseries import DEFAULT_TRUNCATION, TwinWindow, psi, singular_series_mod
+
+# ---------------------------------------------------------------------------
+# curves
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CurveModP:
+    """Nonsingular short Weierstrass curve over F_p, p > 3."""
+
+    p: int
+    a: int
+    b: int
+
+    def __post_init__(self):
+        _check_prime(self.p)
+        object.__setattr__(self, "a", self.a % self.p)
+        object.__setattr__(self, "b", self.b % self.p)
+        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
+            raise DomainError(f"singular curve (a,b)=({self.a},{self.b}) mod {self.p}")
+
+
+def trace(curve: CurveModP) -> int:
+    """Trace of Frobenius a_p = -sum_x chi(x^3 + ax + b)."""
+    p, a, b = curve.p, curve.a, curve.b
+    k = kronecker_table(p, p)
+    x = np.arange(p, dtype=np.int64)
+    vals = (x * x % p * x + a * x + b) % p
+    return -int(k[vals].sum())
+
+
+def singular_pair_count(p: int) -> int:
+    """#{(a,b) mod p : 4a^3 + 27b^2 = 0}, by direct enumeration."""
+    x = np.arange(p, dtype=np.int64)
+    a4 = 4 * (x * x % p * x) % p
+    b27 = 27 * (x * x) % p
+    return int(((a4[:, None] + b27[None, :]) % p == 0).sum())
+
+
+def pi_twin(a: int, b: int, x: int) -> int:
+    """#{3 < p <= x of good reduction : p + 1 - a_p(E) is prime}."""
+    disc = 4 * a**3 + 27 * b**2
+    if disc == 0:
+        raise DomainError("curve is singular over Q")
+    if x < 5:
+        raise DomainError("x must be >= 5")
+    count = 0
+    for p in sieve(x).primes[2:]:
+        p = int(p)
+        if disc % p == 0:
+            continue
+        r = trace(CurveModP(p=p, a=a, b=b))
+        if is_prime(p + 1 - r):
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# classnumbers
+# ---------------------------------------------------------------------------
+
+
+def _check_discriminant(d: int) -> None:
+    if d >= 0 or d % 4 not in (0, 1):
+        raise DomainError(f"{d} is not a negative discriminant")
+
+
+def form_class_number(d: int) -> int:
+    """Count of primitive reduced forms of discriminant d < 0.
+
+    Reduced means |B| <= A <= C with B >= 0 whenever |B| = A or A = C.
+    """
+    _check_discriminant(d)
+    h = 0
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        four_a = 4 * a
+        for b in range(-a + 1, a + 1):
+            t = b * b - d
+            if t % four_a:
+                continue
+            c = t // four_a
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                h += 1
+    return h
+
+
+def unit_count(d: int) -> int:
+    """Units of the quadratic order of discriminant d."""
+    _check_discriminant(d)
+    if d == -3:
+        return 6
+    if d == -4:
+        return 4
+    return 2
+
+
+@dataclass(frozen=True)
+class ExactClassNumber:
+    """H(D) held exactly as the integer 12*H(D)."""
+
+    discriminant: int
+    twelve_h: int
+
+    @property
+    def value(self) -> float:
+        return self.twelve_h / 12.0
+
+
+@functools.lru_cache(maxsize=None)
+def kronecker_H(d: int) -> ExactClassNumber:
+    """Weighted class number H(d) = sum_{f^2 | d, d/f^2 disc} h(d/f^2)/w(d/f^2)."""
+    _check_discriminant(d)
+    twelve = 0
+    f = 1
+    while f * f <= -d:
+        if d % (f * f) == 0:
+            d0 = d // (f * f)
+            if d0 % 4 in (0, 1):
+                # w | 12 in every case, so each summand is an integer
+                twelve += 12 * form_class_number(d0) // unit_count(d0)
+        f += 1
+    return ExactClassNumber(discriminant=d, twelve_h=twelve)
+
+
+# ---------------------------------------------------------------------------
+# primes
+# ---------------------------------------------------------------------------
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), full extension to all integer a, n."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    res = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            res = -1
+    if n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        e = (n & -n).bit_length() - 1
+        n >>= e
+        if e % 2 == 1 and a % 8 in (3, 5):
+            res = -res
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                res = -res
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            res = -res
+        a %= n
+    return res if n == 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# constants
+# ---------------------------------------------------------------------------
+
+
+def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
+    """Direct evaluation: sum of (a|n) over invertible a mod 4n with
+    (r^2 - a f^2, 4 n f^2) = 4 and ((r-2)^2 - a f^2, 4 n f^2) = 4."""
+    _check_cfr_args(f, r)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    m = 4 * n
+    mod = 4 * n * f * f
+    a = np.arange(m, dtype=np.int64)
+    invertible = np.gcd(a, m) == 1
+    cond1 = np.gcd((r * r - a * f * f) % mod, mod) == 4
+    cond2 = np.gcd(((r - 2) ** 2 - a * f * f) % mod, mod) == 4
+    kron = kronecker_table(n, m).astype(np.int64)
+    return int(kron[invertible & cond1 & cond2].sum())
+
+
+# ---------------------------------------------------------------------------
+# twinseries
+# ---------------------------------------------------------------------------
+
+
+def error_E(
+    window: TwinWindow,
+    r: int,
+    q: int,
+    a: int,
+    limit: int = DEFAULT_TRUNCATION,
+) -> float:
+    """E = psi(window; r, q, a) - S(r,q,a) * Y."""
+    expected = singular_series_mod(r, q, a, limit).value * window.Y
+    return psi(window, r, q, a) - expected

@@ -15,6 +15,7 @@ from koblitz import constants, curves, harness, twinseries
 from koblitz.characters import characters, rho_chi
 from koblitz.classnumbers import twelve_h_weighted_table
 from koblitz.primes import factorize, moebius, sieve
+from oracles import c_f_r_bruteforce
 
 
 def test_criterion_01_deuring_exactness():
@@ -62,9 +63,7 @@ def test_criterion_04_character_sum_lemmas():
             if r == 1:
                 continue
             for n in range(1, 201):
-                assert constants.c_f_r(n, f, r) == constants.c_f_r_bruteforce(
-                    n, f, r
-                ), (n, f, r)
+                assert constants.c_f_r(n, f, r) == c_f_r_bruteforce(n, f, r), (n, f, r)
     for ell in (int(p) for p in sieve(50).primes if p >= 3):
         for r in (2 * ell + 1, ell, 3 if ell > 3 else 5):
             if r % 2 == 0 or r == 1:

@@ -5,16 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from koblitz.classnumbers import (
-    MAX_H_TABLE,
-    H_bound_check,
-    form_class_number,
-    kronecker_H,
-    twelve_h_weighted_table,
-    unit_count,
-)
+from koblitz.classnumbers import MAX_H_TABLE, H_bound_check, twelve_h_weighted_table
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import kronecker
+from oracles import form_class_number, kronecker, kronecker_H, unit_count
 
 
 def _squarefree(n):

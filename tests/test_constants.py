@@ -22,13 +22,13 @@ from koblitz.constants import (
     average_constant_forms,
     b_series_term,
     c_f_r,
-    c_f_r_bruteforce,
     c_series_term,
     gallagher_sum,
     gl2_count,
     local_sums,
 )
 from koblitz.errors import CapacityError, DomainError
+from oracles import c_f_r_bruteforce
 
 
 class TestGl2:

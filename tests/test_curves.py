@@ -9,26 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koblitz import curves
+from koblitz.classnumbers import twelve_h_weighted_table
+from koblitz.cli import write_census_file
 from koblitz.curves import (
     MAX_CENSUS_PRIME,
     MAX_TRACE_MATRIX_PRIME,
-    CurveModP,
     box_trace_histogram,
     census,
     deuring_check,
     deuring_counts,
     deuring_sweep,
     pi_star,
-    pi_twin,
-    singular_pair_count,
-    trace,
     trace_grid,
     trace_matrix,
-    write_census_file,
 )
-from koblitz.classnumbers import kronecker_H, twelve_h_weighted_table
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime, kronecker_table, sieve
+from oracles import CurveModP, kronecker_H, pi_twin, singular_pair_count, trace
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from koblitz import classnumbers, cli, curves, harness, twinseries
 from koblitz.errors import DomainError
+from oracles import pi_twin
 
 
 class TestTheorem2:
@@ -63,6 +64,19 @@ class TestTheorem1:
         d2000 = abs(r2000.summary["ratio_to_refined"] - 1.0)
         assert d2000 < 0.25
         assert d2000 < d500
+
+    @pytest.mark.parametrize("x, A, B, want", [(60, 3, 4, 112), (100, 5, 2, 120), (47, 0, 6, 19)])
+    def test_total_is_sum_of_per_curve_twin_counts(self, x, A, B, want):
+        # box histograms skip the pairs singular mod p and pi_twin the primes
+        # dividing 4a^3 + 27b^2: the same primes, so the totals agree exactly
+        total = sum(
+            pi_twin(a, b, x)
+            for a in range(-A, A + 1)
+            for b in range(-B, B + 1)
+            if 4 * a**3 + 27 * b**2 != 0
+        )
+        assert total == want
+        assert harness.run_theorem1(x, A, B).summary["total_twin_count"] == total
 
     def test_empty_box_rejected(self):
         # the box {(0,0)} holds only a globally singular curve

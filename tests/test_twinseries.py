@@ -19,13 +19,13 @@ from koblitz.twinseries import (
     TwinWindow,
     _sieved_window,
     bdh_statistic,
-    error_E,
     psi,
     rho,
     singular_series,
     singular_series_mod,
     singular_series_table,
 )
+from oracles import error_E
 
 # Hardy-Littlewood twin prime constant C2, literature value
 TWIN_PRIME_C2 = 0.6601618158468695739
