@@ -1,17 +1,20 @@
 """Elliptic curves y^2 = x^3 + ax + b over F_p: traces and exhaustive censuses.
 
-All traces over F_p come from three integer tables of length p, with chi the
-quadratic character mod p: t_cc[c] = a_p(E(c, c)), t_0b[b] = a_p(E(0, b)) and
-t_a0[a] = a_p(E(a, 0)).  Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by
-chi(l), and l = a/b gives a_p(E(a, b)) = chi(ab) t_cc[a^3 b^-2] for ab != 0.
-Each table is a circular correlation sum_v w[v] chi(v + c mod p); all three
-come from one zero-padded power-of-two rfft/irfft pair (see _correlate_chi),
-and every entry is checked to lie within 0.25 of an integer.  For t_cc, the
-factoring x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of
+Every count over F_p reads one power table pw[k] = g^k (k < p - 1) of the
+least primitive root g, so chi(g^k) = (-1)^k for the quadratic character chi,
+and (g^k)^-1 = g^-k.  All traces come from three integer tables, each a
+circular correlation sum_v w[v] chi(v + c mod p) by exact FFT:
+t_cc[c] = a_p(E(c, c)), t_0b[b] = a_p(E(0, b)) and t_a0[a] = a_p(E(a, 0)).
+For t_cc, x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of
 chi(x + 1) over the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3,
-and t_a0 the squares x^2 by chi(x).  Each class c != 0 is one free orbit of
-p - 1 pairs, split evenly between t_cc[c] and -t_cc[c], and c = -27/4 is
-exactly the singular class with ab != 0, so a census costs O(p log p).
+and t_a0 the squares x^2 by chi(x).  Rescaling (a, b) -> (l^2 a, l^3 b)
+multiplies a_p by chi(l), so for a = g^i and b = g^j the pair has the trace
+chi(ab) t_cc[a^3 b^-2] = (-1)^(k + j) t_cc[g^k] of its log class
+k = 3i - 2j mod p - 1 (k = i mod 2).  A box weighing the pair w_a(a) w_b(b)
+thus puts on class k, per parity of j, the cyclic convolution of w_a(g^i)
+binned at 3i with w_b(g^j) binned at -2j.  A census is the all-ones box, with
+(p - 1)/2 per class and parity and no convolution, so it costs O(p log p).
+The class log(-27/4) is exactly the singular class with ab != 0.
 
 census, box_trace_histogram and deuring_counts return one layout: an int64
 array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
@@ -26,14 +29,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import is_prime, kronecker_table, sieve
+from .primes import is_prime, primitive_root, sieve
 
-# Largest p for a full p x p trace grid (theorem1 reaches p < 5000).
-MAX_TRACE_MATRIX_PRIME = 5000
-
-# Largest p for the length-p trace tables behind census, trace_matrix and
+# Largest p for the length-p trace tables behind census and
 # box_trace_histogram: the class-number route's budget 10^5.
 MAX_CENSUS_PRIME = 10**5
+
+# Most pairs (2A+1)(2B+1) in a box: a histogram's float64 bincount is exact
+# while every count stays at most 2^53.
+MAX_BOX_PAIRS = 2**53
 
 
 def _check_prime(p: int) -> None:
@@ -42,101 +46,89 @@ def _check_prime(p: int) -> None:
 
 
 class _TraceTables(NamedTuple):
-    chi: np.ndarray  # chi(v), int8
-    cube: np.ndarray  # v^3 mod p
-    inv2: np.ndarray  # v^-2 mod p, and 0 at v = 0
-    c_singular: int  # -27/4 mod p
-    t_cc: np.ndarray  # a_p(E(c, c)); t_cc[0] is unused
+    pw: np.ndarray  # g^k mod p for k < p - 1
+    k_singular: int  # log(-27/4), the singular class
+    t_log: np.ndarray  # (-1)^k a_p(E(g^k, g^k)): the trace of class k when j is even
     t_0b: np.ndarray  # a_p(E(0, b)); t_0b[0] is unused
     t_a0: np.ndarray  # a_p(E(a, 0)); t_a0[0] is unused
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    """v^(p-2) mod p for v = 0..p-1, by square-and-multiply."""
-    base = np.arange(p, dtype=np.int64)
-    out = np.ones(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _power_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, lg): pw[k] = g^k mod p for k < p - 1 and lg[pw[k]] = k, the discrete log.
+
+    pw is one outer product mod p of m giant steps g^(mi) by m baby steps g^i.
+    """
+    g, m = primitive_root(p), math.isqrt(p - 2) + 1
+    baby = np.array([pow(g, i, p) for i in range(m)], dtype=np.int64)
+    giant = np.array([pow(g, m * i, p) for i in range(m)], dtype=np.int64)
+    pw = (giant[:, None] * baby % p).ravel()[: p - 1]
+    lg = np.zeros(p, dtype=np.int64)
+    lg[pw] = np.arange(p - 1)
+    return pw, lg
+
+
+def _exact_convolution(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Circular convolution mod n of the integer rows of x and y, broadcast, exactly.
+
+    Every value is rounded and checked to lie within 0.25 of an integer.
+    """
+    conv = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)
+    out = np.rint(conv)
+    err = float(np.abs(conv - out).max())
+    if err > 0.25:
+        raise AssertionError(f"convolution of length {n} lies {err:.3g} from an integer")
+    return out.astype(np.int64)
 
 
 def _correlate_chi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """[sum_v w[v] chi(v + c mod p) for c = 0..p-1] per row of integer w, exactly.
 
-    With d = [chi, chi] zero-padded to n = 2^ceil(log2(2p)), the sum is the
-    circular correlation mod n of w with d: for v, c < p the index v + c is
-    at most 2p - 2 < n, so it never wraps and d[v + c] = chi(v + c mod p).
-    Every row of w and d share one rfft, and the products one irfft.
+    With d[v + c] = chi(v + c mod p) for v, c < p, the sum is entry p - 1 + c
+    of reversed w convolved with d; mod n >= 2p it wraps only below p - 1.
     """
     p = len(chi)
-    rows = np.atleast_2d(w)
-    k = len(rows)
+    d = np.concatenate([chi, chi[:-1]])
     n = 1 << (2 * p - 1).bit_length()
-    padded = np.zeros((k + 1, 2 * p))
-    padded[:k, :p] = rows
-    padded[k, :p] = padded[k, p:] = chi
-    f = np.fft.rfft(padded, n=n)
-    corr = np.fft.irfft(np.conj(f[:k]) * f[k], n=n)[:, :p]
-    out = np.rint(corr)
-    err = float(np.abs(corr - out).max())
-    if err > 0.25:
-        raise AssertionError(f"correlation mod p={p} lies {err:.3g} from an integer")
-    out = out.astype(np.int32)
-    return out if np.ndim(w) > 1 else out[0]
+    return _exact_convolution(np.asarray(w)[..., ::-1], d, n)[..., p - 1 : 2 * p - 1]
 
 
 def _trace_tables(p: int) -> _TraceTables:
     if p > MAX_CENSUS_PRIME:
         raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
-    chi = kronecker_table(p, p)
+    pw, lg = _power_table(p)
+    k = np.arange(p - 1)
+    sign = 1 - 2 * (k & 1)
+    chi = np.zeros(p, dtype=np.int64)
+    chi[pw] = sign
     x = np.arange(p, dtype=np.int64)
     cube = x * x % p * x % p
-    inv = _inverse_table(p)
-    y = x[1:]  # y = x + 1 for x != -1; x = -1 contributes chi(-1)
-    w_cc = np.bincount(cube[y - 1] * inv[y] % p, weights=chi[y], minlength=p)
+    # x + 1 = g^k runs over x != -1 with (x + 1)^-1 = g^-k; x = -1 adds chi(-1)
+    w_cc = np.bincount(cube[pw - 1] * pw[-k] % p, weights=sign, minlength=p)
     w_0b = np.bincount(cube, minlength=p)
     w_a0 = np.bincount(x * x % p, weights=chi, minlength=p)
     corr_cc, corr_0b, corr_a0 = _correlate_chi(np.stack([w_cc, w_0b, w_a0]), chi)
     return _TraceTables(
-        chi=chi,
-        cube=cube,
-        inv2=inv * inv % p,
-        c_singular=int(-27 * inv[2] ** 2 % p),
-        t_cc=-chi[p - 1] - corr_cc,
+        pw=pw,
+        k_singular=int(lg[-27 * pow(4, -1, p) % p]),
+        t_log=sign * (-chi[p - 1] - corr_cc)[pw],
         t_0b=-corr_0b,
         t_a0=-corr_a0,
     )
 
 
-def _grid_traces(p: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, nonsingular) on the grid of residues a (rows) by b (columns)."""
-    if a.size * b.size > MAX_TRACE_MATRIX_PRIME**2:
-        raise CapacityError(f"{a.size}x{b.size} trace grid exceeds {MAX_TRACE_MATRIX_PRIME}^2")
-    tab = _trace_tables(p)
-    c = tab.cube[a][:, None] * tab.inv2[b] % p
-    t = np.outer(tab.chi[a], tab.chi[b]) * tab.t_cc[c]
-    t[a == 0, :] = tab.t_0b[b]
-    t[:, b == 0] = tab.t_a0[a][:, None]
-    nonsingular = c != tab.c_singular
-    nonsingular[np.ix_(a == 0, b == 0)] = False
-    return t, nonsingular
+def _histogram(tab: _TraceTables, w_class, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """The census-layout histogram of the pairs (a, b) mod p weighted w_a[a] w_b[b].
 
-
-def trace_matrix(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T, nonsingular) over the full residue grid: T[a, b] = a_p(E(a, b)).
-
-    T is int32; entries at singular pairs are meaningless and masked off by
-    the boolean `nonsingular` array.
+    w_class[s, k], or one constant, is the weight of the ab != 0 of log class
+    k with j = s mod 2.  The singular class is skipped.
     """
-    _check_prime(p)
-    if p > MAX_TRACE_MATRIX_PRIME:
-        raise CapacityError(f"p={p} exceeds trace matrix budget {MAX_TRACE_MATRIX_PRIME}")
-    x = np.arange(p, dtype=np.int64)
-    return _grid_traces(p, x, x)
+    p = len(w_a)
+    t_cc = np.delete(tab.t_log, tab.k_singular)
+    w_cc = np.delete(np.broadcast_to(w_class, (2, p - 1)), tab.k_singular, axis=1)
+    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[1:], tab.t_a0[1:]])
+    weights = np.concatenate([w_cc.ravel(), w_a[0] * w_b[1:], w_b[0] * w_a[1:]])
+    off = math.isqrt(4 * p)
+    return np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
 
 
 def trace_grid(p: int) -> np.ndarray:
@@ -148,12 +140,8 @@ def trace_grid(p: int) -> np.ndarray:
 def census(p: int) -> np.ndarray:
     """hist[r + isqrt(4p)] = N_r(p), the number of curves over F_p of trace r."""
     _check_prime(p)
-    tab = _trace_tables(p)
-    t_cc = np.delete(tab.t_cc, [0, tab.c_singular])
-    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[1:], tab.t_a0[1:]])
-    weights = np.repeat([(p - 1) // 2, 1], [2 * t_cc.size, 2 * (p - 1)])
-    off = math.isqrt(4 * p)
-    hist = np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
+    ones = np.ones(p, dtype=np.int64)
+    hist = _histogram(_trace_tables(p), (p - 1) // 2, ones, ones)
     total = int(hist.sum())
     if total != p * p - p:
         raise AssertionError(f"census total {total} != p^2 - p for p={p}")
@@ -227,27 +215,39 @@ def pi_star(p: int) -> int:
     return int(hist[sieve(p + 1 + r[-1]).flags[p + 1 - r]].sum())
 
 
-def _residue_multiplicities(bound: int, p: int) -> np.ndarray:
-    """How many integers in [-bound, bound] fall in each residue class mod p."""
+def _residue_multiplicities(bound: int, p: int) -> tuple[int, np.ndarray]:
+    """(q, e): q + e[v] integers in [-bound, bound] fall in residue class v mod p; e is 0 or 1."""
     n = 2 * bound + 1
-    counts = np.full(p, n // p, dtype=np.int64)
-    rem = np.arange(-bound, -bound + (n % p), dtype=np.int64) % p
-    np.add.at(counts, rem, 1)
-    return counts
+    e = np.zeros(p, dtype=np.int64)
+    e[np.arange(-bound, -bound + n % p) % p] = 1
+    return n // p, e
 
 
 def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     """hist[r + isqrt(4p)] = #{|a| <= A, |b| <= B : a_p(E(a,b)) = r}.
 
-    Pairs singular mod p are skipped.  Traces are gathered only on the
-    residues the box reaches.
+    Pairs singular mod p are skipped.  Each side weighs residue v by q + e[v]
+    with e[v] 0 or 1, so the transforms see only the rows e and 1 binned by
+    log, at most 3 to a bin, and q scales their convolutions in int64.
     """
     _check_prime(p)
-    wa = _residue_multiplicities(box_a, p)
-    wb = _residue_multiplicities(box_b, p)
-    ia, ib = np.flatnonzero(wa), np.flatnonzero(wb)
-    t, ns = _grid_traces(p, ia, ib)
-    w = np.outer(wa[ia], wb[ib]).astype(np.float64)
-    off = math.isqrt(4 * p)
-    hist = np.bincount(t[ns] + off, weights=w[ns], minlength=2 * off + 1)
-    return np.rint(hist).astype(np.int64)
+    if min(box_a, box_b) < 0 or (2 * box_a + 1) * (2 * box_b + 1) > MAX_BOX_PAIRS:
+        raise DomainError(f"box A={box_a}, B={box_b} needs radii >= 0 and <= 2^53 pairs")
+    tab = _trace_tables(p)  # the budget check comes before any length-p array
+    (qa, ea), (qb, eb) = _residue_multiplicities(box_a, p), _residue_multiplicities(box_b, p)
+    m = p - 1
+    k = np.arange(m)
+
+    def log_rows(q, e, at, size):
+        """The rows e(g^k), then 1 if q > 0, binned at `at`, and their coefficients."""
+        rows = [np.bincount(at, weights=e[tab.pw], minlength=size)]
+        if q:
+            rows.append(np.bincount(at, minlength=size))
+        return np.stack(rows), [1, q][: len(rows)]
+
+    rows_a, ca = log_rows(qa, ea, 3 * k % m, m)  # a = g^i at 3i
+    rows_b, cb = log_rows(qb, eb, -2 * k % m + m * (k & 1), 2 * m)  # b = g^j at (j % 2, -2j)
+    n = 1 << (2 * m - 1).bit_length()
+    conv = _exact_convolution(rows_a[:, None, None], rows_b.reshape(-1, 2, m), n)
+    w_class = np.einsum("x,y,xysk->sk", ca, cb, conv[..., :m] + conv[..., m : 2 * m])
+    return _histogram(tab, w_class, qa + ea, qb + eb)

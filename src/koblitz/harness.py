@@ -114,10 +114,10 @@ def _global_singular_in_box(box_a: int, box_b: int) -> int:
 
 def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     """Average of pi_twin over the (2A+1)(2B+1) box of curves up to x."""
-    if x < 10 or x > 5000:
-        raise DomainError("x must be in [10, 5000] for the exhaustive box average")
-    if box_a < 0 or box_b < 0:
-        raise DomainError("box radii must be >= 0")
+    if x < 10 or x > curves.MAX_CENSUS_PRIME:
+        raise DomainError(f"x must be in [10, {curves.MAX_CENSUS_PRIME}] for the box average")
+    if box_a < 0 or box_b < 0 or (2 * box_a + 1) * (2 * box_b + 1) > curves.MAX_BOX_PAIRS:
+        raise DomainError("box radii must be >= 0, with at most 2^53 pairs")
     flags = sieve(x + 2 * math.isqrt(x) + 2).flags
     primes = [int(p) for p in sieve(x).primes if p > 3]
     table = classnumbers.twelve_h_weighted_table(4 * x)

@@ -12,8 +12,8 @@ from koblitz import curves
 from koblitz.classnumbers import twelve_h_weighted_table
 from koblitz.cli import write_census_file
 from koblitz.curves import (
+    MAX_BOX_PAIRS,
     MAX_CENSUS_PRIME,
-    MAX_TRACE_MATRIX_PRIME,
     box_trace_histogram,
     census,
     deuring_check,
@@ -21,10 +21,9 @@ from koblitz.curves import (
     deuring_sweep,
     pi_star,
     trace_grid,
-    trace_matrix,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import is_prime, kronecker_table, sieve
+from koblitz.primes import is_prime, kronecker_table, primitive_root, sieve
 from oracles import CurveModP, kronecker_H, pi_twin, singular_pair_count, trace
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
@@ -44,6 +43,28 @@ def _oracle_point_count(p, a, b):
 
 def _oracle_trace(p, a, b):
     return p + 1 - _oracle_point_count(p, a, b)
+
+
+def _oracle_trace_grid(p):
+    """(T, nonsingular) for every pair (a, b) mod p, T from direct point counts."""
+    x = np.arange(p, dtype=np.int64)
+    squares = np.bincount(x * x % p, minlength=p)  # #{y : y^2 = v}
+    t = np.empty((p, p), dtype=np.int64)
+    for a in range(p):
+        f = (x * x * x + a * x) % p
+        t[a] = p - squares[(f[None, :] + x[:, None]) % p].sum(axis=1)
+    nonsingular = (4 * x[:, None] ** 3 + 27 * x[None, :] ** 2) % p != 0
+    return t, nonsingular
+
+
+def _oracle_box(p, A, B):
+    """The box histogram from point-count traces weighted by residue multiplicities."""
+    t, ns = _oracle_trace_grid(p)
+    w = np.outer(*(np.bincount(np.arange(-n, n + 1) % p, minlength=p) for n in (A, B)))
+    off = math.isqrt(4 * p)
+    hist = np.zeros(2 * off + 1, dtype=np.int64)
+    np.add.at(hist, t[ns] + off, w[ns])
+    return hist
 
 
 class TestCurveModP:
@@ -72,38 +93,44 @@ class TestTrace:
                     got = trace(CurveModP(p=p, a=a, b=b))
                     assert got == _oracle_trace(p, a, b), (p, a, b)
 
-    def test_matrix_matches_scalar(self):
+    def test_census_matches_scalar(self):
         for p in (5, 13, 31):
-            t, ns = trace_matrix(p)
+            off = math.isqrt(4 * p)
+            want = np.zeros(2 * off + 1, dtype=np.int64)
             for a in range(p):
                 for b in range(p):
-                    if ns[a, b]:
-                        assert int(t[a, b]) == trace(CurveModP(p=p, a=a, b=b))
+                    if (4 * a**3 + 27 * b**2) % p:
+                        want[trace(CurveModP(p=p, a=a, b=b)) + off] += 1
+            assert np.array_equal(census(p), want), p
+            half = (p - 1) // 2  # |a|, |b| <= half meets each residue once
+            assert np.array_equal(box_trace_histogram(p, half, half), want), p
 
     def test_hasse_bound_all_p_to_2000(self):
+        # bincount would lengthen the census for a trace above isqrt(4p) and
+        # raise for one below -isqrt(4p)
         for p in (int(q) for q in sieve(2000).primes if q > 3):
-            t, ns = trace_matrix(p)
-            assert int(np.abs(t[ns]).max()) <= math.isqrt(4 * p), p
+            assert census(p).shape == (2 * math.isqrt(4 * p) + 1,), p
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 10**6), st.integers(0, 10**6))
-    def test_matrix_matches_point_count_oracle(self, p, a, b):
-        a, b = a % p, b % p
-        t, ns = trace_matrix(p)
-        assert bool(ns[a, b]) == ((4 * a**3 + 27 * b**2) % p != 0)
-        if ns[a, b]:
-            assert int(t[a, b]) == _oracle_trace(p, a, b)
-        assert int(census(p).sum()) == p * p - p
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.data())
+    def test_box_matches_point_count_oracle(self, p, data):
+        A, B = data.draw(st.integers(0, 3 * p)), data.draw(st.integers(0, 3 * p))
+        assert np.array_equal(box_trace_histogram(p, A, B), _oracle_box(p, A, B))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+    def test_power_table(self, p):
+        g = primitive_root(p)
+        pw, lg = curves._power_table(p)
+        assert pw.tolist() == [pow(g, k, p) for k in range(p - 1)]
+        assert [int(lg[pow(g, k, p)]) for k in range(p - 1)] == list(range(p - 1))
 
     def test_capacity_checked_before_allocation(self):
-        p = 5003  # the first prime above the budget; its p x p grid is 200 MB
-        assert is_prime(p) and p > MAX_TRACE_MATRIX_PRIME
+        p = 100003  # the first prime above the budget; its tables take 8 MB
+        assert is_prime(p) and p > MAX_CENSUS_PRIME
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
-                trace_matrix(p)
-            with pytest.raises(CapacityError):
-                box_trace_histogram(p, p, p)
+                box_trace_histogram(p, 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -339,6 +366,40 @@ class TestBoxCounts:
     def test_domain(self):
         with pytest.raises(DomainError):
             box_trace_histogram(4, 2, 2)
+        with pytest.raises(DomainError):
+            box_trace_histogram(5, -1, 2)
+        with pytest.raises(DomainError):
+            box_trace_histogram(5, 2, -1)
+
+    # (2A+1)(2B+1) against 2^53, where a float64 count stops being exact
+    @pytest.mark.parametrize(
+        "A, B, ok",
+        [
+            (47453132, 47453132, True),  # 94906265^2 = 2^53 - 118490767
+            (47453132, 47453133, False),
+            (2**52 - 1, 0, True),  # 2A+1 = 2^53 - 1
+            (2**52, 0, False),
+            (10**9, 10**9, False),
+        ],
+    )
+    def test_largest_boxes_exact(self, A, B, ok):
+        p = 101
+        assert ((2 * A + 1) * (2 * B + 1) <= MAX_BOX_PAIRS) == ok
+        if not ok:
+            with pytest.raises(DomainError):
+                box_trace_histogram(p, A, B)
+            return
+        # Python-int oracle: residue multiplicities times scalar traces
+        mult_a = [(A - v) // p - (-A - 1 - v) // p for v in range(p)]
+        mult_b = [(B - v) // p - (-B - 1 - v) // p for v in range(p)]
+        off = math.isqrt(4 * p)
+        want = [0] * (2 * off + 1)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p:
+                    want[trace(CurveModP(p=p, a=a, b=b)) + off] += mult_a[a] * mult_b[b]
+        assert sum(mult_a) == 2 * A + 1 and sum(mult_b) == 2 * B + 1
+        assert box_trace_histogram(p, A, B).tolist() == want
 
 
 class TestPersistence:

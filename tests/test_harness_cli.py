@@ -85,7 +85,17 @@ class TestTheorem1:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            harness.run_theorem1(5001, 10, 10)
+            harness.run_theorem1(10**5 + 1, 10, 10)
+
+    @pytest.mark.parametrize("A, B", [(-1, 10), (10, -1), (2**52, 0), (10**9, 10**9)])
+    def test_box_checked_before_sieve(self, monkeypatch, A, B):
+        # radii below 0, or more than 2^53 pairs, whose float64 counts are inexact
+        def no_sieve(limit):
+            raise AssertionError("sieved before the box check")
+
+        monkeypatch.setattr(harness, "sieve", no_sieve)
+        with pytest.raises(DomainError):
+            harness.run_theorem1(100, A, B)
 
 
 def _oracle_bdh_csv(result):
@@ -427,6 +437,14 @@ class TestPinnedOutputs:
         assert capsys.readouterr().out == report
         digest = hashlib.sha256(report.encode("ascii")).hexdigest()
         assert digest == "6644702e530ce063908343c0dab07dfbb65525cbd87d495f54cfa9b6430d3374"
+
+    def test_theorem1_large_box(self, capsys):
+        # a box covering F_p for every p <= 2000
+        assert cli.main(["theorem1", "--x", "2000", "--A", "2000", "--B", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["summary"]["total_twin_count"] == 387021943
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == "502961b71714a5155067670a1c4cb6b870867e198be7526e4da3e1f752cb4da1"
 
     @pytest.mark.parametrize("pmax, total", [(500, 596076), (3000, 76353690)])
     def test_theorem2_route_sums(self, pmax, total):

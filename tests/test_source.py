@@ -13,7 +13,6 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 # Public names kept in the package although only tests use them, each with its reason.
 UNREFERENCED_OK = {
-    "trace_matrix": "the full p x p grid, kept until box histograms stop using _grid_traces",
     "c_f_r": "the paper's closed form for c_f^r(n), checked against its brute-force sum",
 }
 
