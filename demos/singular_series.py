@@ -9,7 +9,7 @@ from koblitz.twinseries import TwinWindow, psi, rho, singular_series, singular_s
 
 print("singular series at small even shifts:")
 for r in (2, 4, 6, 8, 10, 12, 30):
-    print(f"  S({r:>2}) = {singular_series(r).value:.6f}")
+    print(f"  S({r:>2}) = {singular_series(r):.6f}")
 print("  (odd shifts give 0; powers of 2 do not change the value)\n")
 
 print("admissible residue counts rho(r, q):")
@@ -20,5 +20,5 @@ print("\npsi vs S(r,q,a) * Y over the window (10^5, 2*10^5]:")
 w = TwinWindow(X=10**5, Y=10**5)
 for r, q, a in ((2, 1, 0), (4, 1, 0), (2, 3, 1), (6, 5, 2)):
     got = psi(w, r, q, a)
-    want = singular_series_mod(r, q, a).value * w.Y
+    want = singular_series_mod(r, q, a) * w.Y
     print(f"  r={r}, q={q}, a={a}:  psi = {got:>12.1f}   predicted = {want:>12.1f}")

@@ -123,14 +123,14 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_theorem2(args) -> int:
-    report = harness.run_theorem2(args.pmax, limit=args.L)
+    report = harness.run_theorem2(args.pmax)
     _write(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_bdh(args) -> int:
     x = args.x if args.x is not None else args.X + args.Y
-    report, result = harness.run_bdh(x, args.R, args.Q, args.X, args.Y, limit=args.L)
+    report, result = harness.run_bdh(x, args.R, args.Q, args.X, args.Y)
     if args.out is not None:
         _write(harness.bdh_rows_csv(result), args.out, ".csv")
     _write(report.to_json(), args.out)
@@ -146,12 +146,11 @@ def _cmd_cr(args) -> int:
         "tail_bound": cv.tail_bound,
     }
     if args.U is not None:
-        v = args.V if args.V is not None else 20
-        oracle = constants.C_r_oracle(args.r, args.U, v, limit=args.L)
+        oracle = constants.C_r_oracle(args.r, args.U, args.V, limit=args.L)
         payload["oracle"] = oracle
         payload["oracle_abs_error"] = abs(oracle - cv.value)
         payload["U"] = args.U
-        payload["V"] = v
+        payload["V"] = args.V
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("theorem2", _cmd_theorem2, help="summed prime-order census experiment")
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
 
     p = add("bdh", _cmd_bdh, help="dispersion statistic over a prime window")
     p.add_argument("--x", type=int, default=None)
@@ -200,13 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=1)
     p.add_argument("--X", type=int, default=0)
     p.add_argument("--Y", type=int, required=True)
-    p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
 
     p = add("cr", _cmd_cr, help="per-shift constant and its oracle")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--U", type=int, default=None)
-    p.add_argument("--V", type=int, default=None)
+    p.add_argument("--V", type=int, default=20)
 
     p = add("verify", _cmd_verify, help="run an invariant suite")
     p.add_argument(

@@ -248,8 +248,6 @@ B_AT_TWO = Fraction(2, 3)
 
 @dataclass(frozen=True)
 class LocalSums:
-    ell: int
-    r: int
     a_sum: Fraction
     b_sum: Fraction
     c_sum: Fraction | None  # defined only when ell does not divide 2r(r-2)
@@ -267,7 +265,7 @@ def local_sums(ell: int, r: int) -> LocalSums:
         b_sum, c_sum = B3_closed(ell), None
     else:
         b_sum, c_sum = B1_closed(ell), C1_closed(ell)
-    return LocalSums(ell=ell, r=r, a_sum=A_closed(ell), b_sum=b_sum, c_sum=c_sum)
+    return LocalSums(a_sum=A_closed(ell), b_sum=b_sum, c_sum=c_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +330,33 @@ def C_r_oracle(r: int, U: int, V: int, limit: int = DEFAULT_TRUNCATION) -> float
         raise CapacityError(f"oracle budget exceeded (U<={MAX_ORACLE_U}, V<={MAX_ORACLE_V})")
     if U < 1 or V < 1:
         raise DomainError("U and V must be >= 1")
-    total = 0.0
-    for f in range(1, V + 1, 2):
-        f2 = f * f
-        for n in range(1, U + 1):
-            q = n * f2
-            a = np.arange(4 * n, dtype=np.int64)
-            ok = np.gcd(a, 4 * n) == 1
-            x = r * r - a * f2
-            ok &= x % 4 == 0
-            if not ok.any():
-                continue
-            b = (x // 4) % q if q > 1 else np.zeros_like(x)
-            ok &= np.gcd(b, q) == 1
-            ok &= np.gcd((b - (r - 1)) % q if q > 1 else b, q) == 1
-            if not ok.any():
-                continue
-            kron_sum = int(kronecker_table(n, 4 * n)[ok].astype(np.int64).sum())
-            if kron_sum == 0:
-                continue
+    fs = np.arange(1, V + 1, 2, dtype=np.int64)
+    f2 = (fs * fs)[:, None]
+    terms = np.zeros((fs.size, U))  # row f, column n - 1
+    for n in range(1, U + 1):
+        # f is odd, so f^2 = 1 mod 4 and 4 | r^2 - a f^2 exactly when a = r^2 mod 4
+        a = np.arange(4 * n, dtype=np.int64)
+        a = a[(np.gcd(a, 4 * n) == 1) & (a % 4 == r * r % 4)]
+        if a.size == 0:  # even r
+            continue
+        q = n * f2
+        x = r * r - a * f2
+        b = (x // 4) % q
+        ok = (np.gcd(b, q) == 1) & (np.gcd((b - (r - 1)) % q, q) == 1)
+        kron_sums = np.where(ok, kronecker_table(n, 4 * n)[a].astype(np.int64), 0).sum(axis=1)
+        for i in np.flatnonzero(kron_sums).tolist():
+            f = int(fs[i])
             # S(r-1, q, b) is the same for every admissible b
-            b0 = int((x[ok][0] // 4))
-            dens = singular_series_mod(r - 1, q, b0, limit).value
-            total += dens * kron_sum / (n * f)
-    return total
+            b0 = int(x[i][ok[i]][0] // 4)
+            dens = singular_series_mod(r - 1, n * f * f, b0, limit)
+            terms[i, n - 1] = dens * int(kron_sums[i]) / (n * f)
+    # f-major: the order of the sum over f, then n
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)
 class GallagherAverage:
     R: int
-    truncation_limit: int
     sum_positive: float  # over odd 1 < r <= R
     sum_two_sided: float  # over odd |r| <= R, r != 1
     frak_c: float
@@ -393,7 +388,6 @@ def gallagher_sum(R: int, limit: int = DEFAULT_TRUNCATION) -> GallagherAverage:
     two_sided = sum_pos + sum_neg
     return GallagherAverage(
         R=R,
-        truncation_limit=limit,
         sum_positive=sum_pos,
         sum_two_sided=two_sided,
         frak_c=frak_c,

@@ -57,7 +57,7 @@ def _integral_main_term(pmax: int, frak_c: float) -> float:
     return frak_c * half * float(_LEG_W @ (np.exp(3 * v) / (v * v)))
 
 
-def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
+def run_theorem2(pmax: int) -> Report:
     """Sum of pi*(p) over p <= pmax via class numbers, against the main term.
 
     The class-number route needs no censuses; for pmax <= 3000 the exact
@@ -71,7 +71,7 @@ def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
     flags = sieve(pmax + 2 * math.isqrt(pmax) + 2).flags
     # before the census loop, so its sieve's peak memory does not stack on
     # the trial-division primes that the censuses keep for the process
-    frak_c = constants.average_constant(limit).value
+    frak_c = constants.average_constant().value
     with_census = pmax <= 3000
     class_route = census_route = 0
     for p in np.flatnonzero(flags[: pmax + 1])[2:].tolist():  # 5 <= p <= pmax
@@ -84,7 +84,7 @@ def run_theorem2(pmax: int, limit: int = DEFAULT_TRUNCATION) -> Report:
     asymptotic = frak_c * pmax**3 / (3 * math.log(pmax) ** 2)
     report = Report(
         name="theorem2",
-        params={"pmax": pmax, "L": limit},
+        params={"pmax": pmax, "L": DEFAULT_TRUNCATION},
     )
     summary = {
         "class_route_sum": class_route,
@@ -119,16 +119,16 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     if box_a < 0 or box_b < 0 or (2 * box_a + 1) * (2 * box_b + 1) > curves.MAX_BOX_PAIRS:
         raise DomainError("box radii must be >= 0, with at most 2^53 pairs")
     flags = sieve(x + 2 * math.isqrt(x) + 2).flags
-    primes = [int(p) for p in sieve(x).primes if p > 3]
     table = classnumbers.twelve_h_weighted_table(4 * x)
     total = 0
-    refined = 0.0
-    for p in primes:
-        r = curves.trace_grid(p)
-        good = flags[p + 1 - r]
+    terms = [np.zeros(1)]  # H(r^2-4p)/p per twin trace, summed from 0.0 in order
+    for p in np.flatnonzero(flags[: x + 1])[2:].tolist():  # 5 <= p <= x
+        off = math.isqrt(4 * p)
+        good = flags[p + 1 + off : p - off : -1]  # flags[p + 1 - r] over trace_grid(p)
         total += int(curves.box_trace_histogram(p, box_a, box_b)[good].sum())
-        for twelve in table[4 * p - r[good] ** 2].tolist():
-            refined += twelve / 12.0 / p
+        # (p-1)H / (p-1) rounds to the same float as 12H / 12
+        terms.append(curves.deuring_counts(p, table)[good] / (p - 1) / p)
+    refined = float(np.cumsum(np.concatenate(terms))[-1])
     n_singular = _global_singular_in_box(box_a, box_b)
     n_curves = (2 * box_a + 1) * (2 * box_b + 1) - n_singular
     if n_curves <= 0:
@@ -151,24 +151,16 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     )
 
 
-def run_bdh(
-    x: int,
-    R: int,
-    Q: int,
-    X: int,
-    Y: int,
-    limit: int = DEFAULT_TRUNCATION,
-) -> tuple[Report, twinseries.BdhResult]:
+def run_bdh(x: int, R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.BdhResult]:
     """The dispersion statistic over a window, with per-q marginals.
 
     Returns the Report and the statistic's grid, which bdh_rows_csv writes.
     """
-    window = TwinWindow(X=X, Y=Y)
-    result = twinseries.bdh_statistic(x, R, Q, window, limit=limit)
+    result = twinseries.bdh_statistic(x, R, Q, TwinWindow(X=X, Y=Y))
     single_class = result.per_q[1] / (R * float(Y) ** 2)
     report = Report(
         name="bdh",
-        params={"x": x, "R": R, "Q": Q, "X": X, "Y": Y, "L": limit},
+        params={"x": x, "R": R, "Q": Q, "X": X, "Y": Y, "L": DEFAULT_TRUNCATION},
         summary={
             "S": result.S,
             "normalized": result.normalized,
@@ -329,8 +321,8 @@ def _suite_series(rows: list[dict]) -> bool:
     # ((a,q) = (a-r,q) = 1), so one check per (r, q) covers every a.
     for r in range(2, 101, 2):
         for q in range(1, 101):
-            via_product = twinseries.singular_series(r * q).value / phi(q)
-            via_rho = twinseries.singular_series(r).value / twinseries.rho(r, q)
+            via_product = twinseries.singular_series(r * q) / phi(q)
+            via_rho = twinseries.singular_series(r) / twinseries.rho(r, q)
             worst = max(worst, abs(via_product - via_rho) / via_product)
     ok &= _check(
         rows,

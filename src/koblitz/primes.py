@@ -28,7 +28,6 @@ _TRIAL_LIMIT = 10**6
 class PrimeTable:
     """Primality flags for 0..limit plus the ascending prime list."""
 
-    limit: int
     flags: np.ndarray
     primes: np.ndarray
 
@@ -45,7 +44,7 @@ def sieve(limit: int) -> PrimeTable:
         if flags[p]:
             flags[p * p:: p] = False
     primes = np.flatnonzero(flags)
-    return PrimeTable(limit=limit, flags=flags, primes=primes)
+    return PrimeTable(flags=flags, primes=primes)
 
 
 def sieve_window(x: int, y: int) -> np.ndarray:

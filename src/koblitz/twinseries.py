@@ -24,20 +24,11 @@ DEFAULT_TRUNCATION = 10**6
 MAX_BDH_CELLS = 1 << 21
 
 
-@dataclass(frozen=True)
-class SingularSeriesValue:
-    value: float
-    truncation_limit: int
-    error_bound: float
-
-
 @functools.lru_cache(maxsize=8)
-def _twin_constant(limit: int) -> tuple[float, float]:
-    """(2*C2, tail bound) with 2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
+def _twin_constant(limit: int) -> float:
+    """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
     ell = sieve(limit).primes[1:].astype(np.float64)
-    log_sum = np.log1p(-1.0 / (ell - 1.0) ** 2).sum()
-    tail = 4.0 / (limit * math.log(limit))
-    return 2.0 * math.exp(log_sum), tail
+    return 2.0 * math.exp(np.log1p(-1.0 / (ell - 1.0) ** 2).sum())
 
 
 def _odd_prime_correction(r: int) -> float:
@@ -47,33 +38,28 @@ def _odd_prime_correction(r: int) -> float:
     return out
 
 
-def singular_series_table(n: int, limit: int = DEFAULT_TRUNCATION) -> np.ndarray:
+def singular_series_table(n: int) -> np.ndarray:
     """S(m) for 1 <= m <= n (entry 0 is unused), from one sieve pass.
 
     Each even entry takes its factors (ell-1)/(ell-2) in ascending ell and
     then 2*C2, the same float operations as singular_series, so entry m
-    equals singular_series(m, limit).value bit for bit.
+    equals singular_series(m) bit for bit.
     """
     corr = np.ones(n + 1)
     if n >= 6:
         for ell in sieve(n // 2).primes[1:].tolist():
             corr[2 * ell :: 2 * ell] *= (ell - 1.0) / (ell - 2.0)
     corr[1::2] = 0.0
-    return _twin_constant(limit)[0] * corr
+    return _twin_constant(DEFAULT_TRUNCATION) * corr
 
 
-def singular_series(r: int, limit: int = DEFAULT_TRUNCATION) -> SingularSeriesValue:
+def singular_series(r: int, limit: int = DEFAULT_TRUNCATION) -> float:
     """S(r): 0 for odd r; 2*C2 * prod_{odd p | r} (p-1)/(p-2) for even r."""
     if r == 0:
         raise DomainError("singular series undefined at r = 0")
     if r % 2 != 0:
-        return SingularSeriesValue(value=0.0, truncation_limit=limit, error_bound=0.0)
-    base, tail = _twin_constant(limit)
-    return SingularSeriesValue(
-        value=base * _odd_prime_correction(r),
-        truncation_limit=limit,
-        error_bound=tail,
-    )
+        return 0.0
+    return _twin_constant(limit) * _odd_prime_correction(r)
 
 
 def rho(r: int, q: int) -> int:
@@ -90,9 +76,7 @@ def rho(r: int, q: int) -> int:
     return out
 
 
-def singular_series_mod(
-    r: int, q: int, a: int, limit: int = DEFAULT_TRUNCATION
-) -> SingularSeriesValue:
+def singular_series_mod(r: int, q: int, a: int, limit: int = DEFAULT_TRUNCATION) -> float:
     """S(r,q,a) = S(rq)/phi(q) when 2 | r and (a,q) = (a-r,q) = 1, else 0.
 
     Computed by both defining routes (S(rq)/phi(q) and S(r)/rho(r,q)); they
@@ -103,19 +87,14 @@ def singular_series_mod(
     if q < 1:
         raise DomainError("q must be >= 1")
     if r % 2 != 0 or math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
-        return SingularSeriesValue(value=0.0, truncation_limit=limit, error_bound=0.0)
-    product_route = singular_series(r * q, limit)
-    via_product = product_route.value / phi(q)
-    via_rho = singular_series(r, limit).value / rho(r, q)
+        return 0.0
+    via_product = singular_series(r * q, limit) / phi(q)
+    via_rho = singular_series(r, limit) / rho(r, q)
     if abs(via_product - via_rho) > 1e-10 * abs(via_product):
         raise AssertionError(
             f"singular series routes disagree at (r,q,a)=({r},{q},{a})"
         )
-    return SingularSeriesValue(
-        value=via_product,
-        truncation_limit=limit,
-        error_bound=product_route.error_bound / phi(q),
-    )
+    return via_product
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +183,6 @@ class BdhResult:
     column j is the class (q_col[j], a_col[j]), q ascending, then a.
     """
 
-    x: int
-    R: int
-    Q: int
-    window: TwinWindow
     S: float
     normalized: float
     per_q: dict[int, float] = field(repr=False)
@@ -219,13 +194,7 @@ class BdhResult:
     error: np.ndarray = field(repr=False)
 
 
-def bdh_statistic(
-    x: int,
-    R: int,
-    Q: int,
-    window: TwinWindow,
-    limit: int = DEFAULT_TRUNCATION,
-) -> BdhResult:
+def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2.
 
     Array passes over a grid with one row per shift r = -R..-1, 1..R and one
@@ -276,7 +245,7 @@ def bdh_statistic(
     units = np.gcd(a_col, q_col) == 1
     even = r_values % 2 == 0
     admissible = units & units[(a_col - r_values[:, None]) % q_col + start_col]
-    table = singular_series_table(R * Q, limit)
+    table = singular_series_table(R * Q)
     r_even = np.abs(r_values[even])
     via_product = table[r_even[:, None] * qs] / np.add.reduceat(units, starts)
     rho_even = np.add.reduceat(admissible[even], starts, axis=1)
@@ -300,10 +269,6 @@ def bdh_statistic(
         for q, s in zip(qs.tolist(), starts.tolist())
     }
     return BdhResult(
-        x=x,
-        R=R,
-        Q=Q,
-        window=window,
         S=total,
         normalized=total / (R * float(x) ** 2),
         per_q=per_q,

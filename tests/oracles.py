@@ -216,5 +216,5 @@ def error_E(
     limit: int = DEFAULT_TRUNCATION,
 ) -> float:
     """E = psi(window; r, q, a) - S(r,q,a) * Y."""
-    expected = singular_series_mod(r, q, a, limit).value * window.Y
+    expected = singular_series_mod(r, q, a, limit) * window.Y
     return psi(window, r, q, a) - expected

@@ -96,8 +96,8 @@ def test_criterion_05_singular_series_identities():
             for a in range(q if q > 1 else 1):
                 if math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
                     continue
-                via_product = twinseries.singular_series(r * q).value / phi(q)
-                via_rho = twinseries.singular_series(r).value / twinseries.rho(r, q)
+                via_product = twinseries.singular_series(r * q) / phi(q)
+                via_rho = twinseries.singular_series(r) / twinseries.rho(r, q)
                 assert abs(via_product - via_rho) <= 1e-10 * via_product, (r, q, a)
     import numpy as np
 

@@ -262,6 +262,11 @@ class TestCrOracle:
         got = C_r_oracle(3, 400, 15)
         assert abs(got - C_r(3).value) < 0.05
 
+    def test_pinned_bits(self):
+        # exact bits: a reordered sum over (f, n) shows here, not in the convergence checks
+        assert C_r_oracle(3, 250, 20) == 0.5490440765103586
+        assert C_r_oracle(5, 250, 20) == C_r_oracle(-3, 250, 20) == 0.5894391604169019
+
 
 class TestGallagher:
     def test_combined_euler_identity(self):

@@ -143,10 +143,6 @@ def _pooled_grids(draw):
     psi, expected, error = (_POOL[picks[..., k]] for k in range(3))
     S, normalized = (float(_POOL[draw(index)]) for _ in range(2))
     return twinseries.BdhResult(
-        x=10,
-        R=R,
-        Q=Q,
-        window=twinseries.TwinWindow(X=0, Y=10),
         S=S,
         normalized=normalized,
         per_q={q: 0.0 for q in range(1, Q + 1)},
@@ -198,10 +194,6 @@ class TestBdhDriver:
         psi = np.array([[0.0] * 3, [0.0] * 3, [-0.0, 5e-324, 1e300], [0.0, 0.0, 2.5]])
         expected = np.array([[0.0] * 3, [0.0] * 3, [0.0, -0.0, 0.0], [0.0, 1.0, 0.0]])
         res = twinseries.BdhResult(
-            x=10,
-            R=2,
-            Q=2,
-            window=twinseries.TwinWindow(X=0, Y=10),
             S=1.5,
             normalized=0.125,
             per_q={1: 0.0, 2: 1.5},
@@ -369,6 +361,11 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+        # bdh and theorem2 always use DEFAULT_TRUNCATION and take no --L
+        for argv in (["bdh", "--R", "2", "--Y", "50"], ["theorem2", "--pmax", "500"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--L", "1000"])
+            assert exc.value.code == 2
 
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["theorem2", "--pmax", "5"]) == 1

@@ -10,6 +10,10 @@ import koblitz
 
 SOURCES = sorted(Path(koblitz.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# this file reads only ast and path attributes, which could pass for field reads
+TESTS = sorted(
+    path for path in Path(__file__).resolve().parent.glob("*.py") if path.name != "test_source.py"
+)
 
 # Public names kept in the package although only tests use them, each with its reason.
 UNREFERENCED_OK = {
@@ -48,6 +52,34 @@ def test_public_names_have_a_caller():
     assert DEMOS and public
     assert sorted(public - referenced - set(UNREFERENCED_OK)) == []
     assert sorted(set(UNREFERENCED_OK) - public) == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A @dataclass or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+    )
+
+
+def test_record_fields_are_read():
+    # a field nobody reads is state to build, keep and test for nothing
+    read = {
+        node.attr
+        for path in SOURCES + DEMOS + TESTS
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {
+        f"{path.stem}.{node.name}.{stmt.target.id}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    assert fields and TESTS
+    assert sorted(f for f in fields if f.rsplit(".", 1)[1] not in read) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,6 +13,7 @@ from koblitz import twinseries
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime
 from koblitz.twinseries import (
+    DEFAULT_TRUNCATION,
     MAX_BDH_CELLS,
     F_local,
     F_mult,
@@ -33,42 +34,38 @@ TWIN_PRIME_C2 = 0.6601618158468695739
 
 class TestSingularSeries:
     def test_zero_at_odd(self):
-        assert singular_series(3).value == 0.0
-        assert singular_series(-7).value == 0.0
+        assert singular_series(3) == 0.0
+        assert singular_series(-7) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
             singular_series(0)
 
     def test_power_of_two_invariance(self):
-        assert singular_series(4).value == singular_series(2).value
-        assert singular_series(-2).value == singular_series(2).value
+        assert singular_series(4) == singular_series(2)
+        assert singular_series(-2) == singular_series(2)
 
     def test_odd_prime_factor_ratio(self):
-        assert singular_series(6).value / singular_series(2).value == pytest.approx(
-            2.0, rel=1e-12
-        )
-        assert singular_series(10).value / singular_series(2).value == pytest.approx(
-            4.0 / 3.0, rel=1e-12
-        )
+        assert singular_series(6) / singular_series(2) == pytest.approx(2.0, rel=1e-12)
+        assert singular_series(10) / singular_series(2) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_table_matches_scalar_route(self):
         table = singular_series_table(2 * 10**4)
         for r in range(1, 2 * 10**4 + 1):
-            assert table[r] == singular_series(r).value, r
+            assert table[r] == singular_series(r), r
 
     def test_table_small(self):
         for n in (1, 2, 5, 6, 7):
-            table = singular_series_table(n, limit=1000)
-            assert table[1:].tolist() == [
-                singular_series(r, limit=1000).value for r in range(1, n + 1)
-            ]
+            table = singular_series_table(n)
+            assert table[1:].tolist() == [singular_series(r) for r in range(1, n + 1)]
 
     def test_against_literature_constant(self):
-        got = singular_series(2).value
+        got = singular_series(2)
         assert got == pytest.approx(2.0 * TWIN_PRIME_C2, abs=2e-6)
         assert got >= 2.0 * TWIN_PRIME_C2  # omitted factors are all < 1
-        assert abs(got - 2.0 * TWIN_PRIME_C2) <= singular_series(2).error_bound
+        # tail bound of the product truncated at L
+        L = DEFAULT_TRUNCATION
+        assert abs(got - 2.0 * TWIN_PRIME_C2) <= 4.0 / (L * math.log(L))
 
 
 class TestRho:
@@ -98,14 +95,12 @@ class TestRho:
 
 class TestSingularSeriesMod:
     def test_examples(self):
-        assert singular_series_mod(2, 3, 1).value == pytest.approx(
-            singular_series(2).value, rel=1e-12
-        )
-        assert singular_series_mod(2, 3, 2).value == 0.0
-        assert singular_series_mod(1, 7, 2).value == 0.0  # odd r
+        assert singular_series_mod(2, 3, 1) == pytest.approx(singular_series(2), rel=1e-12)
+        assert singular_series_mod(2, 3, 2) == 0.0
+        assert singular_series_mod(1, 7, 2) == 0.0  # odd r
 
     def test_non_coprime_class_is_zero(self):
-        assert singular_series_mod(2, 6, 3).value == 0.0
+        assert singular_series_mod(2, 6, 3) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -201,7 +196,7 @@ class TestPsi:
     def test_error_is_psi_minus_expected(self):
         w = TwinWindow(X=100, Y=400)
         e = error_E(w, 2, 3, 1)
-        expected = singular_series_mod(2, 3, 1).value * w.Y
+        expected = singular_series_mod(2, 3, 1) * w.Y
         assert e == pytest.approx(psi(w, 2, 3, 1) - expected, rel=1e-12)
 
 
@@ -223,7 +218,7 @@ def _bdh_oracle(x, R, Q, window):
         for q in range(1, Q + 1):
             psi_by_a = np.bincount(p[mask] % q, weights=w, minlength=q)
             for a in range(q):
-                expected = singular_series_mod(r, q, a).value * window.Y
+                expected = singular_series_mod(r, q, a) * window.Y
                 err = float(psi_by_a[a]) - expected
                 total += err * err
                 per_q[q] += err * err
@@ -277,8 +272,8 @@ class TestBdhStatistic:
     def test_routes_cross_checked(self, monkeypatch):
         build = singular_series_table
 
-        def skewed(n, limit):
-            table = build(n, limit)
+        def skewed(n):
+            table = build(n)
             table[6] *= 1 + 1e-8  # over the 1e-10 tolerance
             return table
 
@@ -323,7 +318,7 @@ class TestBdhStatistic:
         res = bdh_statistic(400, 4, 3, w)
         for r, q, a, psi_v, exp_v, err in _cells(res):
             # one density per (r, q), reused for every admissible a
-            assert exp_v == singular_series_mod(r, q, a).value * w.Y
+            assert exp_v == singular_series_mod(r, q, a) * w.Y
             assert err == pytest.approx(error_E(w, r, q, a), abs=1e-9)
             assert psi_v == pytest.approx(psi(w, r, q, a), abs=1e-9)
 
