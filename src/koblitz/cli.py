@@ -96,7 +96,7 @@ def _check_census_budget(pmax: int) -> None:
 def _cmd_census(args) -> int:
     _check_census_budget(args.pmax)
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
-    censuses = ((p, curves.census(p)) for p in primes)
+    censuses = curves.censuses(primes)
     if args.out:
         total = write_census_file(
             args.out if args.out.endswith(".csv") else args.out + ".csv", censuses

@@ -1,28 +1,36 @@
 """Elliptic curves y^2 = x^3 + ax + b over F_p: traces and exhaustive censuses.
 
-Every count over F_p reads one power table pw[k] = g^k (k < p - 1) of the
-least primitive root g, so chi(g^k) = (-1)^k for the quadratic character chi,
-and (g^k)^-1 = g^-k.  All traces come from three integer tables, each a
-circular correlation sum_v w[v] chi(v + c mod p) by exact FFT:
-t_cc[c] = a_p(E(c, c)), t_0b[b] = a_p(E(0, b)) and t_a0[a] = a_p(E(a, 0)).
-For t_cc, x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1)) gives w[v] = sum of
-chi(x + 1) over the x != -1 with x^3/(x + 1) = v; t_0b weights the cubes x^3,
-and t_a0 the squares x^2 by chi(x).  Rescaling (a, b) -> (l^2 a, l^3 b)
-multiplies a_p by chi(l), so for a = g^i and b = g^j the pair has the trace
-chi(ab) t_cc[a^3 b^-2] = (-1)^(k + j) t_cc[g^k] of its log class
-k = 3i - 2j mod p - 1 (k = i mod 2).  A box weighing the pair w_a(a) w_b(b)
-thus puts on class k, per parity of j, the cyclic convolution of w_a(g^i)
-binned at 3i with w_b(g^j) binned at -2j.  A census is the all-ones box, with
-(p - 1)/2 per class and parity and no convolution, so it costs O(p log p).
-The class log(-27/4) is exactly the singular class with ab != 0.
+Every count over F_p reads one power table pw[k] = g^k of the least primitive
+root g, so chi(g^k) = (-1)^k for the quadratic character chi, and
+(g^k)^-1 = g^-k.  The traces with ab != 0 come from one integer table, a
+circular correlation by exact FFT: t_cc[c] = a_p(E(c, c)) is -chi(-1) minus
+sum_v w[v] chi(v + c mod p), since x^3 + c(x + 1) = (x + 1)(c + x^3/(x + 1))
+gives w[v] = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = v.
+Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by chi(l), so for a = g^i
+and b = g^j the pair has the trace chi(ab) t_cc[a^3 b^-2] = (-1)^(k + j)
+t_cc[g^k] of its log class k = 3i - 2j mod p - 1 (k = i mod 2).  A box
+weighing the pair w_a(a) w_b(b) thus puts on class k, per parity of j, the
+cyclic convolution of w_a(g^i) binned at 3i with w_b(g^j) binned at -2j.  A
+census is the all-ones box, with (p - 1)/2 per class and parity and no
+convolution, so it costs O(p log p).  The class log(-27/4) is exactly the
+singular class with ab != 0.
 
+With l = g^2 the rescaling keeps the trace, so a_p(E(g^i, 0)) depends only on
+i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1): the two
+families are at most 10 direct sums at g^0..g^5, and each coset weighs
+(p - 1)/gcd in a census.
+
+`censuses` builds the tables of consecutive primes that share a transform
+length together, one zero-padded row per prime, and counts in integers.
 census, box_trace_histogram and deuring_counts return one layout: an int64
 array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,32 +47,50 @@ MAX_CENSUS_PRIME = 10**5
 # while every count stays at most 2^53.
 MAX_BOX_PAIRS = 2**53
 
+# Most cells, rows times transform length, in one batch of census tables; a
+# prime whose length alone exceeds it is a batch of one.  Against one prime
+# at a time, 2^16 cells raised the peak RSS of `theorem2 --pmax 500` by
+# 1.3-2 MB and 2^14 by under 0.1 MB, at the same speed.
+_BATCH_CELLS = 1 << 14
+
 
 def _check_prime(p: int) -> None:
     if p <= 3 or not is_prime(p):
         raise DomainError(f"p={p} must be a prime > 3")
+    if p > MAX_CENSUS_PRIME:
+        raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
+
+
+def _length(p: int) -> int:
+    """The transform length n = 2^ceil(log2(2p - 1)) of p's correlation; p <= n/2."""
+    return 1 << (2 * p - 1).bit_length()
 
 
 class _TraceTables(NamedTuple):
-    pw: np.ndarray  # g^k mod p for k < p - 1
-    k_singular: int  # log(-27/4), the singular class
+    """A batch's tables, one row per prime p; a row's columns k < p - 1 are its own."""
+
+    pw: np.ndarray  # g^k mod p for every column k
+    k_singular: np.ndarray  # log(-27/4), the singular class, per row
     t_log: np.ndarray  # (-1)^k a_p(E(g^k, g^k)): the trace of class k when j is even
-    t_0b: np.ndarray  # a_p(E(0, b)); t_0b[0] is unused
-    t_a0: np.ndarray  # a_p(E(a, 0)); t_a0[0] is unused
+    t_a0: np.ndarray  # a_p(E(g^i, 0)) for i < 4
+    t_0b: np.ndarray  # a_p(E(0, g^i)) for i < 6
 
 
-def _power_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pw, lg): pw[k] = g^k mod p for k < p - 1 and lg[pw[k]] = k, the discrete log.
+def _power_table(primes: list[int], width: int) -> np.ndarray:
+    """pw[row, k] = g^k mod p for k < width, g the least primitive root of the row's p.
 
-    pw is one outer product mod p of m giant steps g^(mi) by m baby steps g^i.
+    Built by doubling: columns [s, 2s) are columns [0, s) times g^s mod p.
     """
-    g, m = primitive_root(p), math.isqrt(p - 2) + 1
-    baby = np.array([pow(g, i, p) for i in range(m)], dtype=np.int64)
-    giant = np.array([pow(g, m * i, p) for i in range(m)], dtype=np.int64)
-    pw = (giant[:, None] * baby % p).ravel()[: p - 1]
-    lg = np.zeros(p, dtype=np.int64)
-    lg[pw] = np.arange(p - 1)
-    return pw, lg
+    p = np.array(primes, dtype=np.int64)[:, None]
+    g = np.array([primitive_root(q) for q in primes], dtype=np.int64)[:, None]
+    pw = np.empty((len(primes), width), dtype=np.int64)
+    pw[:, :1] = 1
+    s = 1
+    while s < width:
+        t = min(s, width - s)
+        pw[:, s : s + t] = pw[:, :t] * (pw[:, s - 1 : s] * g % p) % p
+        s += t
+    return pw
 
 
 def _exact_convolution(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -74,61 +100,103 @@ def _exact_convolution(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """
     conv = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)
     out = np.rint(conv)
-    err = float(np.abs(conv - out).max())
+    conv -= out
+    err = float(np.abs(conv, out=conv).max())
     if err > 0.25:
         raise AssertionError(f"convolution of length {n} lies {err:.3g} from an integer")
     return out.astype(np.int64)
 
 
-def _correlate_chi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """[sum_v w[v] chi(v + c mod p) for c = 0..p-1] per row of integer w, exactly.
+def _correlate_chi(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[sum_v w[v] d[v + c] for c < width] per row of integer w, exactly.
 
-    With d[v + c] = chi(v + c mod p) for v, c < p, the sum is entry p - 1 + c
-    of reversed w convolved with d; mod n >= 2p it wraps only below p - 1.
+    The sum is entry width - 1 + c of reversed w convolved with d mod n, the
+    length of d; for n >= 2 width - 1 that wraps only below width - 1.  With
+    d = [chi, chi] it is sum_v w[v] chi(v + c mod p) for c < p <= width.
     """
-    p = len(chi)
-    d = np.concatenate([chi, chi[:-1]])
-    n = 1 << (2 * p - 1).bit_length()
-    return _exact_convolution(np.asarray(w)[..., ::-1], d, n)[..., p - 1 : 2 * p - 1]
+    width = w.shape[-1]
+    return _exact_convolution(w[..., ::-1], d, d.shape[-1])[..., width - 1 : 2 * width - 1]
 
 
-def _trace_tables(p: int) -> _TraceTables:
-    if p > MAX_CENSUS_PRIME:
-        raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
-    pw, lg = _power_table(p)
-    k = np.arange(p - 1)
+def _trace_tables(primes: list[int]) -> _TraceTables:
+    """The tables of a batch of checked primes that share one transform length n.
+
+    Rows are n/2 >= p wide, and d = [chi, chi] is n >= 2p wide.  Only w_cc is
+    transformed; each coset value is one dot product of a weight row with d.
+    """
+    n = _length(primes[0])
+    half = n // 2
+    p = np.array(primes, dtype=np.int64)[:, None]
+    row = np.arange(len(primes))[:, None]
+    pw = _power_table(primes, half)
+    k = np.arange(half)
     sign = 1 - 2 * (k & 1)
-    chi = np.zeros(p, dtype=np.int64)
-    chi[pw] = sign
-    x = np.arange(p, dtype=np.int64)
-    cube = x * x % p * x % p
-    # x + 1 = g^k runs over x != -1 with (x + 1)^-1 = g^-k; x = -1 adds chi(-1)
-    w_cc = np.bincount(cube[pw - 1] * pw[-k] % p, weights=sign, minlength=p)
-    w_0b = np.bincount(cube, minlength=p)
-    w_a0 = np.bincount(x * x % p, weights=chi, minlength=p)
-    corr_cc, corr_0b, corr_a0 = _correlate_chi(np.stack([w_cc, w_0b, w_a0]), chi)
+    d = np.zeros((len(primes), n), dtype=np.int64)
+    d[row, pw] = d[row, p + pw] = sign  # p - 1 is even: k >= p - 1 repeats k mod p - 1
+
+    def binned(at, live, weights=None):
+        """Per row, the weights of the live columns summed at `at` < n/2."""
+        if weights is not None:
+            weights = np.broadcast_to(weights, live.shape)[live]
+        flat = np.bincount((row * half + at)[live], weights, minlength=live.size)
+        return flat.reshape(live.shape)
+
+    def coset_traces(w, count):
+        """-sum_v w[v] d[v + g^i] for i < count: the window of d at g^i, per row."""
+        windows = np.lib.stride_tricks.sliding_window_view(d, half, axis=1)
+        return -np.stack(
+            [np.einsum("rv,rv->r", w, windows[row[:, 0], pw[:, i]]) for i in range(count)], axis=1
+        ).astype(np.int64)
+
+    # x + 1 = g^k runs over x != -1 with (x + 1)^-1 = g^(p-1-k); x = -1 adds chi(-1)
+    x = pw - 1
+    w_cc = binned(x * x % p * x % p * pw[row, p - 1 - k] % p, k < p - 1, sign)
+    corr = _correlate_chi(w_cc, d)
     return _TraceTables(
         pw=pw,
-        k_singular=int(lg[-27 * pow(4, -1, p) % p]),
-        t_log=sign * (-chi[p - 1] - corr_cc)[pw],
-        t_0b=-corr_0b,
-        t_a0=-corr_a0,
+        k_singular=np.argmax(pw == [[-27 * pow(4, -1, q) % q] for q in primes], axis=1),
+        t_log=sign * (-d[row, p - 1] - corr[row, pw]),
+        # over y = k < p: chi(y) chi(y^2 + a) and chi(y^3 + b)
+        t_a0=coset_traces(binned(k * k % p, k < p, d[:, :half]), 4),
+        t_0b=coset_traces(binned(k * k % p * k % p, k < p), 6),
     )
 
 
-def _histogram(tab: _TraceTables, w_class, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
-    """The census-layout histogram of the pairs (a, b) mod p weighted w_a[a] w_b[b].
+def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, census(p)) per row of a batch, from integer bincounts over its traces.
 
-    w_class[s, k], or one constant, is the weight of the ab != 0 of log class
-    k with j = s mod 2.  The singular class is skipped.
+    Each ab != 0 class weighs (p - 1)/2 per parity of j, with trace t or -t;
+    each coset of the two families weighs (p - 1)/gcd.
     """
-    p = len(w_a)
-    t_cc = np.delete(tab.t_log, tab.k_singular)
-    w_cc = np.delete(np.broadcast_to(w_class, (2, p - 1)), tab.k_singular, axis=1)
-    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[1:], tab.t_a0[1:]])
-    weights = np.concatenate([w_cc.ravel(), w_a[0] * w_b[1:], w_b[0] * w_a[1:]])
-    off = math.isqrt(4 * p)
-    return np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    off = np.array([math.isqrt(4 * q) for q in primes])[:, None]
+    size = 2 * int(off.max()) + 1
+    base = np.arange(len(primes))[:, None] * size + off
+
+    def counts(traces, live):
+        return np.bincount((base + traces)[live], minlength=base.size * size).reshape(-1, size)
+
+    k = np.arange(tab.t_log.shape[1])
+    cc = counts(tab.t_log, (k < p - 1) & (k != tab.k_singular[:, None]))
+    d4, d6 = np.gcd(4, p - 1), np.gcd(6, p - 1)
+    a0 = counts(tab.t_a0, np.arange(4) < d4)
+    b0 = counts(tab.t_0b, np.arange(6) < d6)
+    cosets = (p - 1) // d4 * a0 + (p - 1) // d6 * b0
+    for i, q in enumerate(primes):
+        m = 2 * int(off[i, 0]) + 1
+        hist = (q - 1) // 2 * (cc[i, :m] + cc[i, m - 1 :: -1]) + cosets[i, :m]
+        total = int(hist.sum())
+        if total != q * q - q:
+            raise AssertionError(f"census total {total} != p^2 - p for p={q}")
+        yield q, hist
+
+
+def _batches(primes: list[int]) -> Iterator[list[int]]:
+    """Runs of consecutive primes with one transform length, cut to _BATCH_CELLS."""
+    for n, run in itertools.groupby(primes, key=_length):
+        run = list(run)
+        rows = max(1, _BATCH_CELLS // n)
+        yield from (run[i : i + rows] for i in range(0, len(run), rows))
 
 
 def trace_grid(p: int) -> np.ndarray:
@@ -137,14 +205,22 @@ def trace_grid(p: int) -> np.ndarray:
     return np.arange(-off, off + 1, dtype=np.int64)
 
 
+def censuses(primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, census(p)) for each p in `primes`, in order, computed batch by batch.
+
+    Every p is checked before any table is built.  Consecutive primes that
+    share a transform length share a batch, so ascending input gives the
+    fewest.
+    """
+    primes = [int(p) for p in primes]
+    for p in primes:
+        _check_prime(p)
+    return (out for batch in _batches(primes) for out in _census_rows(batch, _trace_tables(batch)))
+
+
 def census(p: int) -> np.ndarray:
     """hist[r + isqrt(4p)] = N_r(p), the number of curves over F_p of trace r."""
-    _check_prime(p)
-    ones = np.ones(p, dtype=np.int64)
-    hist = _histogram(_trace_tables(p), (p - 1) // 2, ones, ones)
-    total = int(hist.sum())
-    if total != p * p - p:
-        raise AssertionError(f"census total {total} != p^2 - p for p={p}")
+    [(_, hist)] = censuses([p])
     return hist
 
 
@@ -187,13 +263,7 @@ class DeuringReport:
         return self.ordinary_all_match and self.supersingular.matches
 
 
-def deuring_check(p: int, table: np.ndarray) -> DeuringReport:
-    """Compare census(p) to deuring_counts(p, table), exactly.
-
-    Ordinary traces (p does not divide r) are the asserted case; the r = 0
-    row is evaluated and reported separately.
-    """
-    got, want = census(p), deuring_counts(p, table)
+def _deuring_report(p: int, got: np.ndarray, want: np.ndarray) -> DeuringReport:
     off = len(got) // 2
 
     def row(i: int) -> DeuringRow:
@@ -204,9 +274,19 @@ def deuring_check(p: int, table: np.ndarray) -> DeuringReport:
     return DeuringReport(p=p, ordinary_mismatches=mismatches, supersingular=row(off))
 
 
+def deuring_check(p: int, table: np.ndarray) -> DeuringReport:
+    """Compare census(p) to deuring_counts(p, table), exactly.
+
+    Ordinary traces (p does not divide r) are the asserted case; the r = 0
+    row is evaluated and reported separately.
+    """
+    return _deuring_report(p, census(p), deuring_counts(p, table))
+
+
 def deuring_sweep(pmax: int, table: np.ndarray) -> tuple[DeuringReport, ...]:
     """deuring_check for every prime 5 <= p <= pmax, all against one 12H table."""
-    return tuple(deuring_check(int(p), table) for p in sieve(pmax).primes if p >= 5)
+    primes = sieve(pmax).primes[2:].tolist()
+    return tuple(_deuring_report(p, hist, deuring_counts(p, table)) for p, hist in censuses(primes))
 
 
 def pi_star(p: int) -> int:
@@ -230,17 +310,18 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     with e[v] 0 or 1, so the transforms see only the rows e and 1 binned by
     log, at most 3 to a bin, and q scales their convolutions in int64.
     """
-    _check_prime(p)
+    _check_prime(p)  # the budget check comes before any length-p array
     if min(box_a, box_b) < 0 or (2 * box_a + 1) * (2 * box_b + 1) > MAX_BOX_PAIRS:
         raise DomainError(f"box A={box_a}, B={box_b} needs radii >= 0 and <= 2^53 pairs")
-    tab = _trace_tables(p)  # the budget check comes before any length-p array
+    tab = _trace_tables([p])
     (qa, ea), (qb, eb) = _residue_multiplicities(box_a, p), _residue_multiplicities(box_b, p)
     m = p - 1
     k = np.arange(m)
+    pw = tab.pw[0, :m]
 
     def log_rows(q, e, at, size):
         """The rows e(g^k), then 1 if q > 0, binned at `at`, and their coefficients."""
-        rows = [np.bincount(at, weights=e[tab.pw], minlength=size)]
+        rows = [np.bincount(at, weights=e[pw], minlength=size)]
         if q:
             rows.append(np.bincount(at, minlength=size))
         return np.stack(rows), [1, q][: len(rows)]
@@ -250,4 +331,13 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     n = 1 << (2 * m - 1).bit_length()
     conv = _exact_convolution(rows_a[:, None, None], rows_b.reshape(-1, 2, m), n)
     w_class = np.einsum("x,y,xysk->sk", ca, cb, conv[..., :m] + conv[..., m : 2 * m])
-    return _histogram(tab, w_class, qa + ea, qb + eb)
+    # the ab != 0 classes but the singular one, then (0, g^j) and (g^i, 0) by
+    # log: the coset values at g^0..g^5 repeat with period gcd(6 or 4, p - 1)
+    w_a, w_b = qa + ea, qb + eb
+    t_cc = np.delete(tab.t_log[0, :m], tab.k_singular[0])
+    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[0, k % 6], tab.t_a0[0, k % 4]])
+    weights = np.concatenate(
+        [np.delete(w_class, tab.k_singular[0], axis=1).ravel(), w_a[0] * w_b[pw], w_b[0] * w_a[pw]]
+    )
+    off = math.isqrt(4 * p)
+    return np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)

@@ -33,17 +33,27 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including `limit`."""
+    """Sieve of Eratosthenes up to and including `limit`.
+
+    Only odd numbers are sieved: odd[i] flags 2i + 1, and an odd prime p
+    strikes its odd multiples from p^2 on, every p-th entry from p^2 // 2.
+    """
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     if limit > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds budget {MAX_SIEVE_LIMIT}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    primes = np.flatnonzero(flags)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd)  # entry 0 is the integer 1, which stands in for 2
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    odd[0] = False
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[1::2] = odd
+    flags[2] = True
     return PrimeTable(flags=flags, primes=primes)
 
 

@@ -232,8 +232,11 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     codes = p[:, None] % qs + starts  # column of each prime, per q
     psi_grid = np.zeros((r_values.size, q_col.size))
     for i, r in enumerate(r_values.tolist()):
+        # for odd r one of p, p - r is even, so a pair needs p = 2 or p - r = 2
+        if r % 2 and not any(window.X < p2 <= window.X + window.Y for p2 in (2, r + 2)):
+            continue
         hit = np.flatnonzero(flags[R - r :][at])
-        if hit.size == 0:  # most odd shifts
+        if hit.size == 0:
             continue
         w = logp[hit] * logs[R - r :][at[hit]]
         psi_grid[i] = np.bincount(

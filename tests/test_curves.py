@@ -16,6 +16,7 @@ from koblitz.curves import (
     MAX_CENSUS_PRIME,
     box_trace_histogram,
     census,
+    censuses,
     deuring_check,
     deuring_counts,
     deuring_sweep,
@@ -55,6 +56,13 @@ def _oracle_trace_grid(p):
         t[a] = p - squares[(f[None, :] + x[:, None]) % p].sum(axis=1)
     nonsingular = (4 * x[:, None] ** 3 + 27 * x[None, :] ** 2) % p != 0
     return t, nonsingular
+
+
+def _doubled(chi):
+    """[chi, chi], zero-padded to the transform length of its prime."""
+    d = np.zeros(curves._length(len(chi)), dtype=np.int64)
+    d[: 2 * len(chi)] = np.tile(chi, 2)
+    return d
 
 
 def _oracle_box(p, A, B):
@@ -119,10 +127,14 @@ class TestTrace:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
     def test_power_table(self, p):
-        g = primitive_root(p)
-        pw, lg = curves._power_table(p)
-        assert pw.tolist() == [pow(g, k, p) for k in range(p - 1)]
-        assert [int(lg[pow(g, k, p)]) for k in range(p - 1)] == list(range(p - 1))
+        for width in (1, 2, 3, p - 1, curves._length(p) // 2):
+            pw = curves._power_table([p, 7], width)
+            assert pw.shape == (2, width)
+            for row, q in zip(pw, (p, 7)):
+                g = primitive_root(q)
+                assert row.tolist() == [pow(g, k, q) for k in range(width)]
+        # g^k for k < p - 1 is a permutation of 1..p-1
+        assert sorted(pw[0, : p - 1].tolist()) == list(range(1, p))
 
     def test_capacity_checked_before_allocation(self):
         p = 100003  # the first prime above the budget; its tables take 8 MB
@@ -140,7 +152,7 @@ class TestTrace:
         chi = np.array([0, 1, -1, -1, 1])
         w = np.array([0.5, 0, 0, 0, 0])
         with pytest.raises(AssertionError):
-            curves._correlate_chi(w, chi)
+            curves._correlate_chi(w, _doubled(chi))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -156,7 +168,7 @@ class TestTrace:
         if one_row:
             w = w[0]
         shifted = np.stack([np.roll(chi, -c) for c in range(p)]).astype(np.int64)
-        got = curves._correlate_chi(w, chi)
+        got = curves._correlate_chi(w, _doubled(chi))
         assert got.shape == w.shape
         assert np.array_equal(got, w @ shifted.T)
 
@@ -165,9 +177,9 @@ class TestTrace:
         w = np.zeros((3, 5))
         w[:2] = [[1, 2, 3, 4, 5], [0, -1, 0, 1, 0]]
         w[2, 0] = 0.5
-        curves._correlate_chi(w[:2], chi)  # the integer rows alone pass
+        curves._correlate_chi(w[:2], _doubled(chi))  # the integer rows alone pass
         with pytest.raises(AssertionError):
-            curves._correlate_chi(w, chi)
+            curves._correlate_chi(w, _doubled(chi))
 
 
 def _by_r(p):
@@ -212,6 +224,63 @@ class TestCensus:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("primes", [[5, 7], [11, 13], [37], [101]])
+    def test_coset_traces_match_scalar(self, primes):
+        # gcd(4, p - 1) is 4 at 5, 13, 37, 101 and 2 at 7, 11; gcd(6, p - 1)
+        # is 6 at 7, 13, 37 and 2 at 5, 11, 101
+        tab = curves._trace_tables(primes)
+        for row, p in enumerate(primes):
+            for i, a in enumerate(tab.pw[row, : p - 1].tolist()):
+                assert tab.t_a0[row, i % 4] == trace(CurveModP(p=p, a=a, b=0)), (p, a)
+                assert tab.t_0b[row, i % 6] == trace(CurveModP(p=p, a=0, b=a)), (p, a)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_censuses_equal_census(self, shuffle):
+        rng = np.random.default_rng(2024)
+        pool = [int(q) for q in sieve(3000).primes if q >= 5]
+        primes = sorted(rng.choice(pool, size=150, replace=False).tolist())
+        if shuffle:
+            rng.shuffle(primes)
+        batches = list(curves._batches(primes))
+        lengths = {curves._length(p) for p in primes}
+        assert len(lengths) >= 3 and len(batches) > len(lengths)
+        assert sum(len(b) == curves._BATCH_CELLS // curves._length(b[0]) for b in batches) >= 2
+        got = list(censuses(primes))
+        assert [p for p, _ in got] == primes
+        for p, hist in got:
+            want = census(p)
+            assert hist.dtype == want.dtype and np.array_equal(hist, want), p
+
+    def test_whole_list_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                censuses([7, 100003])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for bad in ([7, 9], [3], [5, 1]):
+            with pytest.raises(DomainError):
+                censuses(bad)
+
+    def test_batched_memory(self):
+        # a second pass, after the trial-division primes and FFT plans are
+        # cached: one census per prime at a time peaked at 0.22 MB (222 980 B),
+        # batches of up to 2^14 cells at 0.87 MB (873 963 B)
+        primes = [int(q) for q in sieve(500).primes if q >= 5]
+        list(censuses(primes))
+        tracemalloc.start()
+        try:
+            got = list(censuses(primes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == len(primes)
         assert peak < 1 << 20
 
 

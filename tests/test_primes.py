@@ -79,6 +79,15 @@ class TestSieve:
     def test_against_independent_sieve(self):
         assert sieve(10**4).primes.tolist() == _oracle_sieve(10**4)
 
+    def test_every_limit_against_trial_division(self):
+        naive = [n for n in range(2, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        for limit in range(2, 2001):
+            table = sieve(limit)
+            want = [n for n in naive if n <= limit]
+            assert table.primes.dtype == np.int64 and table.primes.tolist() == want, limit
+            assert table.flags.dtype == bool and table.flags.shape == (limit + 1,), limit
+            assert np.flatnonzero(table.flags).tolist() == want, limit
+
     def test_domain_and_capacity(self):
         with pytest.raises(DomainError):
             sieve(1)

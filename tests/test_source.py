@@ -90,3 +90,23 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_one_transform_site_in_curves():
+    # every census and box histogram transforms through _exact_convolution
+    path = Path(koblitz.__file__).parent / "curves.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (site,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_exact_convolution"
+    ]
+
+    def fft_refs(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if (isinstance(node, ast.Attribute) and node.attr == "fft")
+            or (isinstance(node, ast.alias) and "fft" in node.name)
+        ]
+
+    assert fft_refs(site) and len(fft_refs(tree)) == len(fft_refs(site))

@@ -259,6 +259,16 @@ class TestBdhStatistic:
         assert res.per_q == per_q
         assert res.normalized == S / (R * float(x) ** 2)
 
+    @pytest.mark.parametrize("X", [0, 1, 2, 3])
+    @pytest.mark.parametrize("R", [1, 3, 9])
+    def test_odd_shifts_near_two(self, X, R):
+        # an odd shift pairs only p = 2, or p = r + 2 with p - r = 2
+        w = TwinWindow(X=X, Y=50)
+        res = bdh_statistic(X + 50, R, 2, w)
+        S, per_q, rows = _bdh_oracle(X + 50, R, 2, w)
+        assert _cells(res) == rows
+        assert (res.S, res.per_q) == (S, per_q)
+
     def test_oracle_at_large_X(self):
         w = TwinWindow(X=10**12, Y=2000)
         res = bdh_statistic(10**12 + 2000, 12, 4, w)
