@@ -20,15 +20,17 @@ i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1): the two
 families are at most 10 direct sums at g^0..g^5, and each coset weighs
 (p - 1)/gcd in a census.
 
-`censuses` builds the tables of consecutive primes that share a transform
-length together, one zero-padded row per prime, and counts in integers.
+Transforms run at lengths 2 * 2^a 3^b 5^c, which numpy's FFT factors fully:
+for p > 100 the length n stays below 1.11 * 2p, where the next power of two
+reaches 4p.  `censuses` builds the tables of consecutive primes together, as
+many as fit a budget of cells at the batch's longest length, one zero-padded
+row per prime, and counts them in integers, one histogram pass per batch.
 census, box_trace_histogram and deuring_counts return one layout: an int64
 array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import is_prime, primitive_root, sieve
+from .primes import _least_primitive_root, is_prime, sieve
 
 # Largest p for the length-p trace tables behind census and
 # box_trace_histogram: the class-number route's budget 10^5.
@@ -47,10 +49,10 @@ MAX_CENSUS_PRIME = 10**5
 # while every count stays at most 2^53.
 MAX_BOX_PAIRS = 2**53
 
-# Most cells, rows times transform length, in one batch of census tables; a
-# prime whose length alone exceeds it is a batch of one.  Against one prime
-# at a time, 2^16 cells raised the peak RSS of `theorem2 --pmax 500` by
-# 1.3-2 MB and 2^14 by under 0.1 MB, at the same speed.
+# Most cells, rows times the longest transform length, in one batch of census
+# tables; a prime whose length alone exceeds it is a batch of one.  Against
+# one prime at a time, 2^16 cells raised the peak RSS of `theorem2 --pmax 500`
+# by 1.3-2 MB and 2^14 by under 0.1 MB, at the same speed.
 _BATCH_CELLS = 1 << 14
 
 
@@ -61,9 +63,28 @@ def _check_prime(p: int) -> None:
         raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
 
 
+def _smooth(k: int) -> int:
+    """The least 2^a 3^b 5^c >= k: per odd part 3^b 5^c, its least power-of-two multiple."""
+    best = 1
+    while best < k:
+        best *= 2
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            m = f35
+            while m < k:
+                m *= 2
+            if m < best:
+                best = m
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _length(p: int) -> int:
-    """The transform length n = 2^ceil(log2(2p - 1)) of p's correlation; p <= n/2."""
-    return 1 << (2 * p - 1).bit_length()
+    """The transform length n of p's correlation: p <= n/2, and 6 <= n/2 for g^0..g^5."""
+    return 2 * _smooth(max(p, 6))
 
 
 class _TraceTables(NamedTuple):
@@ -82,7 +103,7 @@ def _power_table(primes: list[int], width: int) -> np.ndarray:
     Built by doubling: columns [s, 2s) are columns [0, s) times g^s mod p.
     """
     p = np.array(primes, dtype=np.int64)[:, None]
-    g = np.array([primitive_root(q) for q in primes], dtype=np.int64)[:, None]
+    g = np.array([_least_primitive_root(q) for q in primes], dtype=np.int64)[:, None]
     pw = np.empty((len(primes), width), dtype=np.int64)
     pw[:, :1] = 1
     s = 1
@@ -119,12 +140,12 @@ def _correlate_chi(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _trace_tables(primes: list[int]) -> _TraceTables:
-    """The tables of a batch of checked primes that share one transform length n.
+    """The tables of a batch of checked primes at the batch's longest length n.
 
     Rows are n/2 >= p wide, and d = [chi, chi] is n >= 2p wide.  Only w_cc is
     transformed; each coset value is one dot product of a weight row with d.
     """
-    n = _length(primes[0])
+    n = _length(max(primes))  # _length is nondecreasing
     half = n // 2
     p = np.array(primes, dtype=np.int64)[:, None]
     row = np.arange(len(primes))[:, None]
@@ -166,7 +187,8 @@ def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np
     """(p, census(p)) per row of a batch, from integer bincounts over its traces.
 
     Each ab != 0 class weighs (p - 1)/2 per parity of j, with trace t or -t;
-    each coset of the two families weighs (p - 1)/gcd.
+    each coset of the two families weighs (p - 1)/gcd.  Every row's histogram
+    and total is formed in one pass over the batch, before any row is yielded.
     """
     p = np.array(primes, dtype=np.int64)[:, None]
     off = np.array([math.isqrt(4 * q) for q in primes])[:, None]
@@ -181,22 +203,36 @@ def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np
     d4, d6 = np.gcd(4, p - 1), np.gcd(6, p - 1)
     a0 = counts(tab.t_a0, np.arange(4) < d4)
     b0 = counts(tab.t_0b, np.arange(6) < d6)
-    cosets = (p - 1) // d4 * a0 + (p - 1) // d6 * b0
+    # trace -r of a row reads column m - 1 - j of its own m = 2 off + 1; mod
+    # size, the zero columns past m read each other
+    m = 2 * off + 1
+    mirror = np.take_along_axis(cc, (m - 1 - np.arange(size)) % size, axis=1)
+    hist = (p - 1) // 2 * (cc + mirror) + (p - 1) // d4 * a0 + (p - 1) // d6 * b0
+    totals = hist.sum(axis=1)
+    bad = np.flatnonzero(totals != p[:, 0] * (p[:, 0] - 1))
+    if bad.size:
+        i = int(bad[0])
+        raise AssertionError(f"census total {totals[i]} != p^2 - p for p={primes[i]}")
     for i, q in enumerate(primes):
-        m = 2 * int(off[i, 0]) + 1
-        hist = (q - 1) // 2 * (cc[i, :m] + cc[i, m - 1 :: -1]) + cosets[i, :m]
-        total = int(hist.sum())
-        if total != q * q - q:
-            raise AssertionError(f"census total {total} != p^2 - p for p={q}")
-        yield q, hist
+        yield q, hist[i, : m[i, 0]]
 
 
 def _batches(primes: list[int]) -> Iterator[list[int]]:
-    """Runs of consecutive primes with one transform length, cut to _BATCH_CELLS."""
-    for n, run in itertools.groupby(primes, key=_length):
-        run = list(run)
-        rows = max(1, _BATCH_CELLS // n)
-        yield from (run[i : i + rows] for i in range(0, len(run), rows))
+    """Runs of consecutive primes, as long as rows times longest length fits _BATCH_CELLS.
+
+    A prime whose length alone exceeds the budget is a run of one.
+    """
+    batch: list[int] = []
+    longest = 0
+    for p in primes:
+        n = _length(p)
+        if batch and (len(batch) + 1) * max(longest, n) > _BATCH_CELLS:
+            yield batch
+            batch, longest = [], 0
+        batch.append(p)
+        longest = max(longest, n)
+    if batch:
+        yield batch
 
 
 def trace_grid(p: int) -> np.ndarray:
@@ -208,9 +244,8 @@ def trace_grid(p: int) -> np.ndarray:
 def censuses(primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(p, census(p)) for each p in `primes`, in order, computed batch by batch.
 
-    Every p is checked before any table is built.  Consecutive primes that
-    share a transform length share a batch, so ascending input gives the
-    fewest.
+    Every p is checked before any table is built.  A batch pads its rows to
+    its longest prime's length, so ascending input wastes the fewest cells.
     """
     primes = [int(p) for p in primes]
     for p in primes:
@@ -328,7 +363,7 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
 
     rows_a, ca = log_rows(qa, ea, 3 * k % m, m)  # a = g^i at 3i
     rows_b, cb = log_rows(qb, eb, -2 * k % m + m * (k & 1), 2 * m)  # b = g^j at (j % 2, -2j)
-    n = 1 << (2 * m - 1).bit_length()
+    n = 2 * _smooth(m)
     conv = _exact_convolution(rows_a[:, None, None], rows_b.reshape(-1, 2, m), n)
     w_class = np.einsum("x,y,xysk->sk", ca, cb, conv[..., :m] + conv[..., m : 2 * m])
     # the ab != 0 classes but the singular one, then (0, g^j) and (g^i, 0) by

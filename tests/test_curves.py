@@ -28,6 +28,12 @@ from koblitz.primes import is_prime, kronecker_table, primitive_root, sieve
 from oracles import CurveModP, kronecker_H, pi_twin, singular_pair_count, trace
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
+# every 2^a 3^b 5^c up to 2^21, enough for the least one >= k at k <= 2^20
+SMOOTH = sorted(
+    n
+    for n in (2**a * 3**b * 5**c for a in range(22) for b in range(14) for c in range(10))
+    if n <= 2**21
+)
 
 
 def _oracle_point_count(p, a, b):
@@ -135,6 +141,18 @@ class TestTrace:
                 assert row.tolist() == [pow(g, k, q) for k in range(width)]
         # g^k for k < p - 1 is a permutation of 1..p-1
         assert sorted(pw[0, : p - 1].tolist()) == list(range(1, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_smooth_is_least_5_smooth(self, k):
+        assert curves._smooth(k) == next(s for s in SMOOTH if s >= k)
+
+    def test_length_rule(self):
+        # even, so d = [chi, chi] splits in halves; each half holds a row of p
+        # columns and the coset sums at g^0..g^5
+        for p in sieve(MAX_CENSUS_PRIME).primes[2:].tolist():
+            n = curves._length(p)
+            assert n % 2 == 0 and n >= 2 * p and n >= 12, p
 
     def test_capacity_checked_before_allocation(self):
         p = 100003  # the first prime above the budget; its tables take 8 MB
@@ -246,14 +264,29 @@ class TestBatchedTables:
         if shuffle:
             rng.shuffle(primes)
         batches = list(curves._batches(primes))
-        lengths = {curves._length(p) for p in primes}
-        assert len(lengths) >= 3 and len(batches) > len(lengths)
-        assert sum(len(b) == curves._BATCH_CELLS // curves._length(b[0]) for b in batches) >= 2
+        assert [p for b in batches for p in b] == primes
+
+        def cells(batch):
+            return len(batch) * max(map(curves._length, batch))
+
+        # each batch fits the budget or is one prime, and the next prime would
+        # overflow it; at least one batch pads shorter rows to a longer length
+        assert all(cells(b) <= curves._BATCH_CELLS or len(b) == 1 for b in batches)
+        assert all(cells(b + c[:1]) > curves._BATCH_CELLS for b, c in zip(batches, batches[1:]))
+        assert any(len({curves._length(p) for p in b}) > 1 for b in batches)
         got = list(censuses(primes))
         assert [p for p, _ in got] == primes
         for p, hist in got:
             want = census(p)
             assert hist.dtype == want.dtype and np.array_equal(hist, want), p
+
+    def test_batch_totals_checked_before_any_row(self):
+        # counting p = 7's singular class as well adds p - 1 curves to its total
+        primes = [5, 7, 11]
+        tab = curves._trace_tables(primes)
+        rows = curves._census_rows(primes, tab._replace(k_singular=tab.k_singular + [0, 6, 0]))
+        with pytest.raises(AssertionError, match=r"census total 48 != p\^2 - p for p=7"):
+            next(rows)
 
     def test_whole_list_checked_before_allocation(self):
         tracemalloc.start()

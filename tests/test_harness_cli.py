@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koblitz import classnumbers, cli, curves, harness, twinseries
+from koblitz import classnumbers, cli, constants, curves, harness, primes, twinseries
 from koblitz.errors import DomainError
 from oracles import pi_twin
 
@@ -410,6 +410,23 @@ class TestOneTablePerSweep:
     def test_verify_deuring_suite(self, table_calls, capsys):
         assert cli.main(["verify", "--suite", "deuring"]) == 0
         assert table_calls == [10**4]
+
+
+class TestOnePrimeCheckPerCensusPrime:
+    def test_theorem2_is_prime_calls(self, monkeypatch, capsys):
+        # each of the 93 primes 5 <= p <= 500 is checked once, before its census
+        calls = []
+        check = primes.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return check(n)
+
+        for module in (primes, constants, curves, twinseries):
+            monkeypatch.setattr(module, "is_prime", counting)
+        assert cli.main(["theorem2", "--pmax", "500"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == [p for p in range(5, 501) if check(p)] and len(calls) == 93
 
 
 class TestPinnedOutputs:

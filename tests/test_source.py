@@ -110,3 +110,16 @@ def test_one_transform_site_in_curves():
         ]
 
     assert fft_refs(site) and len(fft_refs(tree)) == len(fft_refs(site))
+
+
+def test_one_length_rule_in_curves():
+    # transform lengths are 2^a 3^b 5^c from _smooth, never a power of two
+    # rounded up by bit_length
+    path = Path(koblitz.__file__).parent / "curves.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "bit_length"
+    ]
+    assert found == []
