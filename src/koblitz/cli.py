@@ -40,14 +40,21 @@ def _atomic_open(path: str):
             os.remove(tmp)
 
 
-def _write(payload: str, out: str | None, suffix: str = ".json") -> None:
-    """Print `payload`, or write it to `out` (with `suffix` added if missing)."""
+def _out_path(out: str, suffix: str) -> str:
+    """The output path `out`, with `suffix` added if missing."""
+    return out if out.endswith(suffix) else out + suffix
+
+
+def _write(payload: str | Iterable[str], out: str | None, suffix: str = ".json") -> None:
+    """Print `payload`, or write it to `_out_path(out, suffix)`; an iterable
+    payload is written one text chunk at a time, as it is produced."""
+    chunks = [payload] if isinstance(payload, str) else payload
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
-    path = out if out.endswith(suffix) else out + suffix
+    path = _out_path(out, suffix)
     with _atomic_open(path) as fh:
-        fh.write(payload)
+        fh.writelines(chunks)
     print(f"wrote {path}")
 
 
@@ -98,9 +105,7 @@ def _cmd_census(args) -> int:
     primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
     censuses = curves.censuses(primes)
     if args.out:
-        total = write_census_file(
-            args.out if args.out.endswith(".csv") else args.out + ".csv", censuses
-        )
+        total = write_census_file(_out_path(args.out, ".csv"), censuses)
     else:
         total = sum(int(hist.sum()) for _, hist in censuses)
     print(f"census: {len(primes)} primes <= {args.pmax}, {total} curves")

@@ -20,7 +20,7 @@ from .primes import (
     factorize,
     is_prime,
     kronecker_table,
-    sieve,
+    prime_terms,
 )
 from .twinseries import DEFAULT_TRUNCATION, singular_series_mod
 
@@ -116,10 +116,10 @@ def _frak_c_parts(limit: int) -> tuple[float, float]:
 
     form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))), raw (no tail).
     """
-    ell = sieve(limit).primes.astype(np.float64)
-    g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
-    form2 = math.exp(np.sum(np.log1p(-g)))
-    return form2, _log_tail(_frak_c_neg_log_factor, limit)
+    terms = prime_terms(
+        limit, lambda ell: np.log1p(-((ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))))
+    )
+    return math.exp(np.sum(terms)), _log_tail(_frak_c_neg_log_factor, limit)
 
 
 def average_constant_forms(limit: int) -> tuple[float, float]:
@@ -130,11 +130,13 @@ def average_constant_forms(limit: int) -> tuple[float, float]:
     """
     if limit < 10**3:
         raise DomainError("truncation limit must be >= 1000")
-    ell = sieve(limit).primes.astype(np.float64)
-    odd = ell[1:]
-    num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
-    den = (odd - 1) ** 3 * (odd + 1)
-    form1 = (2.0 / 3.0) * math.exp(np.sum(np.log(num) - np.log(den)))
+
+    def term(odd):
+        num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
+        den = (odd - 1) ** 3 * (odd + 1)
+        return np.log(num) - np.log(den)
+
+    form1 = (2.0 / 3.0) * math.exp(np.sum(prime_terms(limit, term, odd=True)))
     return form1, _frak_c_parts(limit)[0]
 
 
@@ -285,12 +287,15 @@ def _c_r_base_neg_log_factor(t: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _c_r_base(limit: int) -> tuple[float, float]:
     """(base product, applied tail) of (4/3) prod_{odd l} l^2(l^2-2l-2)/((l-1)^3(l+1))."""
-    ell = sieve(limit).primes[1:].astype(np.float64)
     log_sum = np.sum(
-        2 * np.log(ell)
-        + np.log(ell * ell - 2 * ell - 2)
-        - 3 * np.log(ell - 1)
-        - np.log(ell + 1)
+        prime_terms(
+            limit,
+            lambda ell: 2 * np.log(ell)
+            + np.log(ell * ell - 2 * ell - 2)
+            - 3 * np.log(ell - 1)
+            - np.log(ell + 1),
+            odd=True,
+        )
     )
     tail = _log_tail(_c_r_base_neg_log_factor, limit)
     return (4.0 / 3.0) * math.exp(log_sum - tail), tail

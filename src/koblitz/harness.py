@@ -10,6 +10,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -177,34 +178,49 @@ def run_bdh(x: int, R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.
     return report, result
 
 
-def bdh_rows_csv(result: twinseries.BdhResult) -> str:
+def bdh_rows_csv(result: twinseries.BdhResult) -> Iterator[str]:
     """CSV of the grid: `r,q,a,psi,expected,error`, one row per cell (r, q, a)
     in grid order, then `# summary S=... normalized=...`.
 
-    Values print as repr.  A cell whose three values are all +0.0 (odd
-    shifts, classes that are not admissible) shares one preformatted line
-    tail per column.  The values of the other cells are keyed by their bit
-    patterns, so -0.0 stays apart from +0.0, and each distinct pattern goes
-    through repr once.
+    Yields the text in chunks: the header, then one chunk per shift r, then
+    the summary, each ending in a newline.  Values print as repr.  A cell
+    whose three values are all +0.0 (odd shifts, classes that are not
+    admissible) shares one preformatted line tail per column.  The values of
+    the other cells are keyed by their bit patterns, so -0.0 stays apart from
+    +0.0, and each distinct pattern goes through repr once for the whole grid.
     """
     heads = [f"{q},{a}," for q, a in zip(result.q_col.tolist(), result.a_col.tolist())]
     n = len(heads)
-    tails = [head + "0.0,0.0,0.0" for head in heads] * result.r_values.size
+    zero_tails = [head + "0.0,0.0,0.0" for head in heads]
     bits = [g.view(np.int64).ravel() for g in (result.psi, result.expected, result.error)]
-    at = np.flatnonzero(bits[0] | bits[1] | bits[2])
+    nonzero = bits[0] | bits[1]
+    nonzero |= bits[2]
+    at = np.flatnonzero(nonzero)
+    del nonzero
     # 1-D input: the inverse's shape for N-D input differs across numpy 2.0.x
-    keys = np.concatenate([b[at] for b in bits])
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    psi, expected, error = text[inverse].reshape(3, -1).tolist()
-    for k, p, e, d in zip(at.tolist(), psi, expected, error):
-        tails[k] = f"{heads[k % n]}{p},{e},{d}"
-    lines = ["r,q,a,psi,expected,error"]
+    distinct, inverse = np.unique(np.concatenate([b[at] for b in bits]), return_inverse=True)
+    values = distinct.view(np.float64)
+    text = np.empty(values.size, dtype=object)
+    for lo in range(0, values.size, 1 << 16):  # 2^16 Python floats at a time
+        text[lo : lo + (1 << 16)] = list(map(repr, values[lo : lo + (1 << 16)].tolist()))
+    del distinct, values
+    cells = text[inverse.reshape(3, -1)]  # column k: the three texts of cell at[k]
+    del inverse, text
+    # the nonzero cells of row i are at[bounds[i]:bounds[i + 1]]
+    bounds = np.searchsorted(at, n * np.arange(result.r_values.size + 1)).tolist()
+    cols = at % n
+    del at
+    yield "r,q,a,psi,expected,error\n"
     for i, r in enumerate(result.r_values.tolist()):
-        lines.append(f"{r}," + f"\n{r},".join(tails[i * n : (i + 1) * n]))
-    # the closing newline rides on the last line, so the file is joined once
-    lines.append(f"# summary S={result.S!r} normalized={result.normalized!r}\n")
-    return "\n".join(lines)
+        lo, hi = bounds[i], bounds[i + 1]
+        tails = zero_tails
+        if lo < hi:
+            tails = zero_tails.copy()
+            psi, expected, error = cells[:, lo:hi].tolist()
+            for j, p, e, d in zip(cols[lo:hi].tolist(), psi, expected, error):
+                tails[j] = f"{heads[j]}{p},{e},{d}"
+        yield f"{r}," + f"\n{r},".join(tails) + "\n"
+    yield f"# summary S={result.S!r} normalized={result.normalized!r}\n"
 
 
 # ---------------------------------------------------------------------------

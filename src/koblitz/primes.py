@@ -32,11 +32,12 @@ class PrimeTable:
     primes: np.ndarray
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including `limit`.
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Odd-only sieve of Eratosthenes to `limit`: entry i flags 2i + 1, and
+    entry 0 (the integer 1) is set, to stand in for 2.
 
-    Only odd numbers are sieved: odd[i] flags 2i + 1, and an odd prime p
-    strikes its odd multiples from p^2 on, every p-th entry from p^2 // 2.
+    An odd prime p strikes its odd multiples from p^2 on, every p-th entry
+    from p^2 // 2.
     """
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
@@ -46,6 +47,12 @@ def sieve(limit: int) -> PrimeTable:
     for p in range(3, math.isqrt(limit) + 1, 2):
         if odd[p // 2]:
             odd[p * p // 2 :: p] = False
+    return odd
+
+
+def sieve(limit: int) -> PrimeTable:
+    """Sieve of Eratosthenes up to and including `limit`."""
+    odd = _odd_sieve(limit)
     primes = np.flatnonzero(odd)  # entry 0 is the integer 1, which stands in for 2
     primes *= 2
     primes += 1
@@ -55,6 +62,33 @@ def sieve(limit: int) -> PrimeTable:
     flags[1::2] = odd
     flags[2] = True
     return PrimeTable(flags=flags, primes=primes)
+
+
+# Odd-sieve entries per segment of prime_terms: about 6000 primes near 10^5.
+_TERM_SEGMENT = 1 << 15
+
+
+def prime_terms(limit: int, term, odd: bool = False) -> np.ndarray:
+    """term(ell) over the primes ell <= limit (the odd ones if `odd`),
+    ascending, as one float64 array.
+
+    The primes come from _odd_sieve, one flag byte per odd number, and
+    `term` runs on one segment of them at a time as float64, so none of its
+    temporaries spans every prime.  `term` must work element by element.
+    """
+    flags = _odd_sieve(limit)
+    flags[0] = not odd
+    out = np.empty(np.count_nonzero(flags))
+    done = 0
+    for lo in range(0, flags.size, _TERM_SEGMENT):
+        ell = np.flatnonzero(flags[lo : lo + _TERM_SEGMENT]) + lo * 1.0
+        ell *= 2.0
+        ell += 1.0
+        if lo == 0 and not odd:
+            ell[0] = 2.0
+        out[done : done + ell.size] = term(ell)
+        done += ell.size
+    return out
 
 
 def sieve_window(x: int, y: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize, is_prime, phi, sieve, sieve_window
+from .primes import factorize, is_prime, phi, prime_terms, sieve, sieve_window
 
 DEFAULT_TRUNCATION = 10**6
 
@@ -27,8 +27,8 @@ MAX_BDH_CELLS = 1 << 21
 @functools.lru_cache(maxsize=8)
 def _twin_constant(limit: int) -> float:
     """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
-    ell = sieve(limit).primes[1:].astype(np.float64)
-    return 2.0 * math.exp(np.log1p(-1.0 / (ell - 1.0) ** 2).sum())
+    terms = prime_terms(limit, lambda ell: np.log1p(-1.0 / (ell - 1.0) ** 2), odd=True)
+    return 2.0 * math.exp(terms.sum())
 
 
 def _odd_prime_correction(r: int) -> float:
@@ -247,7 +247,11 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     # (a,q) = (a-r,q) = 1), 0 elsewhere; cross-checked against S(r)/rho(r,q)
     units = np.gcd(a_col, q_col) == 1
     even = r_values % 2 == 0
-    admissible = units & units[(a_col - r_values[:, None]) % q_col + start_col]
+    partner = a_col - r_values[:, None]  # column of a - r, built in place
+    partner %= q_col
+    partner += start_col
+    admissible = units & units[partner]
+    del partner
     table = singular_series_table(R * Q)
     r_even = np.abs(r_values[even])
     via_product = table[r_even[:, None] * qs] / np.add.reduceat(units, starts)
@@ -263,14 +267,16 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
         )
     density = np.zeros((r_values.size, Q))  # 0 at odd r
     density[even] = via_product
-    expected = np.where(admissible, density[:, q_col - 1] * window.Y, 0.0)
+    expected = np.take(density, q_col - 1, axis=1)  # C order, like psi_grid
+    expected *= window.Y
+    expected[~admissible] = 0.0
     err = psi_grid - expected
     sq = err * err
-    total = float(np.cumsum(sq)[-1])
     per_q = {
         q: float(np.cumsum(sq[:, s : s + q])[-1])
         for q, s in zip(qs.tolist(), starts.tolist())
     }
+    total = float(np.cumsum(sq, out=sq.reshape(-1))[-1])  # in place: sq is spent
     return BdhResult(
         S=total,
         normalized=total / (R * float(x) ** 2),

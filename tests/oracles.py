@@ -4,7 +4,8 @@ Each one computes a quantity straight from its definition, independently of
 the array kernel the package uses for it: point-count traces, the singular
 pairs mod p and the per-curve twin count (curves), reduced-form class numbers
 (classnumbers), the scalar Kronecker symbol (primes), the character sum
-c_f^r(n) (constants) and the window error E (twinseries).
+c_f^r(n) and the Euler products from one full sieve (constants), and the
+window error E and 2*C2 (twinseries).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from koblitz.constants import _check_cfr_args
+from koblitz.constants import _c_r_base_neg_log_factor, _check_cfr_args, _log_tail
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
 from koblitz.primes import is_prime, kronecker_table, sieve
@@ -203,6 +204,38 @@ def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
     return int(kron[invertible & cond1 & cond2].sum())
 
 
+# The Euler products as the package formed them from one full sieve, every
+# term over the whole prime list at once.
+
+
+def frak_c_form2_full_sieve(limit: int) -> float:
+    """prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))) over every prime l <= limit, raw."""
+    ell = sieve(limit).primes.astype(np.float64)
+    g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
+    return math.exp(np.sum(np.log1p(-g)))
+
+
+def frak_c_form1_full_sieve(limit: int) -> float:
+    """(2/3) prod_{odd l <= limit} (l^4-2l^3-l^2+3l)/((l-1)^3 (l+1)), raw."""
+    odd = sieve(limit).primes[1:].astype(np.float64)
+    num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
+    den = (odd - 1) ** 3 * (odd + 1)
+    return (2.0 / 3.0) * math.exp(np.sum(np.log(num) - np.log(den)))
+
+
+def c_r_base_full_sieve(limit: int) -> tuple[float, float]:
+    """(base product, applied tail) of (4/3) prod_{odd l} l^2(l^2-2l-2)/((l-1)^3(l+1))."""
+    ell = sieve(limit).primes[1:].astype(np.float64)
+    log_sum = np.sum(
+        2 * np.log(ell)
+        + np.log(ell * ell - 2 * ell - 2)
+        - 3 * np.log(ell - 1)
+        - np.log(ell + 1)
+    )
+    tail = _log_tail(_c_r_base_neg_log_factor, limit)
+    return (4.0 / 3.0) * math.exp(log_sum - tail), tail
+
+
 # ---------------------------------------------------------------------------
 # twinseries
 # ---------------------------------------------------------------------------
@@ -218,3 +251,9 @@ def error_E(
     """E = psi(window; r, q, a) - S(r,q,a) * Y."""
     expected = singular_series_mod(r, q, a, limit) * window.Y
     return psi(window, r, q, a) - expected
+
+
+def twin_constant_full_sieve(limit: int) -> float:
+    """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2, from one full sieve."""
+    ell = sieve(limit).primes[1:].astype(np.float64)
+    return 2.0 * math.exp(np.log1p(-1.0 / (ell - 1.0) ** 2).sum())

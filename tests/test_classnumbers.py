@@ -156,6 +156,31 @@ class TestWholeTable:
         bad = np.flatnonzero(r3 != 2 * (table[4 * n] - 2 * table[n]))
         assert bad.size == 0, f"r_3(n) != 2(T[4n] - 2T[n]) at n = {n[bad[:5]].tolist()}"
 
+    def test_kronecker_hurwitz_identity(self):
+        # sum over t in Z of F(4n - t^2) = 12(2 sigma(n) - lambda(n)), with
+        # F = 2T (12H in Hurwitz's normalization), F(0) = -1 and
+        # lambda(n) = sum over d | n of min(d, n/d); unlike the r_3 check,
+        # this reaches every entry T[k] with k = 3 mod 4
+        nmax = 10**5
+        f = 2 * twelve_h_weighted_table(4 * nmax)
+        f[0] = -1
+        n = np.arange(nmax + 1)
+        lhs = f[4 * n].copy()
+        for t in range(1, math.isqrt(4 * nmax) + 1):
+            m = n[(t * t + 3) // 4 :]  # 4m - t^2 >= 0
+            lhs[m] += 2 * f[4 * m - t * t]
+        # sigma and lambda from each divisor pair d <= n/d of n = d e
+        sigma = np.zeros(nmax + 1, dtype=np.int64)
+        lam = np.zeros(nmax + 1, dtype=np.int64)
+        for d in range(1, math.isqrt(nmax) + 1):
+            e = np.arange(d, nmax // d + 1)
+            sigma[d * e] += d + e
+            lam[d * e] += 2 * d
+            sigma[d * d] -= d  # the pair d = e counts once
+            lam[d * d] -= d
+        bad = np.flatnonzero(lhs[1:] != 12 * (2 * sigma[1:] - lam[1:])) + 1
+        assert bad.size == 0, f"Kronecker-Hurwitz relation fails at n = {bad[:5].tolist()}"
+
 
 class TestHBound:
     def test_finite_and_slow_growth(self):

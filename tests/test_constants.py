@@ -1,12 +1,13 @@
 """Euler-product constant tests: GL2 factors, coefficient sums, C_r."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from koblitz import constants
+from koblitz import constants, twinseries
 from koblitz.constants import (
     A_closed,
     B1_closed,
@@ -28,7 +29,13 @@ from koblitz.constants import (
     local_sums,
 )
 from koblitz.errors import CapacityError, DomainError
-from oracles import c_f_r_bruteforce
+from oracles import (
+    c_f_r_bruteforce,
+    c_r_base_full_sieve,
+    frak_c_form1_full_sieve,
+    frak_c_form2_full_sieve,
+    twin_constant_full_sieve,
+)
 
 
 class TestGl2:
@@ -81,6 +88,52 @@ class TestAverageConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             average_constant(100)
+
+
+# Each Euler product, from prime_terms, against its full-sieve formula.
+EULER_PRODUCTS = [
+    pytest.param(twinseries._twin_constant, twin_constant_full_sieve, id="twin"),
+    pytest.param(
+        lambda L: constants._frak_c_parts(L)[0], frak_c_form2_full_sieve, id="frak_form2"
+    ),
+    pytest.param(
+        lambda L: average_constant_forms(L)[0], frak_c_form1_full_sieve, id="frak_form1"
+    ),
+    pytest.param(constants._c_r_base, c_r_base_full_sieve, id="c_r_base"),
+]
+
+
+class TestEulerProductsFromPrimes:
+    @pytest.mark.parametrize("limit", [10**3, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("product, full_sieve", EULER_PRODUCTS)
+    def test_bit_identical_to_full_sieve(self, product, full_sieve, limit):
+        assert product(limit) == full_sieve(limit)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            twinseries._twin_constant.__wrapped__,
+            constants._frak_c_parts.__wrapped__,
+            constants._c_r_base.__wrapped__,
+            average_constant_forms,
+        ],
+        ids=["twin", "frak", "c_r_base", "forms"],
+    )
+    def test_peak_memory_at_one_million(self, build):
+        # the odd-only flags, one float64 per prime and 512 KiB of segment
+        # temporaries; one full sieve alone holds 10^6 + 1 flag bytes besides
+        limit = 10**6
+        bound = limit // 2 + 8 * 78498 + (1 << 19)
+        build(10**3)  # imports and one-time state out of the measurement
+        constants._frak_c_parts.cache_clear()
+        tracemalloc.start()
+        try:
+            build(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            constants._frak_c_parts.cache_clear()
+        assert peak < bound
 
 
 def _mp_frak_c_nlf(mp, t):

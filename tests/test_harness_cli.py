@@ -170,7 +170,7 @@ class TestBdhDriver:
 
     def test_csv_shape(self):
         _, res = harness.run_bdh(50, 2, 1, 0, 50)
-        text = harness.bdh_rows_csv(res)
+        text = "".join(harness.bdh_rows_csv(res))
         lines = text.strip().split("\n")
         assert lines[0] == "r,q,a,psi,expected,error"
         assert lines[-1].startswith("# summary S=")
@@ -187,7 +187,7 @@ class TestBdhDriver:
         res = twinseries.bdh_statistic(
             max(X + Y, R), R, Q, twinseries.TwinWindow(X=X, Y=Y)
         )
-        assert harness.bdh_rows_csv(res) == _oracle_bdh_csv(res)
+        assert "".join(harness.bdh_rows_csv(res)) == _oracle_bdh_csv(res)
 
     def test_csv_of_hand_made_grid(self):
         # -0.0 is not +0.0 and goes through repr; r = -2 and -1 are all +0.0
@@ -204,7 +204,7 @@ class TestBdhDriver:
             expected=expected,
             error=psi - expected,
         )
-        text = harness.bdh_rows_csv(res)
+        text = "".join(harness.bdh_rows_csv(res))
         assert text == _oracle_bdh_csv(res)
         assert text == (
             "r,q,a,psi,expected,error\n"
@@ -218,7 +218,7 @@ class TestBdhDriver:
     @given(_pooled_grids())
     @settings(max_examples=200, deadline=None)
     def test_csv_of_pooled_values_equals_per_row_formatter(self, res):
-        assert harness.bdh_rows_csv(res) == _oracle_bdh_csv(res)
+        assert "".join(harness.bdh_rows_csv(res)) == _oracle_bdh_csv(res)
 
     def test_one_repr_per_distinct_value(self, monkeypatch):
         calls = []
@@ -229,7 +229,7 @@ class TestBdhDriver:
 
         monkeypatch.setattr(harness, "repr", counting, raising=False)
         _, res = harness.run_bdh(2000, 20, 4, 0, 2000)
-        text = harness.bdh_rows_csv(res)
+        text = "".join(harness.bdh_rows_csv(res))
         monkeypatch.undo()
         assert text == _oracle_bdh_csv(res)
         grids = (res.psi, res.expected, res.error)
@@ -240,14 +240,25 @@ class TestBdhDriver:
         assert len(calls) == len(distinct)
 
     def test_csv_peak_memory_at_window_argv(self):
+        # streamed into a sink: the writer never holds the whole file
         _, res = harness.run_bdh(4_050_000, 300, 10, 4_000_000, 50_000)
         tracemalloc.start()
         try:
-            text = harness.bdh_rows_csv(res)
+            size = sum(map(len, harness.bdh_rows_csv(res)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * len(text)
+        assert peak < 2.5 * size
+
+    def test_csv_chunks_are_whole_lines_one_per_shift(self):
+        _, res = harness.run_bdh(2000, 20, 4, 0, 2000)
+        chunks = list(harness.bdh_rows_csv(res))
+        assert len(chunks) == 2 + res.r_values.size
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        for r, chunk in zip(res.r_values.tolist(), chunks[1:-1]):
+            lines = chunk.splitlines()
+            assert len(lines) == res.q_col.size
+            assert all(line.startswith(f"{r},") for line in lines)
 
 
 class TestVerify:
@@ -334,6 +345,23 @@ class TestCli:
         assert (tmp_path / "bdh.csv").exists()
         payload = json.loads((tmp_path / "bdh.json").read_text())
         assert payload["params"]["x"] == 50  # defaults to X + Y
+
+    def test_bdh_writer_failing_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        writer = harness.bdh_rows_csv
+
+        def failing(result):
+            chunks = writer(result)
+            yield next(chunks)
+            yield next(chunks)
+            raise RuntimeError("writer failed mid-stream")
+
+        monkeypatch.setattr(harness, "bdh_rows_csv", failing)
+        out = tmp_path / "bdh"
+        assert cli.main(["bdh", "--R", "2", "--Y", "50", "--out", str(out)]) == 1
+        assert "error: writer failed mid-stream" in capsys.readouterr().err
+        assert not (tmp_path / "bdh.csv").exists()
+        assert not (tmp_path / "bdh.csv.tmp").exists()
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_cr_with_oracle(self, capsys):
         assert cli.main(["cr", "--r", "3", "--L", "10000", "--U", "50"]) == 0
@@ -479,4 +507,4 @@ class TestReportDeterminism:
         c, c_grid = harness.run_bdh(80, 2, 2, 0, 80)
         d, d_grid = harness.run_bdh(80, 2, 2, 0, 80)
         assert c.to_json() == d.to_json()
-        assert harness.bdh_rows_csv(c_grid) == harness.bdh_rows_csv(d_grid)
+        assert list(harness.bdh_rows_csv(c_grid)) == list(harness.bdh_rows_csv(d_grid))

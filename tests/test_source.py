@@ -123,3 +123,26 @@ def test_one_length_rule_in_curves():
         if isinstance(node, ast.Attribute) and node.attr == "bit_length"
     ]
     assert found == []
+
+
+def test_cli_opens_files_only_in_atomic_open():
+    # every file the CLI writes appears whole or not at all
+    path = Path(koblitz.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (site,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_atomic_open"
+    ]
+
+    def opens(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "open")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+            )
+        ]
+
+    assert len(opens(site)) == 1 and len(opens(tree)) == 1
