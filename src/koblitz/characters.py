@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize, phi, primitive_root
+from .primes import _least_primitive_root, factorize, phi
 
 # Largest q * phi(q): the complex128 values of all characters mod q, 16 MB.
 # characters(1021) peaks at 21 MB (tracemalloc), the values plus the int32
@@ -32,31 +32,14 @@ MAX_CHARACTER_CELLS = 2**20
 
 
 @dataclass(frozen=True)
-class DirichletCharacter:
-    modulus: int
-    exponents: tuple[int, ...]
-    conductor: int
-    values: np.ndarray = field(repr=False, compare=False)  # chi(x), x = 0..q-1
-
-    @property
-    def is_principal(self) -> bool:
-        return not any(self.exponents)
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
-
-@dataclass(frozen=True)
 class CharacterTable:
+    """The phi(q) characters mod q, one row each; row 0 is the principal character."""
+
     modulus: int
     phi: int
-    characters: tuple[DirichletCharacter, ...]
+    exponents: np.ndarray = field(repr=False, compare=False)  # [chi, j], the tuple e of chi
+    conductor: np.ndarray = field(repr=False, compare=False)  # [chi]
     values: np.ndarray = field(repr=False, compare=False)  # [chi, x], 0 off the units
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return next(chi for chi in self.characters if chi.is_principal)
 
 
 def _generators(q: int) -> list[tuple[int, int]]:
@@ -67,7 +50,7 @@ def _generators(q: int) -> list[tuple[int, int]]:
         if p == 2:
             local = [(pk - 1, 2), (5, pk // 4)][: max(k - 1, 0)]
         else:
-            g = primitive_root(p)
+            g = _least_primitive_root(p)
             if k > 1 and pow(g, p - 1, p * p) == 1:
                 g += p  # g generates mod p^k unless g^(p-1) = 1 mod p^2
             local = [(g, pk - pk // p)]
@@ -115,12 +98,12 @@ def characters(q: int) -> CharacterTable:
     del trivial
     roots = np.append(np.exp(2j * np.pi * np.arange(m) / m), 0)
     values = roots[ang]
-    values.setflags(write=False)  # shared by every caller through the cache
-    chars = tuple(
-        DirichletCharacter(modulus=q, exponents=tuple(e), conductor=f, values=row)
-        for e, f, row in zip(logs.T.tolist(), conductor.tolist(), values)
+    exponents = np.ascontiguousarray(logs.T)
+    for a in (exponents, conductor, values):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return CharacterTable(
+        modulus=q, phi=m, exponents=exponents, conductor=conductor, values=values
     )
-    return CharacterTable(modulus=q, phi=m, characters=chars, values=values)
 
 
 def rho_chi(r: int, table: CharacterTable) -> np.ndarray:

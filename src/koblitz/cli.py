@@ -115,9 +115,9 @@ def _cmd_census(args) -> int:
 def _cmd_deuring(args) -> int:
     _check_census_budget(args.pmax)
     table = classnumbers.twelve_h_weighted_table(4 * args.pmax)
-    bad = [rep.p for rep in curves.deuring_sweep(args.pmax, table) if not rep.all_match]
+    bad = [p for p, r in curves.deuring_sweep(args.pmax, table) if r.size]
     status = "PASS" if not bad else f"FAIL at p in {bad}"
-    print(f"deuring check p <= {args.pmax}: {status}")
+    _write(f"deuring check p <= {args.pmax}: {status}\n", args.out, ".txt")
     return 0 if not bad else 1
 
 

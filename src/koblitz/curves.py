@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -275,53 +274,15 @@ def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class DeuringRow:
-    r: int
-    census_count: int
-    expected_count: int
-    matches: bool
+def deuring_sweep(pmax: int, table: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(p, r) for every prime 5 <= p <= pmax, all against one 12H table: r
+    holds the traces at which census(p) and deuring_counts(p, table) differ.
 
-
-@dataclass(frozen=True)
-class DeuringReport:
-    p: int
-    ordinary_mismatches: tuple[DeuringRow, ...]
-    supersingular: DeuringRow
-
-    @property
-    def ordinary_all_match(self) -> bool:
-        return not self.ordinary_mismatches
-
-    @property
-    def all_match(self) -> bool:
-        return self.ordinary_all_match and self.supersingular.matches
-
-
-def _deuring_report(p: int, got: np.ndarray, want: np.ndarray) -> DeuringReport:
-    off = len(got) // 2
-
-    def row(i: int) -> DeuringRow:
-        c, e = int(got[i]), int(want[i])
-        return DeuringRow(r=i - off, census_count=c, expected_count=e, matches=c == e)
-
-    mismatches = tuple(row(int(i)) for i in np.flatnonzero(got != want) if i != off)
-    return DeuringReport(p=p, ordinary_mismatches=mismatches, supersingular=row(off))
-
-
-def deuring_check(p: int, table: np.ndarray) -> DeuringReport:
-    """Compare census(p) to deuring_counts(p, table), exactly.
-
-    Ordinary traces (p does not divide r) are the asserted case; the r = 0
-    row is evaluated and reported separately.
+    Ordinary traces (r != 0, as |r| < p) are the asserted case; r = 0, the
+    supersingular trace, is reported separately by the callers.
     """
-    return _deuring_report(p, census(p), deuring_counts(p, table))
-
-
-def deuring_sweep(pmax: int, table: np.ndarray) -> tuple[DeuringReport, ...]:
-    """deuring_check for every prime 5 <= p <= pmax, all against one 12H table."""
     primes = sieve(pmax).primes[2:].tolist()
-    return tuple(_deuring_report(p, hist, deuring_counts(p, table)) for p, hist in censuses(primes))
+    return [(p, trace_grid(p)[hist != deuring_counts(p, table)]) for p, hist in censuses(primes)]
 
 
 def pi_star(p: int) -> int:

@@ -126,6 +126,9 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         raise DomainError(f"x must be in [10, {curves.MAX_CENSUS_PRIME}] for the box average")
     if box_a < 0 or box_b < 0 or (2 * box_a + 1) * (2 * box_b + 1) > curves.MAX_BOX_PAIRS:
         raise DomainError("box radii must be >= 0, with at most 2^53 pairs")
+    n_curves = (2 * box_a + 1) * (2 * box_b + 1) - _global_singular_in_box(box_a, box_b)
+    if n_curves <= 0:
+        raise DomainError("box contains no nonsingular curves")
     flags = sieve(x + 2 * math.isqrt(x) + 2).flags
     table = classnumbers.twelve_h_weighted_table(4 * x)
     total = 0
@@ -136,10 +139,6 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         # (p-1)H / (p-1) rounds to the same float as 12H / 12
         terms.append(curves.deuring_counts(p, table)[good] / (p - 1) / p)
     refined = float(np.cumsum(np.concatenate(terms))[-1])
-    n_singular = _global_singular_in_box(box_a, box_b)
-    n_curves = (2 * box_a + 1) * (2 * box_b + 1) - n_singular
-    if n_curves <= 0:
-        raise DomainError("box contains no nonsingular curves")
     average = total / n_curves
     frak_c = constants.average_constant().value
     naive = frak_c * x / math.log(x) ** 2
@@ -235,9 +234,9 @@ def _check(rows: list[dict], name: str, passed: bool, detail: str = "") -> bool:
 
 def _suite_deuring(rows: list[dict]) -> bool:
     table = classnumbers.twelve_h_weighted_table(10**4)
-    reps = curves.deuring_sweep(499, table)
-    bad_ordinary = [rep.p for rep in reps if not rep.ordinary_all_match]
-    bad_supersingular = [rep.p for rep in reps if not rep.supersingular.matches]
+    sweep = curves.deuring_sweep(499, table)
+    bad_ordinary = [p for p, r in sweep if r.any()]
+    bad_supersingular = [p for p, r in sweep if 0 in r]
     ok = _check(
         rows,
         "deuring ordinary traces exact, p in [5, 499]",
@@ -416,7 +415,7 @@ def _suite_characters(rows: list[dict]) -> bool:
     worst = 0.0
     for q in (1, 2, 3, 4, 5, 8, 12, 16, 24, 45, 60, 101):
         table = characters(q)
-        n_principal = sum(chi.is_principal for chi in table.characters)
+        n_principal = int(np.count_nonzero(~table.exponents.any(axis=1)))
         ok &= _check(
             rows,
             f"exactly one principal character mod {q}",
@@ -435,7 +434,7 @@ def _suite_characters(rows: list[dict]) -> bool:
     worst = 0.0
     for f in range(1, 201):
         table = characters(f)
-        primitive = np.array([chi.is_primitive for chi in table.characters])
+        primitive = table.conductor == f
         if not primitive.any():
             continue
         mu = moebius(f)

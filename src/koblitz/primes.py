@@ -281,10 +281,3 @@ def _least_primitive_root(p: int) -> int:
     """Least primitive root mod p, for a p the caller has checked to be prime."""
     divs = factorize(p - 1).primes
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // d, p) != 1 for d in divs))
-
-
-def primitive_root(p: int) -> int:
-    """Least primitive root mod the prime p."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _least_primitive_root(p)

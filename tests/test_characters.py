@@ -15,14 +15,17 @@ from koblitz.primes import factorize, moebius, phi
 from koblitz.twinseries import rho
 
 
-def _oracle_conductor(chi):
-    """Smallest divisor d of q with chi trivial on units congruent to 1 mod d."""
-    q = chi.modulus
+def _oracle_conductor(values):
+    """Smallest divisor d of q with chi trivial on units congruent to 1 mod d.
+
+    `values` is the row chi(x), x = 0..q-1.
+    """
+    q = len(values)
     for d in range(1, q + 1):
         if q % d:
             continue
         if all(
-            abs(chi.values[a] - 1.0) < 1e-9
+            abs(values[a] - 1.0) < 1e-9
             for a in range(q)
             if math.gcd(a, q) == 1 and a % d == 1 % d
         ):
@@ -34,38 +37,52 @@ class TestCharacterGroup:
     def test_q1(self):
         table = characters(1)
         assert table.phi == 1
-        assert len(table.characters) == 1
-        assert table.characters[0].is_principal
-        assert table.characters[0].values[7 % 1] == 1
+        assert table.values.shape == (1, 1) and table.exponents.shape == (1, 0)
+        assert not table.exponents[0].any()
+        assert table.values[0, 7 % 1] == 1
 
     def test_q5(self):
         table = characters(5)
-        assert len(table.characters) == 4
-        assert sum(chi.is_primitive for chi in table.characters) == 3
+        assert len(table.values) == len(table.conductor) == 4
+        assert np.count_nonzero(table.conductor == 5) == 3
 
     def test_q8(self):
         table = characters(8)
-        assert len(table.characters) == 4
+        assert len(table.values) == 4
 
     def test_counts_match_phi(self):
         for q in (2, 3, 4, 6, 9, 12, 16, 24, 36, 45, 60, 100, 101, 128):
             table = characters(q)
-            assert len(table.characters) == phi(q) == table.phi
+            n = len(_generators(q))
+            assert table.exponents.shape == (phi(q), n) and table.conductor.shape == (phi(q),)
+            assert table.values.shape == (phi(q), q) and table.phi == phi(q)
+            # distinct exponent tuples, so distinct characters
+            assert len({tuple(e) for e in table.exponents.tolist()}) == phi(q)
 
     def test_principal_is_unit_indicator(self):
         for q in (6, 8, 15, 45):
-            chi0 = characters(q).principal
+            table = characters(q)
+            # row 0, and only row 0, has the exponents 0
+            assert (~table.exponents.any(axis=1)).tolist() == [True] + [False] * (table.phi - 1)
             for a in range(q):
                 want = 1.0 if math.gcd(a, q) == 1 else 0.0
-                assert chi0.values[a] == pytest.approx(want)
+                assert table.values[0, a] == pytest.approx(want)
+
+    def test_arrays_read_only(self):
+        # the cache hands every caller the same arrays
+        table = characters(12)
+        assert characters(12) is table
+        for a in (table.exponents, table.conductor, table.values):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_values_multiplicative(self):
         for q in (7, 12, 45):
-            for chi in characters(q).characters:
+            for chi in characters(q).values:
                 for a in range(q):
                     for b in range(q):
-                        lhs = chi.values[a * b % q]
-                        rhs = chi.values[a] * chi.values[b]
+                        lhs = chi[a * b % q]
+                        rhs = chi[a] * chi[b]
                         assert abs(lhs - rhs) < 1e-9
 
     def test_generator_lifts_past_non_lifting_root(self):
@@ -106,11 +123,9 @@ class TestConductors:
     def test_against_brute_force(self):
         mods = list(range(1, 101)) + [101, 105, 112, 128, 144, 200]
         for q in mods:
-            for chi in characters(q).characters:
-                assert chi.conductor == _oracle_conductor(chi), (
-                    q,
-                    chi.exponents,
-                )
+            table = characters(q)
+            for e, f, chi in zip(table.exponents, table.conductor, table.values):
+                assert f == _oracle_conductor(chi), (q, e)
 
     @settings(max_examples=50, deadline=None)
     @given(q=st.integers(1, 400), b=st.integers(0, 399), r=st.integers(-400, 400))
@@ -118,27 +133,27 @@ class TestConductors:
         table = characters(q)
         vals = table.values
         x = np.arange(q)
-        for chi in table.characters:
-            assert chi.conductor == _oracle_conductor(chi), (q, chi.exponents)
+        for e, f, chi in zip(table.exponents, table.conductor, vals):
+            assert f == _oracle_conductor(chi), (q, e)
         # chi(x b) = chi(x) chi(b) for every character and every residue x
         assert np.abs(vals[:, x * b % q] - vals * vals[:, [b % q]]).max() < 1e-9
         got = rho_chi(r, table)
-        for chi, g in zip(table.characters, got):
-            want = sum(chi.values[c] for c in range(q) if math.gcd(c - r, q) == 1)
-            assert abs(g - want) < 1e-10, (q, r, chi.exponents)
+        for e, chi, g in zip(table.exponents, vals, got):
+            want = sum(chi[c] for c in range(q) if math.gcd(c - r, q) == 1)
+            assert abs(g - want) < 1e-10, (q, r, e)
 
     def test_primitive_flag(self):
         for q in (5, 8, 12, 45):
-            for chi in characters(q).characters:
-                assert chi.is_primitive == (chi.conductor == q)
+            table = characters(q)
+            primitive = [_oracle_conductor(chi) == q for chi in table.values]
+            assert (table.conductor == q).tolist() == primitive
 
 
 class TestOrthogonality:
     def test_row_orthogonality(self):
         for q in (3, 4, 8, 15, 45, 101):
             table = characters(q)
-            vals = np.array([chi.values for chi in table.characters])
-            gram = vals @ vals.conj().T
+            gram = table.values @ table.values.conj().T
             assert np.abs(gram - table.phi * np.eye(table.phi)).max() < 1e-9
 
     def test_row_orthogonality_largest_table(self):
@@ -152,7 +167,7 @@ class TestOrthogonality:
         for q in (5, 12, 36):
             table = characters(q)
             for a in range(q):
-                s = sum(chi.values[a] for chi in table.characters)
+                s = sum(chi[a] for chi in table.values)
                 want = table.phi if a % q == 1 % q else 0.0
                 assert abs(s - want) < 1e-9
 
@@ -161,25 +176,24 @@ class TestRhoChi:
     def test_principal_reduces_to_rho(self):
         for q in (3, 4, 15, 45):
             table = characters(q)
-            i = table.characters.index(table.principal)
             for r in range(-6, 7):
-                assert rho_chi(r, table)[i] == pytest.approx(rho(r, q), abs=1e-9)
+                assert rho_chi(r, table)[0] == pytest.approx(rho(r, q), abs=1e-9)
 
     def test_primitive_identity_mod5(self):
         table = characters(5)
         got = rho_chi(2, table)
-        for chi, g in zip(table.characters, got):
-            if chi.is_primitive:
-                assert abs(g - moebius(5) * chi.values[2]) < 1e-10
+        for f, chi, g in zip(table.conductor, table.values, got):
+            if f == 5:
+                assert abs(g - moebius(5) * chi[2]) < 1e-10
 
     def test_definition_unrolled(self):
         q = 12
         table = characters(q)
         for r in (0, 5):
             got = rho_chi(r, table)
-            for chi, g in zip(table.characters, got):
+            for chi, g in zip(table.values, got):
                 want = sum(
-                    chi.values[b]
+                    chi[b]
                     for b in range(q)
                     if math.gcd(b - r, q) == 1
                 )

@@ -17,14 +17,13 @@ from koblitz.curves import (
     box_trace_histogram,
     census,
     censuses,
-    deuring_check,
     deuring_counts,
     deuring_sweep,
     pi_star,
     trace_grid,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import is_prime, kronecker_table, primitive_root, sieve
+from koblitz.primes import _least_primitive_root, is_prime, kronecker_table, sieve
 from oracles import CurveModP, kronecker_H, pi_twin, singular_pair_count, trace
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
@@ -137,7 +136,7 @@ class TestTrace:
             pw = curves._power_table([p, 7], width)
             assert pw.shape == (2, width)
             for row, q in zip(pw, (p, 7)):
-                g = primitive_root(q)
+                g = _least_primitive_root(q)
                 assert row.tolist() == [pow(g, k, q) for k in range(width)]
         # g^k for k < p - 1 is a permutation of 1..p-1
         assert sorted(pw[0, : p - 1].tolist()) == list(range(1, p))
@@ -317,22 +316,21 @@ class TestBatchedTables:
         assert peak < 1 << 20
 
 
-def _deuring(p):
-    return deuring_check(p, twelve_h_weighted_table(4 * p))
+def _mismatches(p):
+    """The traces at which census(p) and its Deuring counts differ."""
+    return trace_grid(p)[census(p) != deuring_counts(p, twelve_h_weighted_table(4 * p))]
 
 
 class TestDeuring:
     def test_p5_all_match(self):
-        assert _deuring(5).all_match
+        assert _mismatches(5).size == 0
 
     def test_p7_r5_row(self):
-        rep = _deuring(7)
-        assert rep.ordinary_all_match
-        assert rep.ordinary_mismatches == ()
+        assert not _mismatches(7).any()
 
     @pytest.mark.parametrize("p", [10007, 20011])
     def test_large_primes_all_match(self, p):
-        assert _deuring(p).all_match
+        assert _mismatches(p).size == 0
 
     def test_largest_census_primes_match(self):
         # p = 99989 and 99991 are the largest primes under MAX_CENSUS_PRIME,
@@ -345,10 +343,8 @@ class TestDeuring:
             assert np.array_equal(got[ordinary], want[ordinary]), p
 
     def test_p11_supersingular(self):
-        rep = _deuring(11)
-        assert rep.supersingular.r == 0
-        assert rep.supersingular.matches
-        assert rep.supersingular.census_count == 20
+        assert 0 not in _mismatches(11)
+        assert _by_r(11)[0] == 20
 
     def test_counts_against_scalar_class_numbers(self):
         for p in (5, 7, 37):
@@ -360,7 +356,7 @@ class TestDeuring:
         with pytest.raises(DomainError):
             deuring_counts(37, twelve_h_weighted_table(4 * 37 - 1))
         with pytest.raises(DomainError):
-            deuring_check(37, twelve_h_weighted_table(100))
+            deuring_sweep(37, twelve_h_weighted_table(100))
 
     def test_one_entry_not_divisible_by_12(self):
         table = twelve_h_weighted_table(20)
@@ -370,22 +366,24 @@ class TestDeuring:
 
     def test_mismatch_rows(self):
         # a doubled table doubles every expected count: every nonzero row of
-        # the census mismatches, and r = 0 is reported only as supersingular
+        # the census mismatches, r = 0 among them
         p = 11
-        rep = deuring_check(p, 2 * twelve_h_weighted_table(4 * p))
-        assert not rep.ordinary_all_match and not rep.all_match
-        assert not rep.supersingular.matches
-        assert rep.supersingular.expected_count == 2 * rep.supersingular.census_count
-        by_r = _by_r(p)
-        assert [row.r for row in rep.ordinary_mismatches] == [
-            r for r, c in by_r.items() if c and r != 0
-        ]
-        assert all(row.expected_count == 2 * row.census_count for row in rep.ordinary_mismatches)
+        q, r = deuring_sweep(p, 2 * twelve_h_weighted_table(4 * p))[-1]
+        assert q == p and 0 in r
+        assert r.tolist() == [t for t, c in _by_r(p).items() if c]
+
+    def test_one_shifted_entry(self):
+        # 12H(-404) + 12 moves the expected count at r^2 - 4p = -404 only:
+        # r = 0 at p = 101, and r = +-12 at p = 137
+        table = twelve_h_weighted_table(4 * 137)
+        table[4 * 101] += 12
+        bad = {p: r.tolist() for p, r in deuring_sweep(137, table) if r.size}
+        assert bad == {101: [0], 137: [-12, 12]}
 
     def test_sweep_covers_primes_from_5(self):
-        reps = deuring_sweep(60, twelve_h_weighted_table(240))
-        assert [rep.p for rep in reps] == [int(q) for q in sieve(60).primes if q >= 5]
-        assert all(rep.all_match for rep in reps)
+        sweep = deuring_sweep(60, twelve_h_weighted_table(240))
+        assert [p for p, _ in sweep] == [int(q) for q in sieve(60).primes if q >= 5]
+        assert all(r.size == 0 for _, r in sweep)
 
 
 class TestPiStar:

