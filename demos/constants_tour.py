@@ -35,12 +35,13 @@ print("\nper-shift constants (note the symmetry r <-> 2 - r):")
 for r in (3, -1, 5, -3, 7, 9):
     print(f"  C_{r:<3} = {C_r(r, L).value:.9f}")
 
-g = gallagher_sum(10**3, L)
+R = 10**3
+g = gallagher_sum(R, L)
 print(
-    f"\naveraging C_r over odd 1 < r <= {g.R}: "
+    f"\naveraging C_r over odd 1 < r <= {R}: "
     f"sum / (frak_C * R) = {g.ratio:.5f}  (tends to 1)"
 )
 print(
-    f"two-sided sum over odd |r| <= {g.R}, r != 1: "
+    f"two-sided sum over odd |r| <= {R}, r != 1: "
     f"ratio = {g.ratio_two_sided:.5f}  (tends to 2)"
 )

@@ -45,7 +45,7 @@ class CharacterTable:
 def _generators(q: int) -> list[tuple[int, int]]:
     """(generator lifted to mod q, order) of each cyclic factor of (Z/q)^*."""
     gens = []
-    for p, k in factorize(q).pairs:
+    for p, k in factorize(q):
         pk = p**k
         if p == 2:
             local = [(pk - 1, 2), (5, pk // 4)][: max(k - 1, 0)]

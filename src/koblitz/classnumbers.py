@@ -53,7 +53,6 @@ def twelve_h_weighted_table(dmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HBoundReport:
-    dmax: int
     max_ratio: float
     argmax: int
 
@@ -68,4 +67,4 @@ def H_bound_check(table: np.ndarray) -> HBoundReport:
         ratio = (table / 12.0) / (np.sqrt(k) * np.log(k) ** 2)
     ratio[:3] = 0.0
     arg = int(np.argmax(ratio))
-    return HBoundReport(dmax=dmax, max_ratio=float(ratio[arg]), argmax=arg)
+    return HBoundReport(max_ratio=float(ratio[arg]), argmax=arg)

@@ -78,17 +78,14 @@ def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> 
 
 def _cmd_constants(args) -> int:
     cv = constants.average_constant(args.L)
+    ledgers = {ell: constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13)}
     payload = {
         "frak_C": cv.value,
         "tail_bound": cv.tail_bound,
-        "L": cv.truncation_limit,
+        "L": args.L,
         "local_factors": [
-            {
-                "ell": led.prime,
-                "omega": led.omega_prime_count,
-                "gl2": led.gl2_order,
-            }
-            for led in (constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13))
+            {"ell": ell, "omega": led.omega_prime_count, "gl2": led.gl2_order}
+            for ell, led in ledgers.items()
         ],
     }
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -147,7 +144,7 @@ def _cmd_cr(args) -> int:
     payload = {
         "r": args.r,
         "C_r": cv.value,
-        "L": cv.truncation_limit,
+        "L": args.L,
         "tail_bound": cv.tail_bound,
     }
     if args.U is not None:

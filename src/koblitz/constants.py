@@ -34,7 +34,6 @@ MAX_GL2_PRIME = 50
 
 @dataclass(frozen=True)
 class LocalFactorLedger:
-    prime: int
     omega_prime_count: int
     gl2_order: int
     factor: Fraction
@@ -64,9 +63,7 @@ def gl2_count(ell: int) -> LocalFactorLedger:
     factor = 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
     if lhs != factor:
         raise AssertionError(f"GL2 local factor identity fails at ell={ell}")
-    return LocalFactorLedger(
-        prime=ell, omega_prime_count=omega, gl2_order=gl2, factor=factor
-    )
+    return LocalFactorLedger(omega_prime_count=omega, gl2_order=gl2, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +74,6 @@ def gl2_count(ell: int) -> LocalFactorLedger:
 @dataclass(frozen=True)
 class ConstantValue:
     value: float
-    truncation_limit: int
     tail_bound: float
 
 
@@ -145,9 +141,7 @@ def average_constant(limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
     if limit < 10**3:
         raise DomainError("truncation limit must be >= 1000")
     form2, tail = _frak_c_parts(limit)
-    return ConstantValue(
-        value=form2 * math.exp(-tail), truncation_limit=limit, tail_bound=tail
-    )
+    return ConstantValue(value=form2 * math.exp(-tail), tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def c_f_r(n: int, f: int, r: int) -> int:
     if math.gcd(r, f) != 1 or math.gcd(r - 2, f) != 1:
         return 0
     out = 1
-    for ell, alpha in factorize(n).pairs:
+    for ell, alpha in factorize(n):
         lead = ell ** (alpha - 1)
         if ell == 2:
             out *= lead * (-1 if alpha % 2 else 1)
@@ -313,11 +307,11 @@ def C_r(r: int, limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
         raise DomainError("truncation limit must be >= 1000")
     base, tail = _c_r_base(limit)
     val = base
-    for p in factorize(abs(r - 1)).odd_primes():
+    for p, _ in factorize(abs(r - 1))[1:]:  # r - 1 is even: the pairs after (2, e)
         val *= 1.0 + (p + 1.0) / (p * p - 2.0 * p - 2.0)
-    for p in set(factorize(abs(r)).odd_primes()) | set(factorize(abs(r - 2)).odd_primes()):
+    for p in {p for p, _ in factorize(abs(r))} | {p for p, _ in factorize(abs(r - 2))}:
         val *= 1.0 + 1.0 / (p * p - 2.0 * p - 2.0)
-    return ConstantValue(value=val, truncation_limit=limit, tail_bound=tail)
+    return ConstantValue(value=val, tail_bound=tail)
 
 
 MAX_ORACLE_U = 10**4
@@ -361,7 +355,6 @@ def C_r_oracle(r: int, U: int, V: int, limit: int = DEFAULT_TRUNCATION) -> float
 
 @dataclass(frozen=True)
 class GallagherAverage:
-    R: int
     sum_positive: float  # over odd 1 < r <= R
     sum_two_sided: float  # over odd |r| <= R, r != 1
     frak_c: float
@@ -392,7 +385,6 @@ def gallagher_sum(R: int, limit: int = DEFAULT_TRUNCATION) -> GallagherAverage:
             sum_neg += v
     two_sided = sum_pos + sum_neg
     return GallagherAverage(
-        R=R,
         sum_positive=sum_pos,
         sum_two_sided=two_sided,
         frak_c=frak_c,

@@ -240,6 +240,13 @@ def trace_grid(p: int) -> np.ndarray:
     return np.arange(-off, off + 1, dtype=np.int64)
 
 
+def twin_traces(flags: np.ndarray, p: int) -> np.ndarray:
+    """flags[p + 1 - r] over trace_grid(p): the traces r with p + 1 - r prime,
+    for primality flags that reach p + 1 + isqrt(4p)."""
+    off = math.isqrt(4 * p)
+    return flags[p + 1 + off : p - off : -1]
+
+
 def censuses(primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(p, census(p)) for each p in `primes`, in order, computed batch by batch.
 
@@ -287,8 +294,8 @@ def deuring_sweep(pmax: int, table: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 def pi_star(p: int) -> int:
     """#{curves over F_p with a prime number of points}."""
-    hist, r = census(p), trace_grid(p)
-    return int(hist[sieve(p + 1 + r[-1]).flags[p + 1 - r]].sum())
+    flags = sieve(p + 1 + math.isqrt(4 * p)).flags
+    return int(census(p)[twin_traces(flags, p)].sum())
 
 
 def _residue_multiplicities(bound: int, p: int) -> tuple[int, np.ndarray]:

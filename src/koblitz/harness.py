@@ -58,12 +58,6 @@ def _integral_main_term(pmax: int, frak_c: float) -> float:
     return frak_c * half * float(_LEG_W @ (np.exp(3 * v) / (v * v)))
 
 
-def _twin_traces(flags: np.ndarray, p: int) -> np.ndarray:
-    """flags[p + 1 - r] over trace_grid(p): the traces r with p + 1 - r prime."""
-    off = math.isqrt(4 * p)
-    return flags[p + 1 + off : p - off : -1]
-
-
 def run_theorem2(pmax: int) -> Report:
     """Sum of pi*(p) over p <= pmax via class numbers, against the main term.
 
@@ -76,17 +70,15 @@ def run_theorem2(pmax: int) -> Report:
         raise DomainError("pmax too small")
     table = classnumbers.twelve_h_weighted_table(4 * pmax)
     flags = sieve(pmax + 2 * math.isqrt(pmax) + 2).flags
-    # before the census loop, so its sieve's peak memory does not stack on
-    # the trial-division primes that the censuses keep for the process
     frak_c = constants.average_constant().value
     with_census = pmax <= 3000
     primes = np.flatnonzero(flags[: pmax + 1])[2:].tolist()  # 5 <= p <= pmax
     class_route = sum(
-        int(curves.deuring_counts(p, table)[_twin_traces(flags, p)].sum()) for p in primes
+        int(curves.deuring_counts(p, table)[curves.twin_traces(flags, p)].sum()) for p in primes
     )
     if with_census:
         census_route = sum(
-            int(hist[_twin_traces(flags, p)].sum()) for p, hist in curves.censuses(primes)
+            int(hist[curves.twin_traces(flags, p)].sum()) for p, hist in curves.censuses(primes)
         )
     integral_term = _integral_main_term(pmax, frak_c)
     asymptotic = frak_c * pmax**3 / (3 * math.log(pmax) ** 2)
@@ -134,7 +126,7 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     total = 0
     terms = [np.zeros(1)]  # H(r^2-4p)/p per twin trace, summed from 0.0 in order
     for p in np.flatnonzero(flags[: x + 1])[2:].tolist():  # 5 <= p <= x
-        good = _twin_traces(flags, p)
+        good = curves.twin_traces(flags, p)
         total += int(curves.box_trace_histogram(p, box_a, box_b)[good].sum())
         # (p-1)H / (p-1) rounds to the same float as 12H / 12
         terms.append(curves.deuring_counts(p, table)[good] / (p - 1) / p)

@@ -1,7 +1,9 @@
 """Integer primitives: sieves, primality, factorization, Kronecker symbol.
 
-Everything here is pure and deterministic; the heavier callers (censuses,
-Euler products) lean on the numpy-backed sieve and on `kronecker_table`.
+Everything here is pure and deterministic and keeps no state between calls.
+The heavier callers (Euler products, window statistics, census prime lists)
+lean on the numpy-backed sieves; factorization is for the small integers
+behind primitive roots, phi, rho and the finite corrections of C_r.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ MAX_SIEVE_LIMIT = 1 << 30
 # Strong-pseudoprime witnesses covering every n < 3.3 * 10^24, hence all of
 # 64-bit range (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Trial-division stage of factorize() uses primes up to this bound.
-_TRIAL_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -149,7 +148,7 @@ def kronecker_table(n: int, length: int) -> np.ndarray:
         raise DomainError("kronecker_table requires n >= 1")
     a = np.arange(length, dtype=np.int64)
     out = np.ones(length, dtype=np.int8)
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         if p == 2:
             # (a|2): 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
             m8 = a & 7
@@ -169,43 +168,13 @@ def kronecker_table(n: int, length: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ascending (prime, exponent) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def odd_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs if p != 2)
-
-
-# Every prime <= _trial_bound, ascending; grown on demand up to _TRIAL_LIMIT.
-_trial_primes: list[int] = []
-_trial_bound = 1
-
-
-def _get_trial_primes(n: int) -> list[int]:
-    """The trial-division primes for n: every prime <= min(isqrt(n), _TRIAL_LIMIT).
-
-    The list grows at least twofold at a time, so the sieves it takes cost
-    about as much as one sieve to the largest bound asked for.
-    """
-    global _trial_primes, _trial_bound
-    need = min(math.isqrt(n), _TRIAL_LIMIT)
-    if need > _trial_bound:
-        _trial_bound = min(max(need, 2 * _trial_bound), _TRIAL_LIMIT)
-        _trial_primes = sieve(_trial_bound).primes.tolist()
-    return _trial_primes
+# The trial divisors of factorize(): every prime below 1000.
+_TRIAL_PRIMES = tuple(sieve(1000).primes.tolist())
 
 
 def _pollard_brent(n: int) -> int:
-    """Deterministic Brent-cycle Pollard rho; returns a nontrivial factor."""
-    if n % 2 == 0:
-        return 2
+    """Deterministic Brent-cycle Pollard rho; returns a nontrivial factor of
+    an odd composite n."""
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -232,30 +201,30 @@ def _pollard_brent(n: int) -> int:
     raise RuntimeError(f"factorization failed for {n}")  # pragma: no cover
 
 
-def factorize(n: int) -> Factorization:
-    """Exact factorization for 1 <= n < 2^63."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of n, exact for 1 <= n < 2^63."""
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     pairs: dict[int, int] = {}
-    for p in _get_trial_primes(n):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
             pairs[p] = pairs.get(p, 0) + 1
             n //= p
-    # Every prime <= min(isqrt(n), 999983) is divided out.  Below 10^12 that
-    # leaves no composite cofactor; above, the smallest composite left,
-    # 1000003^2, exceeds _TRIAL_LIMIT^2: either way a smaller cofactor is prime.
+    # Had the loop stopped at p, n < p^2 with no prime factor below p is 1 or
+    # a prime.  Otherwise every prime factor of n exceeds 1000: n < 1009^2 is
+    # prime, and a composite n is odd, as is each factor Pollard-Brent splits.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m < _TRIAL_LIMIT**2 or is_prime(m):
+        if m < 10**6 or is_prime(m):
             pairs[m] = pairs.get(m, 0) + 1
             continue
         d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(pairs=tuple(sorted(pairs.items())))
+    return tuple(sorted(pairs.items()))
 
 
 def phi(n: int) -> int:
@@ -263,7 +232,7 @@ def phi(n: int) -> int:
     if n < 1:
         raise DomainError("phi requires n >= 1")
     out = 1
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -271,13 +240,13 @@ def phi(n: int) -> int:
 def moebius(n: int) -> int:
     if n < 1:
         raise DomainError("moebius requires n >= 1")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.pairs):
+    pairs = factorize(n)
+    if any(e > 1 for _, e in pairs):
         return 0
-    return -1 if len(fac.pairs) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
 def _least_primitive_root(p: int) -> int:
     """Least primitive root mod p, for a p the caller has checked to be prime."""
-    divs = factorize(p - 1).primes
+    divs = [d for d, _ in factorize(p - 1)]
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // d, p) != 1 for d in divs))

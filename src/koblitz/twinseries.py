@@ -33,8 +33,9 @@ def _twin_constant(limit: int) -> float:
 
 def _odd_prime_correction(r: int) -> float:
     out = 1.0
-    for p in factorize(abs(r)).odd_primes():
-        out *= (p - 1.0) / (p - 2.0)
+    for p, _ in factorize(abs(r)):
+        if p != 2:
+            out *= (p - 1.0) / (p - 2.0)
     return out
 
 
@@ -67,7 +68,7 @@ def rho(r: int, q: int) -> int:
     if q < 1:
         raise DomainError("q must be >= 1")
     out = 1
-    for p, e in factorize(q).pairs:
+    for p, e in factorize(q):
         pe = p**e
         if r % p == 0:
             out *= pe - pe // p
@@ -123,11 +124,10 @@ def F_mult(s: int, r: int, q: int, a: int) -> int:
     """F(s;r;q,a) for squarefree s, as the product of local factors."""
     if s < 1:
         raise DomainError("s must be >= 1")
-    fac = factorize(s)
-    if any(e > 1 for _, e in fac.pairs):
-        raise DomainError(f"s={s} is not squarefree")
     out = 1
-    for p in fac.primes:
+    for p, e in factorize(s):
+        if e > 1:
+            raise DomainError(f"s={s} is not squarefree")
         out *= F_local(p, r, q, a)
     return out
 

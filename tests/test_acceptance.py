@@ -76,7 +76,7 @@ def test_criterion_04_character_sum_lemmas():
                 c_num = sum(constants.c_series_term(ell, k, r) for k in range(61))
                 assert abs(float(c_num - ls.c_sum)) <= 1e-12
     for s in range(1, 101):
-        if any(e > 1 for _, e in factorize(s).pairs):
+        if any(e > 1 for _, e in factorize(s)):
             continue
         for r in range(-10, 11):
             for a in range(-10, 11):

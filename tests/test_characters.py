@@ -91,7 +91,7 @@ class TestCharacterGroup:
         assert pow(5, 40486, q) == 1
         [(g, order)] = _generators(q)
         assert order == phi(q)
-        assert all(pow(g, order // ell, q) != 1 for ell in factorize(order).primes)
+        assert all(pow(g, order // ell, q) != 1 for ell, _ in factorize(order))
 
     def test_domain_and_capacity(self):
         with pytest.raises(DomainError):
@@ -102,7 +102,6 @@ class TestCharacterGroup:
     def test_capacity_checked_before_allocation(self):
         q = 9973  # prime; its phi(q) x q table would take 1.6 GB
         assert q * phi(q) > MAX_CHARACTER_CELLS
-        factorize(q)  # the trial-division primes are built once per process
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):

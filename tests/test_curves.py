@@ -301,9 +301,9 @@ class TestBatchedTables:
                 censuses(bad)
 
     def test_batched_memory(self):
-        # a second pass, after the trial-division primes and FFT plans are
-        # cached: one census per prime at a time peaked at 0.22 MB (222 980 B),
-        # batches of up to 2^14 cells at 0.87 MB (873 963 B)
+        # a second pass, after the FFT plans are cached: one census per prime
+        # at a time peaked at 0.22 MB (222 980 B), batches of up to 2^14 cells
+        # at 0.87 MB (873 963 B)
         primes = [int(q) for q in sieve(500).primes if q >= 5]
         list(censuses(primes))
         tracemalloc.start()

@@ -43,6 +43,23 @@ def _oracle_is_prime(n):
     return True
 
 
+def _oracle_factorize(n):
+    """Trial division by every d >= 2 up to sqrt(n), no sieve."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
 def _oracle_kronecker(a, n):
     """Kronecker symbol built from Euler's criterion and multiplicativity,
     independent of the production implementation."""
@@ -201,32 +218,25 @@ class TestKronecker:
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(12).pairs == ((2, 2), (3, 1))
-        assert factorize(1).pairs == ()
-        assert factorize(2**61 - 1).pairs == ((2**61 - 1, 1),)
-        # either side of the trial-division bound 10^12
-        assert factorize(1000003**2).pairs == ((1000003, 2),)
-        assert factorize(999983 * 1000003).pairs == ((999983, 1), (1000003, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(1) == ()
+        assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+        # squares and products of primes above 10^6, split by Pollard-Brent
+        assert factorize(1000003**2) == ((1000003, 2),)
+        assert factorize(999983 * 1000003) == ((999983, 1), (1000003, 1))
 
-    def test_trial_primes_sized_to_need(self, monkeypatch):
-        monkeypatch.setattr(primes, "_trial_primes", [])
-        monkeypatch.setattr(primes, "_trial_bound", 1)
-        assert factorize(3).pairs == ((3, 1),)
-        assert primes._trial_primes == []
-        assert factorize(499).pairs == ((499, 1),)
-        assert primes._trial_primes == _oracle_sieve(22)
-        # a small step still doubles the bound
-        assert factorize(23 * 23).pairs == ((23, 2),)
-        assert primes._trial_bound == 44
-        assert factorize(999983 * 999979).pairs == ((999979, 1), (999983, 1))
-        assert primes._trial_bound == 999980
-        assert factorize(1000003**2).pairs == ((1000003, 2),)
-        assert primes._trial_bound == 10**6
-        assert len(primes._trial_primes) == 78498
+    def test_trial_boundary(self):
+        # trial division stops at 997, where a cofactor below 10^6 is prime;
+        # 1009^2 and 1009 * 1013 are the first composites past it to split,
+        # and 722 000 = 2^4 5^3 19^2 is the largest n the CLI verbs and demos
+        # ask for at their default and benchmark sizes
+        assert primes._TRIAL_PRIMES == tuple(_oracle_sieve(1000))
+        for n in (999983, 1009**2, 1009 * 1013, 997 * 1009, 997**2, 722000, 10**6 - 1):
+            assert factorize(n) == _oracle_factorize(n), n
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
-        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -237,12 +247,12 @@ class TestFactorize:
     def test_roundtrip_and_primality(self, n):
         fac = factorize(n)
         prod = 1
-        for p, e in fac.pairs:
+        for p, e in fac:
             assert e >= 1
             assert _oracle_is_prime(p) if p < 10**6 else is_prime(p)
             prod *= p**e
         assert prod == n
-        assert fac.primes == tuple(sorted(fac.primes))
+        assert isinstance(fac, tuple) and fac == tuple(sorted(fac))
 
 
 class TestMultiplicativeFunctions:

@@ -32,6 +32,17 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_no_global_statements():
+    # module state changed from inside a function is state every caller shares
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert SOURCES and not found, found
+
+
 def test_public_names_have_a_caller():
     # scalar and brute-force routes used only by tests live in tests/oracles.py
     referenced = set()
