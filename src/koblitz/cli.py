@@ -147,12 +147,6 @@ def _cmd_cr(args) -> int:
         "L": args.L,
         "tail_bound": cv.tail_bound,
     }
-    if args.U is not None:
-        oracle = constants.C_r_oracle(args.r, args.U, args.V, limit=args.L)
-        payload["oracle"] = oracle
-        payload["oracle_abs_error"] = abs(oracle - cv.value)
-        payload["U"] = args.U
-        payload["V"] = args.V
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -201,11 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=int, default=0)
     p.add_argument("--Y", type=int, required=True)
 
-    p = add("cr", _cmd_cr, help="per-shift constant and its oracle")
+    p = add("cr", _cmd_cr, help="per-shift constant C_r")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
-    p.add_argument("--U", type=int, default=None)
-    p.add_argument("--V", type=int, default=20)
 
     p = add("verify", _cmd_verify, help="run an invariant suite")
     p.add_argument(

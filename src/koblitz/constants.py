@@ -16,13 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import (
-    factorize,
-    is_prime,
-    kronecker_table,
-    prime_terms,
-)
-from .twinseries import DEFAULT_TRUNCATION, singular_series_mod
+from .primes import factorize, is_prime, prime_terms
+from .twinseries import DEFAULT_TRUNCATION
 
 MAX_GL2_PRIME = 50
 
@@ -312,45 +307,6 @@ def C_r(r: int, limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
     for p in {p for p, _ in factorize(abs(r))} | {p for p, _ in factorize(abs(r - 2))}:
         val *= 1.0 + 1.0 / (p * p - 2.0 * p - 2.0)
     return ConstantValue(value=val, tail_bound=tail)
-
-
-MAX_ORACLE_U = 10**4
-MAX_ORACLE_V = 50
-
-
-def C_r_oracle(r: int, U: int, V: int, limit: int = DEFAULT_TRUNCATION) -> float:
-    """Truncated triple sum converging to C_r, error O(1/V^2 + 1/sqrt(U)).
-
-    sum over odd f <= V, n <= U of (1/nf) sum_{a mod 4n} (a|n) S(r-1, nf^2, b)
-    with b = (r^2 - a f^2)/4 where integral.  Kept independent of the closed
-    form: the inner character sum is evaluated directly, never via c_f_r.
-    """
-    if U > MAX_ORACLE_U or V > MAX_ORACLE_V:
-        raise CapacityError(f"oracle budget exceeded (U<={MAX_ORACLE_U}, V<={MAX_ORACLE_V})")
-    if U < 1 or V < 1:
-        raise DomainError("U and V must be >= 1")
-    fs = np.arange(1, V + 1, 2, dtype=np.int64)
-    f2 = (fs * fs)[:, None]
-    terms = np.zeros((fs.size, U))  # row f, column n - 1
-    for n in range(1, U + 1):
-        # f is odd, so f^2 = 1 mod 4 and 4 | r^2 - a f^2 exactly when a = r^2 mod 4
-        a = np.arange(4 * n, dtype=np.int64)
-        a = a[(np.gcd(a, 4 * n) == 1) & (a % 4 == r * r % 4)]
-        if a.size == 0:  # even r
-            continue
-        q = n * f2
-        x = r * r - a * f2
-        b = (x // 4) % q
-        ok = (np.gcd(b, q) == 1) & (np.gcd((b - (r - 1)) % q, q) == 1)
-        kron_sums = np.where(ok, kronecker_table(n, 4 * n)[a].astype(np.int64), 0).sum(axis=1)
-        for i in np.flatnonzero(kron_sums).tolist():
-            f = int(fs[i])
-            # S(r-1, q, b) is the same for every admissible b
-            b0 = int(x[i][ok[i]][0] // 4)
-            dens = singular_series_mod(r - 1, n * f * f, b0, limit)
-            terms[i, n - 1] = dens * int(kron_sums[i]) / (n * f)
-    # f-major: the order of the sum over f, then n
-    return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)

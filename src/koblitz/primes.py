@@ -1,9 +1,9 @@
-"""Integer primitives: sieves, primality, factorization, Kronecker symbol.
+"""Integer primitives: sieves, primality and factorization.
 
 Everything here is pure and deterministic and keeps no state between calls.
 The heavier callers (Euler products, window statistics, census prime lists)
-lean on the numpy-backed sieves; factorization is for the small integers
-behind primitive roots, phi, rho and the finite corrections of C_r.
+lean on the numpy-backed sieves; factorization is for the integers below
+2^63 behind primitive roots, phi, rho and the finite corrections of C_r.
 """
 
 from __future__ import annotations
@@ -142,32 +142,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def kronecker_table(n: int, length: int) -> np.ndarray:
-    """Vector of the Kronecker symbols (a|n) for a = 0..length-1 (n >= 1), dtype int8."""
-    if n < 1:
-        raise DomainError("kronecker_table requires n >= 1")
-    a = np.arange(length, dtype=np.int64)
-    out = np.ones(length, dtype=np.int8)
-    for p, e in factorize(n):
-        if p == 2:
-            # (a|2): 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
-            m8 = a & 7
-            col = np.zeros(length, dtype=np.int8)
-            col[(m8 == 1) | (m8 == 7)] = 1
-            col[(m8 == 3) | (m8 == 5)] = -1
-        else:
-            leg = np.full(p, -1, dtype=np.int8)
-            leg[0] = 0
-            sq = np.arange(1, p, dtype=np.int64)
-            leg[(sq * sq) % p] = 1
-            col = leg[a % p]
-        if e % 2 == 1:
-            out *= col
-        else:
-            out *= np.abs(col)
-    return out
-
-
 # The trial divisors of factorize(): every prime below 1000.
 _TRIAL_PRIMES = tuple(sieve(1000).primes.tolist())
 
@@ -202,9 +176,9 @@ def _pollard_brent(n: int) -> int:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Ascending (prime, exponent) pairs of n, exact for 1 <= n < 2^63."""
-    if n < 1:
-        raise DomainError("factorize requires n >= 1")
+    """Ascending (prime, exponent) pairs of n, for 1 <= n < 2^63."""
+    if not 1 <= n < 1 << 63:
+        raise DomainError("factorize requires 1 <= n < 2^63")
     pairs: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:

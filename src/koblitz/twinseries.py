@@ -54,13 +54,13 @@ def singular_series_table(n: int) -> np.ndarray:
     return _twin_constant(DEFAULT_TRUNCATION) * corr
 
 
-def singular_series(r: int, limit: int = DEFAULT_TRUNCATION) -> float:
+def singular_series(r: int) -> float:
     """S(r): 0 for odd r; 2*C2 * prod_{odd p | r} (p-1)/(p-2) for even r."""
     if r == 0:
         raise DomainError("singular series undefined at r = 0")
     if r % 2 != 0:
         return 0.0
-    return _twin_constant(limit) * _odd_prime_correction(r)
+    return _twin_constant(DEFAULT_TRUNCATION) * _odd_prime_correction(r)
 
 
 def rho(r: int, q: int) -> int:
@@ -77,7 +77,7 @@ def rho(r: int, q: int) -> int:
     return out
 
 
-def singular_series_mod(r: int, q: int, a: int, limit: int = DEFAULT_TRUNCATION) -> float:
+def singular_series_mod(r: int, q: int, a: int) -> float:
     """S(r,q,a) = S(rq)/phi(q) when 2 | r and (a,q) = (a-r,q) = 1, else 0.
 
     Computed by both defining routes (S(rq)/phi(q) and S(r)/rho(r,q)); they
@@ -89,8 +89,8 @@ def singular_series_mod(r: int, q: int, a: int, limit: int = DEFAULT_TRUNCATION)
         raise DomainError("q must be >= 1")
     if r % 2 != 0 or math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
         return 0.0
-    via_product = singular_series(r * q, limit) / phi(q)
-    via_rho = singular_series(r, limit) / rho(r, q)
+    via_product = singular_series(r * q) / phi(q)
+    via_rho = singular_series(r) / rho(r, q)
     if abs(via_product - via_rho) > 1e-10 * abs(via_product):
         raise AssertionError(
             f"singular series routes disagree at (r,q,a)=({r},{q},{a})"

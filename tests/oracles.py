@@ -3,9 +3,10 @@
 Each one computes a quantity straight from its definition, independently of
 the array kernel the package uses for it: point-count traces, the singular
 pairs mod p and the per-curve twin count (curves), reduced-form class numbers
-(classnumbers), the scalar Kronecker symbol (primes), the character sum
-c_f^r(n) and the Euler products from one full sieve (constants), and the
-window error E and 2*C2 (twinseries).
+(classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
+the character sum c_f^r(n), the Euler products from one full sieve and the
+triple sum over f, n and a that converges to C_r (constants), and the window
+error E, 2*C2 and the exponential sum F(s; r; q, a) (twinseries).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from koblitz.constants import _c_r_base_neg_log_factor, _check_cfr_args, _log_tail
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
-from koblitz.primes import is_prime, kronecker_table, sieve
-from koblitz.twinseries import DEFAULT_TRUNCATION, TwinWindow, psi, singular_series_mod
+from koblitz.primes import factorize, is_prime, sieve
+from koblitz.twinseries import TwinWindow, psi, singular_series_mod
 
 # ---------------------------------------------------------------------------
 # curves
@@ -183,6 +184,32 @@ def kronecker(a: int, n: int) -> int:
     return res if n == 1 else 0
 
 
+def kronecker_table(n: int, length: int) -> np.ndarray:
+    """Vector of the Kronecker symbols (a|n) for a = 0..length-1 (n >= 1), dtype int8."""
+    if n < 1:
+        raise DomainError("kronecker_table requires n >= 1")
+    a = np.arange(length, dtype=np.int64)
+    out = np.ones(length, dtype=np.int8)
+    for p, e in factorize(n):
+        if p == 2:
+            # (a|2): 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
+            m8 = a & 7
+            col = np.zeros(length, dtype=np.int8)
+            col[(m8 == 1) | (m8 == 7)] = 1
+            col[(m8 == 3) | (m8 == 5)] = -1
+        else:
+            leg = np.full(p, -1, dtype=np.int8)
+            leg[0] = 0
+            sq = np.arange(1, p, dtype=np.int64)
+            leg[(sq * sq) % p] = 1
+            col = leg[a % p]
+        if e % 2 == 1:
+            out *= col
+        else:
+            out *= np.abs(col)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
@@ -236,20 +263,47 @@ def c_r_base_full_sieve(limit: int) -> tuple[float, float]:
     return (4.0 / 3.0) * math.exp(log_sum - tail), tail
 
 
+def C_r_oracle(r: int, U: int, V: int) -> float:
+    """Truncated triple sum converging to C_r, error O(1/V^2 + 1/sqrt(U)).
+
+    sum over odd f <= V, n <= U of (1/nf) sum_{a mod 4n} (a|n) S(r-1, nf^2, b)
+    with b = (r^2 - a f^2)/4 where integral.  Kept independent of the closed
+    form: the inner character sum is evaluated directly, never via c_f_r.
+    """
+    if U < 1 or V < 1:
+        raise DomainError("U and V must be >= 1")
+    fs = np.arange(1, V + 1, 2, dtype=np.int64)
+    f2 = (fs * fs)[:, None]
+    terms = np.zeros((fs.size, U))  # row f, column n - 1
+    for n in range(1, U + 1):
+        # f is odd, so f^2 = 1 mod 4 and 4 | r^2 - a f^2 exactly when a = r^2 mod 4
+        a = np.arange(4 * n, dtype=np.int64)
+        a = a[(np.gcd(a, 4 * n) == 1) & (a % 4 == r * r % 4)]
+        if a.size == 0:  # even r
+            continue
+        q = n * f2
+        x = r * r - a * f2
+        b = (x // 4) % q
+        ok = (np.gcd(b, q) == 1) & (np.gcd((b - (r - 1)) % q, q) == 1)
+        kron_sums = np.where(ok, kronecker_table(n, 4 * n)[a].astype(np.int64), 0).sum(axis=1)
+        for i in np.flatnonzero(kron_sums).tolist():
+            f = int(fs[i])
+            # S(r-1, q, b) is the same for every admissible b
+            b0 = int(x[i][ok[i]][0] // 4)
+            dens = singular_series_mod(r - 1, n * f * f, b0)
+            terms[i, n - 1] = dens * int(kron_sums[i]) / (n * f)
+    # f-major: the order of the sum over f, then n
+    return float(np.cumsum(terms)[-1])
+
+
 # ---------------------------------------------------------------------------
 # twinseries
 # ---------------------------------------------------------------------------
 
 
-def error_E(
-    window: TwinWindow,
-    r: int,
-    q: int,
-    a: int,
-    limit: int = DEFAULT_TRUNCATION,
-) -> float:
+def error_E(window: TwinWindow, r: int, q: int, a: int) -> float:
     """E = psi(window; r, q, a) - S(r,q,a) * Y."""
-    expected = singular_series_mod(r, q, a, limit) * window.Y
+    expected = singular_series_mod(r, q, a) * window.Y
     return psi(window, r, q, a) - expected
 
 
@@ -257,3 +311,24 @@ def twin_constant_full_sieve(limit: int) -> float:
     """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2, from one full sieve."""
     ell = sieve(limit).primes[1:].astype(np.float64)
     return 2.0 * math.exp(np.log1p(-1.0 / (ell - 1.0) ** 2).sum())
+
+
+def exponential_sum_F(s: int, r: int, q: int, a: int) -> int:
+    """F(s;r;q,a) as the exponential double sum over units b, c mod s with
+    gcd(q, s) | c - a, independent of the multiplicative route."""
+    g = math.gcd(q, s)
+    return _exponential_sum_F(s, r % s, g, a % g)
+
+
+@functools.lru_cache(maxsize=None)
+def _exponential_sum_F(s: int, r: int, g: int, a: int) -> int:
+    """exponential_sum_F on canonical arguments: 0 <= r < s, g = gcd(q, s), 0 <= a < g."""
+    b = np.array([t for t in range(s) if math.gcd(t, s) == 1], dtype=np.int64)
+    c = b[(b - a) % g == 0]
+    phase = np.exp(2j * np.pi * (np.outer(b, c) % s) / s)
+    rb = np.exp(-2j * np.pi * ((r * b) % s) / s)
+    val = complex((rb * phase.sum(axis=1)).sum())
+    out = round(val.real)
+    if abs(val.real - out) > 1e-6 or abs(val.imag) > 1e-6:
+        raise AssertionError(f"non-integer exponential sum at {(s, r, g, a)}")
+    return out

@@ -15,7 +15,7 @@ from koblitz import constants, curves, harness, twinseries
 from koblitz.characters import characters, rho_chi
 from koblitz.classnumbers import twelve_h_weighted_table
 from koblitz.primes import factorize, moebius, sieve
-from oracles import c_f_r_bruteforce
+from oracles import C_r_oracle, c_f_r_bruteforce, exponential_sum_F
 
 
 def test_criterion_01_deuring_exactness():
@@ -81,7 +81,7 @@ def test_criterion_04_character_sum_lemmas():
         for r in range(-10, 11):
             for a in range(-10, 11):
                 for q in (1, 2, 3, 4, 6, 12):
-                    assert twinseries.F_mult(s, r, q, a) == harness._brute_F(
+                    assert twinseries.F_mult(s, r, q, a) == exponential_sum_F(
                         s, r, q, a
                     ), (s, r, q, a)
 
@@ -132,7 +132,7 @@ def test_criterion_07_cr_oracle_convergence():
     """|oracle - C_r| decreases as U doubles (1.5x noise allowance), V=20."""
     for r in (3, 5, -3):
         target = constants.C_r(r).value
-        errors = [abs(constants.C_r_oracle(r, U, 20) - target) for U in (250, 500, 1000)]
+        errors = [abs(C_r_oracle(r, U, 20) - target) for U in (250, 500, 1000)]
         assert errors[1] <= 1.5 * errors[0], (r, errors)
         assert errors[2] <= 1.5 * errors[1], (r, errors)
 

@@ -17,7 +17,6 @@ from koblitz.constants import (
     C1_closed,
     C2_closed,
     C_r,
-    C_r_oracle,
     a_series_term,
     average_constant,
     average_constant_forms,
@@ -30,6 +29,7 @@ from koblitz.constants import (
 )
 from koblitz.errors import CapacityError, DomainError
 from oracles import (
+    C_r_oracle,
     c_f_r_bruteforce,
     c_r_base_full_sieve,
     frak_c_form1_full_sieve,
@@ -299,12 +299,6 @@ class TestCr:
 class TestCrOracle:
     def test_even_r_sums_to_zero(self):
         assert C_r_oracle(2, 50, 5) == 0.0
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            C_r_oracle(3, 10**4 + 1, 5)
-        with pytest.raises(CapacityError):
-            C_r_oracle(3, 100, 51)
 
     def test_domain(self):
         with pytest.raises(DomainError):

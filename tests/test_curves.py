@@ -23,8 +23,8 @@ from koblitz.curves import (
     trace_grid,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import _least_primitive_root, is_prime, kronecker_table, sieve
-from oracles import CurveModP, kronecker_H, pi_twin, singular_pair_count, trace
+from koblitz.primes import _least_primitive_root, is_prime, sieve
+from oracles import CurveModP, kronecker_H, kronecker_table, pi_twin, singular_pair_count, trace
 
 SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
 # every 2^a 3^b 5^c up to 2^21, enough for the least one >= k at k <= 2^20

@@ -277,7 +277,6 @@ class TestVerify:
         "name, point, check",
         [
             ("rho", (7, 30), "rho closed form vs enumeration"),
-            ("F_mult", (6, 1, 2, 3), "F multiplicative vs exponential sum"),
         ],
     )
     def test_series_mismatch_names_first_point(self, monkeypatch, name, point, check):
@@ -371,11 +370,12 @@ class TestCli:
         assert not (tmp_path / "bdh.csv.tmp").exists()
         assert sorted(tmp_path.iterdir()) == []
 
-    def test_cr_with_oracle(self, capsys):
-        assert cli.main(["cr", "--r", "3", "--L", "10000", "--U", "50"]) == 0
+    def test_cr_json(self, capsys):
+        assert cli.main(["cr", "--r", "3", "--L", "10000"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["r"] == 3
-        assert payload["oracle_abs_error"] < 0.2
+        assert sorted(payload) == ["C_r", "L", "r", "tail_bound"]
+        assert (payload["r"], payload["L"]) == (3, 10000)
+        assert payload["C_r"] == constants.C_r(3, 10000).value
 
     def test_write_is_atomic(self, tmp_path, capsys):
         out = str(tmp_path / "report")
@@ -402,9 +402,17 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 cli.main([*argv, "--L", "1000"])
             assert exc.value.code == 2
+        # the triple-sum oracle for C_r is a test route, not a CLI option
+        for option in ("--U", "--V"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["cr", "--r", "3", option, "10"])
+            assert exc.value.code == 2
 
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["theorem2", "--pmax", "5"]) == 1
+        assert "error:" in capsys.readouterr().err
+        # r - 1 is past factorize's 2^63 range: rejected, not trial-divided
+        assert cli.main(["cr", "--r", str(10**38 + 1)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_failed_internal_check_exit_code(self, capsys, monkeypatch):
@@ -526,6 +534,9 @@ class TestPinnedOutputs:
         [
             ("deuring", "1640b027d9ca990bdf4f7ecfe58bff4bc755f77c46725eb94e494ca73d0e3fb4"),
             ("characters", "fa793af939883e5b0a230479efb668145950888cde7b8ba57dc219fd87a6d731"),
+            ("constants", "dd408b1aae9b6ec7c1001ee1f5a3998231a8030432698d1cc9c1e96d5604de10"),
+            ("series", "e701d60f810531c5aed3faaa5b85d7fc4c20d4b7a922436edc8ec6f47d964270"),
+            ("all", "1010955babb0b6a952e453cbc97630ebf8b96129f3ec798431c9ac3ce6f975c5"),
         ],
     )
     def test_verify_suite_stdout(self, capsys, suite, digest):

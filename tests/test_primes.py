@@ -14,13 +14,12 @@ from koblitz.primes import (
     _least_primitive_root,
     factorize,
     is_prime,
-    kronecker_table,
     moebius,
     phi,
     sieve,
     sieve_window,
 )
-from oracles import kronecker
+from oracles import kronecker, kronecker_table
 
 
 def _oracle_sieve(limit):
@@ -224,6 +223,12 @@ class TestFactorize:
         # squares and products of primes above 10^6, split by Pollard-Brent
         assert factorize(1000003**2) == ((1000003, 2),)
         assert factorize(999983 * 1000003) == ((999983, 1), (1000003, 1))
+        # the top of the exact range, and a semiprime near it with two factors
+        # near 2^31.5, the slowest kind for Pollard-Brent
+        assert factorize(2**63 - 1) == (
+            (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)
+        )
+        assert factorize(3037000453 * 3037000493) == ((3037000453, 1), (3037000493, 1))
 
     def test_trial_boundary(self):
         # trial division stops at 997, where a cofactor below 10^6 is prime;
@@ -239,8 +244,10 @@ class TestFactorize:
         assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            factorize(0)
+        # n >= 2^63 is rejected before any division: such inputs can run for hours
+        for n in (0, 2**63, (2**61 - 1) * (2**89 - 1)):
+            with pytest.raises(DomainError):
+                factorize(n)
 
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=150, deadline=None)

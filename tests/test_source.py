@@ -18,6 +18,7 @@ TESTS = sorted(
 # Public names kept in the package although only tests use them, each with its reason.
 UNREFERENCED_OK = {
     "c_f_r": "the paper's closed form for c_f^r(n), checked against its brute-force sum",
+    "F_mult": "the paper's multiplicative form of F, checked against its exponential sum",
 }
 
 
@@ -63,6 +64,18 @@ def test_public_names_have_a_caller():
     assert DEMOS and public
     assert sorted(public - referenced - set(UNREFERENCED_OK)) == []
     assert sorted(set(UNREFERENCED_OK) - public) == []
+
+
+def test_no_oracle_routes_in_package():
+    # brute-force and oracle routes are test code and live in tests/oracles.py
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and ("oracle" in node.name.lower() or "brute" in node.name.lower())
+    ]
+    assert SOURCES and not found, found
 
 
 def _is_record(node: ast.ClassDef) -> bool:

@@ -1,6 +1,5 @@
 """Singular series, local densities, and window-statistic tests."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -26,7 +25,7 @@ from koblitz.twinseries import (
     singular_series_mod,
     singular_series_table,
 )
-from oracles import error_E
+from oracles import error_E, exponential_sum_F
 
 # Hardy-Littlewood twin prime constant C2, literature value
 TWIN_PRIME_C2 = 0.6601618158468695739
@@ -109,22 +108,6 @@ class TestSingularSeriesMod:
             singular_series_mod(2, 0, 1)
 
 
-def _oracle_F(s, r, q, a):
-    """Direct complex double sum, independent of the multiplicative route."""
-    total = 0.0 + 0.0j
-    g = math.gcd(q, s)
-    for b in range(1, s + 1):
-        if math.gcd(b, s) != 1:
-            continue
-        for c in range(1, s + 1):
-            if math.gcd(c, s) != 1 or (c - a) % g != 0:
-                continue
-            total += cmath.exp(2j * cmath.pi * (b * c - r * b) / s)
-    out = round(total.real)
-    assert abs(total.real - out) < 1e-6 and abs(total.imag) < 1e-6
-    return out
-
-
 class TestF:
     def test_case_examples(self):
         assert F_local(5, 2, 1, 1) == 1
@@ -147,7 +130,7 @@ class TestF:
         for s in (1, 2, 3, 5, 6, 10, 15, 21, 30):
             for r in (-3, 0, 1, 2, 5):
                 for q, a in ((1, 1), (2, 1), (3, 2), (6, 1), (6, 4), (4, 3)):
-                    assert F_mult(s, r, q, a) == _oracle_F(s, r, q, a), (s, r, q, a)
+                    assert F_mult(s, r, q, a) == exponential_sum_F(s, r, q, a), (s, r, q, a)
 
     @given(
         st.sampled_from([1, 2, 3, 5, 6, 7, 10, 13, 14, 15, 21, 22, 26, 33, 35]),
@@ -157,7 +140,7 @@ class TestF:
     )
     @settings(max_examples=200, deadline=None)
     def test_exponential_sum_property(self, s, r, a, q):
-        assert F_mult(s, r, q, a) == _oracle_F(s, r, q, a)
+        assert F_mult(s, r, q, a) == exponential_sum_F(s, r, q, a)
 
 
 class TestPsi:
