@@ -20,7 +20,6 @@ import numpy as np
 from . import classnumbers, constants, curves, harness
 from .errors import CapacityError
 from .primes import sieve
-from .twinseries import DEFAULT_TRUNCATION
 
 
 @contextlib.contextmanager
@@ -77,12 +76,12 @@ def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> 
 
 
 def _cmd_constants(args) -> int:
-    cv = constants.average_constant(args.L)
+    cv = constants.average_constant()
     ledgers = {ell: constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13)}
     payload = {
         "frak_C": cv.value,
         "tail_bound": cv.tail_bound,
-        "L": args.L,
+        "L": constants.DEFAULT_TRUNCATION,
         "local_factors": [
             {"ell": ell, "omega": led.omega_prime_count, "gl2": led.gl2_order}
             for ell, led in ledgers.items()
@@ -140,11 +139,11 @@ def _cmd_bdh(args) -> int:
 
 
 def _cmd_cr(args) -> int:
-    cv = constants.C_r(args.r, args.L)
+    cv = constants.C_r(args.r)
     payload = {
         "r": args.r,
         "C_r": cv.value,
-        "L": args.L,
+        "L": constants.DEFAULT_TRUNCATION,
         "tail_bound": cv.tail_bound,
     }
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -171,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output path stem")
         return p
 
-    p = add("constants", _cmd_constants, help="emit the average constant ledger")
-    p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
+    add("constants", _cmd_constants, help="emit the average constant ledger")
 
     p = add("census", _cmd_census, help="curve censuses for all primes <= pmax")
     p.add_argument("--pmax", type=int, required=True)
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cr", _cmd_cr, help="per-shift constant C_r")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--L", type=int, default=DEFAULT_TRUNCATION)
 
     p = add("verify", _cmd_verify, help="run an invariant suite")
     p.add_argument(

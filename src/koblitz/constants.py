@@ -1,9 +1,11 @@
-"""Euler-product constants: GL2 local factors, the average constant, and C_r.
+"""Euler-product constants: GL2 local factors, the average constant, C_r and 2*C2.
 
-Infinite products over primes are evaluated in log-space up to a truncation
-limit L and then completed with an estimated tail (prime-density integral of
-the omitted log-factors, by a fixed Gauss-Laguerre rule).  The applied tail
-correction is recorded on the returned value as `tail_bound`.
+Every infinite product over primes lives here, evaluated in log-space up to
+a truncation limit L (DEFAULT_TRUNCATION unless given).  The average
+constant and the C_r base are then completed with an estimated tail
+(prime-density integral of the omitted log-factors, by a fixed
+Gauss-Laguerre rule), recorded on the returned value as `tail_bound`; the
+twin-prime constant 2*C2 is the plain truncated product.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import factorize, is_prime, prime_terms
-from .twinseries import DEFAULT_TRUNCATION
+
+DEFAULT_TRUNCATION = 10**6
 
 MAX_GL2_PRIME = 50
 
@@ -137,6 +140,18 @@ def average_constant(limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
         raise DomainError("truncation limit must be >= 1000")
     form2, tail = _frak_c_parts(limit)
     return ConstantValue(value=form2 * math.exp(-tail), tail_bound=tail)
+
+
+# ---------------------------------------------------------------------------
+# the twin-prime constant
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _twin_constant(limit: int) -> float:
+    """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
+    terms = prime_terms(limit, lambda ell: np.log1p(-1.0 / (ell - 1.0) ** 2), odd=True)
+    return 2.0 * math.exp(terms.sum())
 
 
 # ---------------------------------------------------------------------------

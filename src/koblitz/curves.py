@@ -311,7 +311,9 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
 
     Pairs singular mod p are skipped.  Each side weighs residue v by q + e[v]
     with e[v] 0 or 1, so the transforms see only the rows e and 1 binned by
-    log, at most 3 to a bin, and q scales their convolutions in int64.
+    log, at most 3 to a bin, and q scales their convolutions in int64.  The
+    histogram must total the box's pairs less its singular ones, which mod p
+    are exactly (-3t^2, 2t^3) for t in F_p.
     """
     _check_prime(p)  # the budget check comes before any length-p array
     if min(box_a, box_b) < 0 or (2 * box_a + 1) * (2 * box_b + 1) > MAX_BOX_PAIRS:
@@ -343,4 +345,10 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
         [np.delete(w_class, tab.k_singular[0], axis=1).ravel(), w_a[0] * w_b[pw], w_b[0] * w_a[pw]]
     )
     off = math.isqrt(4 * p)
-    return np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
+    hist = np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
+    t = np.arange(p, dtype=np.int64)
+    singular = int(np.sum(w_a[-3 * t * t % p] * w_b[2 * (t * t % p) * t % p]))
+    total, want = int(hist.sum()), (2 * box_a + 1) * (2 * box_b + 1) - singular
+    if total != want:
+        raise AssertionError(f"box histogram total {total} != {want} nonsingular pairs for p={p}")
+    return hist

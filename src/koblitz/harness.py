@@ -17,7 +17,7 @@ from . import classnumbers, constants, curves, twinseries
 from .characters import characters, rho_chi
 from .errors import DomainError
 from .primes import moebius, phi, sieve
-from .twinseries import DEFAULT_TRUNCATION, TwinWindow
+from .twinseries import TwinWindow
 
 
 @dataclass
@@ -83,7 +83,7 @@ def run_theorem2(pmax: int) -> Report:
     asymptotic = frak_c * pmax**3 / (3 * math.log(pmax) ** 2)
     report = Report(
         name="theorem2",
-        params={"pmax": pmax, "L": DEFAULT_TRUNCATION},
+        params={"pmax": pmax, "L": constants.DEFAULT_TRUNCATION},
     )
     summary = {
         "class_route_sum": class_route,
@@ -157,7 +157,7 @@ def run_bdh(x: int, R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.
     single_class = result.per_q[1] / (R * float(Y) ** 2)
     report = Report(
         name="bdh",
-        params={"x": x, "R": R, "Q": Q, "X": X, "Y": Y, "L": DEFAULT_TRUNCATION},
+        params={"x": x, "R": R, "Q": Q, "X": X, "Y": Y, "L": constants.DEFAULT_TRUNCATION},
         summary={
             "S": result.S,
             "normalized": result.normalized,

@@ -2,49 +2,35 @@
 
 The singular series S(r) is the Hardy-Littlewood density for prime pairs at
 distance r; S(r,q,a) restricts to an arithmetic progression.  psi is the
-log-weighted empirical counterpart over a window, and bdh_statistic is the
-mean-square dispersion of psi - S(r,q,a) Y over all (r, q, a).
+log-weighted empirical count of such pairs over a window, and bdh_statistic
+is the mean-square dispersion of psi - S(r,q,a) Y over all (r, q, a).  Each
+is computed for a whole range at once: S(r) for every r <= n in one
+singular_series_table (its factor 2*C2 comes from constants), psi and
+S(r,q,a) Y for every (r, q, a) in one bdh_statistic grid.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DEFAULT_TRUNCATION, _twin_constant
 from .errors import CapacityError, DomainError
-from .primes import factorize, is_prime, phi, prime_terms, sieve, sieve_window
-
-DEFAULT_TRUNCATION = 10**6
+from .primes import factorize, is_prime, sieve, sieve_window
 
 # Budget for bdh_statistic's (r, q, a) grid: 2R * Q(Q+1)/2 cells, 16 MB per
 # float64 array over it.
 MAX_BDH_CELLS = 1 << 21
 
 
-@functools.lru_cache(maxsize=8)
-def _twin_constant(limit: int) -> float:
-    """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
-    terms = prime_terms(limit, lambda ell: np.log1p(-1.0 / (ell - 1.0) ** 2), odd=True)
-    return 2.0 * math.exp(terms.sum())
-
-
-def _odd_prime_correction(r: int) -> float:
-    out = 1.0
-    for p, _ in factorize(abs(r)):
-        if p != 2:
-            out *= (p - 1.0) / (p - 2.0)
-    return out
-
-
 def singular_series_table(n: int) -> np.ndarray:
     """S(m) for 1 <= m <= n (entry 0 is unused), from one sieve pass.
 
+    S(m) is 0 for odd m and 2*C2 prod_{odd p | m} (p-1)/(p-2) for even m.
     Each even entry takes its factors (ell-1)/(ell-2) in ascending ell and
-    then 2*C2, the same float operations as singular_series, so entry m
-    equals singular_series(m) bit for bit.
+    then 2*C2, so entry m equals the scalar route in tests/oracles.py bit
+    for bit.
     """
     corr = np.ones(n + 1)
     if n >= 6:
@@ -52,15 +38,6 @@ def singular_series_table(n: int) -> np.ndarray:
             corr[2 * ell :: 2 * ell] *= (ell - 1.0) / (ell - 2.0)
     corr[1::2] = 0.0
     return _twin_constant(DEFAULT_TRUNCATION) * corr
-
-
-def singular_series(r: int) -> float:
-    """S(r): 0 for odd r; 2*C2 * prod_{odd p | r} (p-1)/(p-2) for even r."""
-    if r == 0:
-        raise DomainError("singular series undefined at r = 0")
-    if r % 2 != 0:
-        return 0.0
-    return _twin_constant(DEFAULT_TRUNCATION) * _odd_prime_correction(r)
 
 
 def rho(r: int, q: int) -> int:
@@ -75,27 +52,6 @@ def rho(r: int, q: int) -> int:
         else:
             out *= pe - 2 * (pe // p)
     return out
-
-
-def singular_series_mod(r: int, q: int, a: int) -> float:
-    """S(r,q,a) = S(rq)/phi(q) when 2 | r and (a,q) = (a-r,q) = 1, else 0.
-
-    Computed by both defining routes (S(rq)/phi(q) and S(r)/rho(r,q)); they
-    must agree to 1e-10 relative, and the first is returned.
-    """
-    if r == 0:
-        raise DomainError("singular series undefined at r = 0")
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    if r % 2 != 0 or math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
-        return 0.0
-    via_product = singular_series(r * q) / phi(q)
-    via_rho = singular_series(r) / rho(r, q)
-    if abs(via_product - via_rho) > 1e-10 * abs(via_product):
-        raise AssertionError(
-            f"singular series routes disagree at (r,q,a)=({r},{q},{a})"
-        )
-    return via_product
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +122,6 @@ def _sieved_window(
     return p, flags, lo + 1, logs
 
 
-def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
-    """Log-weighted count of prime pairs (p, p-r) with X < p <= X+Y, p = a mod q."""
-    p, flags, off, logs = _sieved_window(window, abs(r))
-    p = p[p % q == a % q]
-    pp = p - r
-    keep = (pp >= off) & flags[np.maximum(pp - off, 0)]
-    return float(np.sum(logs[p[keep] - off] * logs[pp[keep] - off]))
-
-
 @dataclass(frozen=True)
 class BdhResult:
     """The dispersion statistic and the grid it sums.
@@ -201,10 +148,9 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     column per class (q, a), q = 1..Q, a = 0..q-1.  The window (X-R, X+Y+R]
     is sieved once and each prime's column per q is computed once; per
     shift, one bincount buckets the pair weights into every column, each
-    bin summing in ascending p as psi does.  S(r,q,a) is
-    read from one singular_series_table, and S and per_q are sequential
-    cumsums in (r, q, a) order, so every value equals the per-class loop's
-    bit for bit.
+    bin summing in ascending p.  S(r,q,a) is read from one
+    singular_series_table, and S and per_q are sequential cumsums in
+    (r, q, a) order, so every value equals the per-class loop's bit for bit.
     """
     if window.X + window.Y > x:
         raise DomainError("window must satisfy X + Y <= x")

@@ -5,8 +5,9 @@ the array kernel the package uses for it: point-count traces, the singular
 pairs mod p and the per-curve twin count (curves), reduced-form class numbers
 (classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
 the character sum c_f^r(n), the Euler products from one full sieve and the
-triple sum over f, n and a that converges to C_r (constants), and the window
-error E, 2*C2 and the exponential sum F(s; r; q, a) (twinseries).
+triple sum over f, n and a that converges to C_r (constants), and the scalar
+singular series S(r) and S(r,q,a), the window sum psi and error E, 2*C2 and
+the exponential sum F(s; r; q, a) (twinseries).
 """
 
 from __future__ import annotations
@@ -17,11 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from koblitz.constants import _c_r_base_neg_log_factor, _check_cfr_args, _log_tail
+from koblitz.constants import (
+    DEFAULT_TRUNCATION,
+    _c_r_base_neg_log_factor,
+    _check_cfr_args,
+    _log_tail,
+    _twin_constant,
+)
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
-from koblitz.primes import factorize, is_prime, sieve
-from koblitz.twinseries import TwinWindow, psi, singular_series_mod
+from koblitz.primes import factorize, is_prime, phi, sieve
+from koblitz.twinseries import TwinWindow, _sieved_window, rho
 
 # ---------------------------------------------------------------------------
 # curves
@@ -299,6 +306,53 @@ def C_r_oracle(r: int, U: int, V: int) -> float:
 # ---------------------------------------------------------------------------
 # twinseries
 # ---------------------------------------------------------------------------
+
+
+def _odd_prime_correction(r: int) -> float:
+    out = 1.0
+    for p, _ in factorize(abs(r)):
+        if p != 2:
+            out *= (p - 1.0) / (p - 2.0)
+    return out
+
+
+def singular_series(r: int) -> float:
+    """S(r): 0 for odd r; 2*C2 * prod_{odd p | r} (p-1)/(p-2) for even r."""
+    if r == 0:
+        raise DomainError("singular series undefined at r = 0")
+    if r % 2 != 0:
+        return 0.0
+    return _twin_constant(DEFAULT_TRUNCATION) * _odd_prime_correction(r)
+
+
+def singular_series_mod(r: int, q: int, a: int) -> float:
+    """S(r,q,a) = S(rq)/phi(q) when 2 | r and (a,q) = (a-r,q) = 1, else 0.
+
+    Computed by both defining routes (S(rq)/phi(q) and S(r)/rho(r,q)); they
+    must agree to 1e-10 relative, and the first is returned.
+    """
+    if r == 0:
+        raise DomainError("singular series undefined at r = 0")
+    if q < 1:
+        raise DomainError("q must be >= 1")
+    if r % 2 != 0 or math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
+        return 0.0
+    via_product = singular_series(r * q) / phi(q)
+    via_rho = singular_series(r) / rho(r, q)
+    if abs(via_product - via_rho) > 1e-10 * abs(via_product):
+        raise AssertionError(
+            f"singular series routes disagree at (r,q,a)=({r},{q},{a})"
+        )
+    return via_product
+
+
+def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
+    """Log-weighted count of prime pairs (p, p-r) with X < p <= X+Y, p = a mod q."""
+    p, flags, off, logs = _sieved_window(window, abs(r))
+    p = p[p % q == a % q]
+    pp = p - r
+    keep = (pp >= off) & flags[np.maximum(pp - off, 0)]
+    return float(np.sum(logs[p[keep] - off] * logs[pp[keep] - off]))
 
 
 def error_E(window: TwinWindow, r: int, q: int, a: int) -> float:

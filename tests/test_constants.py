@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from koblitz import constants, twinseries
+from koblitz import constants
 from koblitz.constants import (
     A_closed,
     B1_closed,
@@ -92,7 +92,7 @@ class TestAverageConstant:
 
 # Each Euler product, from prime_terms, against its full-sieve formula.
 EULER_PRODUCTS = [
-    pytest.param(twinseries._twin_constant, twin_constant_full_sieve, id="twin"),
+    pytest.param(constants._twin_constant, twin_constant_full_sieve, id="twin"),
     pytest.param(
         lambda L: constants._frak_c_parts(L)[0], frak_c_form2_full_sieve, id="frak_form2"
     ),
@@ -112,7 +112,7 @@ class TestEulerProductsFromPrimes:
     @pytest.mark.parametrize(
         "build",
         [
-            twinseries._twin_constant.__wrapped__,
+            constants._twin_constant.__wrapped__,
             constants._frak_c_parts.__wrapped__,
             constants._c_r_base.__wrapped__,
             average_constant_forms,

@@ -463,6 +463,18 @@ class TestBoxCounts:
         )
         assert total == brute
 
+    def test_total_checked(self, monkeypatch):
+        multiplicities = curves._residue_multiplicities
+
+        def corrupted(bound, p):
+            q, e = multiplicities(bound, p)
+            e[0] += 1  # residue 0 weighed once too often
+            return q, e
+
+        monkeypatch.setattr(curves, "_residue_multiplicities", corrupted)
+        with pytest.raises(AssertionError, match=r"p=11\b"):
+            box_trace_histogram(11, 6, 9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             box_trace_histogram(4, 2, 2)

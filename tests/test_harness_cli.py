@@ -301,10 +301,10 @@ class TestVerify:
 
 class TestCli:
     def test_constants_json(self, capsys):
-        assert cli.main(["constants", "--L", "10000"]) == 0
+        assert cli.main(["constants"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.50 < payload["frak_C"] < 0.51
-        assert payload["L"] == 10000
+        assert payload["L"] == 1000000
         ell3 = next(f for f in payload["local_factors"] if f["ell"] == 3)
         assert ell3 == {"ell": 3, "omega": 21, "gl2": 48}
 
@@ -371,11 +371,11 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == []
 
     def test_cr_json(self, capsys):
-        assert cli.main(["cr", "--r", "3", "--L", "10000"]) == 0
+        assert cli.main(["cr", "--r", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == ["C_r", "L", "r", "tail_bound"]
-        assert (payload["r"], payload["L"]) == (3, 10000)
-        assert payload["C_r"] == constants.C_r(3, 10000).value
+        assert (payload["r"], payload["L"]) == (3, 1000000)
+        assert payload["C_r"] == constants.C_r(3).value
 
     def test_write_is_atomic(self, tmp_path, capsys):
         out = str(tmp_path / "report")
@@ -397,10 +397,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
-        # bdh and theorem2 always use DEFAULT_TRUNCATION and take no --L
-        for argv in (["bdh", "--R", "2", "--Y", "50"], ["theorem2", "--pmax", "500"]):
+        # every verb uses constants.DEFAULT_TRUNCATION and takes no --L
+        for argv in (
+            ["bdh", "--R", "2", "--Y", "50"],
+            ["theorem2", "--pmax", "500"],
+            ["constants"],
+            ["cr", "--r", "3"],
+        ):
             with pytest.raises(SystemExit) as exc:
-                cli.main([*argv, "--L", "1000"])
+                cli.main([*argv, "--L", "10"])
             assert exc.value.code == 2
         # the triple-sum oracle for C_r is a test route, not a CLI option
         for option in ("--U", "--V"):
@@ -541,6 +546,18 @@ class TestPinnedOutputs:
     )
     def test_verify_suite_stdout(self, capsys, suite, digest):
         assert cli.main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("constants", "6bb6a9dcd5248c17d301c73d8df3e853a9ede27bcba0fca6a2377249654fdf67"),
+            ("cr --r 3", "df7f81047b42e751b2cee83b2912fc4b10d9e922631a4704826e24013ee37ae9"),
+        ],
+    )
+    def test_constant_stdout(self, capsys, argv, digest):
+        assert cli.main(argv.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 

@@ -78,6 +78,35 @@ def test_no_oracle_routes_in_package():
     assert SOURCES and not found, found
 
 
+# Each module imports only from modules before it in this order.
+LAYERS = [
+    "errors",
+    "primes",
+    "classnumbers",
+    "characters",
+    "curves",
+    "constants",
+    "twinseries",
+    "harness",
+    "cli",
+]
+
+
+def test_imports_point_down_the_layers():
+    modules = [path for path in SOURCES if path.stem != "__init__"]
+    assert sorted(LAYERS) == sorted(path.stem for path in modules)
+    found = []
+    for path in modules:
+        rank = LAYERS.index(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            # `from .mod import x` names mod; `from . import a, b` names a and b
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [f"{path.stem} -> {t}" for t in targets if LAYERS.index(t) >= rank]
+    assert found == []
+
+
 def _is_record(node: ast.ClassDef) -> bool:
     """A @dataclass or a NamedTuple subclass."""
     decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]

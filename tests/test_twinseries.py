@@ -9,23 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koblitz import twinseries
+from koblitz.constants import DEFAULT_TRUNCATION
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import is_prime
 from koblitz.twinseries import (
-    DEFAULT_TRUNCATION,
     MAX_BDH_CELLS,
     F_local,
     F_mult,
     TwinWindow,
     _sieved_window,
     bdh_statistic,
-    psi,
     rho,
-    singular_series,
-    singular_series_mod,
     singular_series_table,
 )
-from oracles import error_E, exponential_sum_F
+from oracles import (
+    error_E,
+    exponential_sum_F,
+    psi,
+    singular_series,
+    singular_series_mod,
+)
 
 # Hardy-Littlewood twin prime constant C2, literature value
 TWIN_PRIME_C2 = 0.6601618158468695739
@@ -33,20 +36,17 @@ TWIN_PRIME_C2 = 0.6601618158468695739
 
 class TestSingularSeries:
     def test_zero_at_odd(self):
-        assert singular_series(3) == 0.0
-        assert singular_series(-7) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            singular_series(0)
+        table = singular_series_table(9)
+        assert table[1::2].tolist() == [0.0] * 5
 
     def test_power_of_two_invariance(self):
-        assert singular_series(4) == singular_series(2)
-        assert singular_series(-2) == singular_series(2)
+        table = singular_series_table(64)
+        assert table[[4, 8, 16, 32, 64]].tolist() == [table[2]] * 5
 
     def test_odd_prime_factor_ratio(self):
-        assert singular_series(6) / singular_series(2) == pytest.approx(2.0, rel=1e-12)
-        assert singular_series(10) / singular_series(2) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        table = singular_series_table(10)
+        assert table[6] / table[2] == pytest.approx(2.0, rel=1e-12)
+        assert table[10] / table[2] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_table_matches_scalar_route(self):
         table = singular_series_table(2 * 10**4)
@@ -59,7 +59,7 @@ class TestSingularSeries:
             assert table[1:].tolist() == [singular_series(r) for r in range(1, n + 1)]
 
     def test_against_literature_constant(self):
-        got = singular_series(2)
+        got = singular_series_table(2)[2]
         assert got == pytest.approx(2.0 * TWIN_PRIME_C2, abs=2e-6)
         assert got >= 2.0 * TWIN_PRIME_C2  # omitted factors are all < 1
         # tail bound of the product truncated at L
