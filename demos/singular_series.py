@@ -21,7 +21,7 @@ for r, q in ((2, 3), (3, 3), (2, 15), (6, 35)):
 
 print("\npsi vs S(r,q,a) * Y over the window (10^5, 2*10^5]:")
 w = TwinWindow(X=10**5, Y=10**5)
-grid = bdh_statistic(2 * 10**5, 6, 5, w)
+grid = bdh_statistic(6, 5, w)
 rows = grid.r_values.tolist()
 cols = list(zip(grid.q_col.tolist(), grid.a_col.tolist()))
 for r, q, a in ((2, 1, 0), (4, 1, 0), (2, 3, 1), (6, 5, 2)):

@@ -12,7 +12,7 @@ R, Q = 10**3, 10
 print(f"dispersion statistic with R = {R}, Q = {Q}, window (0, Y]:\n")
 print(f"{'Y':>8} {'S':>16} {'S/(R x^2)':>12} {'single-class':>14}")
 for y in (5 * 10**4, 10**5, 2 * 10**5):
-    rep, _ = run_bdh(y, R, Q, 0, y)
+    rep, _ = run_bdh(R, Q, 0, y)
     s = rep.summary
     print(
         f"{y:>8} {s['S']:>16.1f} {s['normalized']:>12.3e} "

@@ -130,8 +130,7 @@ def _cmd_theorem2(args) -> int:
 
 
 def _cmd_bdh(args) -> int:
-    x = args.x if args.x is not None else args.X + args.Y
-    report, result = harness.run_bdh(x, args.R, args.Q, args.X, args.Y)
+    report, result = harness.run_bdh(args.R, args.Q, args.X, args.Y)
     if args.out is not None:
         _write(harness.bdh_rows_csv(result), args.out, ".csv")
     _write(report.to_json(), args.out)
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, required=True)
 
     p = add("bdh", _cmd_bdh, help="dispersion statistic over a prime window")
-    p.add_argument("--x", type=int, default=None)
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--Q", type=int, default=1)
     p.add_argument("--X", type=int, default=0)
@@ -211,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, AssertionError) as exc:
+    except (ValueError, RuntimeError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

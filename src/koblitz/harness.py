@@ -148,16 +148,16 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     )
 
 
-def run_bdh(x: int, R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.BdhResult]:
+def run_bdh(R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.BdhResult]:
     """The dispersion statistic over a window, with per-q marginals.
 
     Returns the Report and the statistic's grid, which bdh_rows_csv writes.
     """
-    result = twinseries.bdh_statistic(x, R, Q, TwinWindow(X=X, Y=Y))
+    result = twinseries.bdh_statistic(R, Q, TwinWindow(X=X, Y=Y))
     single_class = result.per_q[1] / (R * float(Y) ** 2)
     report = Report(
         name="bdh",
-        params={"x": x, "R": R, "Q": Q, "X": X, "Y": Y, "L": constants.DEFAULT_TRUNCATION},
+        params={"x": X + Y, "R": R, "Q": Q, "X": X, "Y": Y, "L": constants.DEFAULT_TRUNCATION},
         summary={
             "S": result.S,
             "normalized": result.normalized,

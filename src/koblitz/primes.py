@@ -2,8 +2,9 @@
 
 Everything here is pure and deterministic and keeps no state between calls.
 The heavier callers (Euler products, window statistics, census prime lists)
-lean on the numpy-backed sieves; factorization is for the integers below
-2^63 behind primitive roots, phi, rho and the finite corrections of C_r.
+lean on the numpy-backed sieves, which all read one odd-only sieve of a
+window, _odd_flags; factorization is for the integers below 2^63 behind
+primitive roots, phi, rho and the finite corrections of C_r.
 """
 
 from __future__ import annotations
@@ -31,36 +32,43 @@ class PrimeTable:
     primes: np.ndarray
 
 
-def _odd_sieve(limit: int) -> np.ndarray:
-    """Odd-only sieve of Eratosthenes to `limit`: entry i flags 2i + 1, and
-    entry 0 (the integer 1) is set, to stand in for 2.
+def _odd_flags(x: int, y: int) -> np.ndarray:
+    """Primality flags for the odd integers of (x, x+y]: entry i marks the odd
+    integer 2((x+1)//2 + i) + 1.  The integer 1 reads as non-prime.
 
-    An odd prime p strikes its odd multiples from p^2 on, every p-th entry
-    from p^2 // 2.
+    The odd base primes p <= sqrt(x+y) come from this routine on
+    (0, sqrt(x+y)], and each strikes its odd multiples from max(p^2, the first
+    above x) on, every p-th entry.  A base prime with 2p > y has at most one
+    odd multiple in the window, so those primes strike in one array pass;
+    int64 holds their starts, since the budget on the base window keeps x + y
+    below (MAX_SIEVE_LIMIT + 1)^2 < 2^61.
     """
-    if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
-    if limit > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"sieve limit {limit} exceeds budget {MAX_SIEVE_LIMIT}")
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if odd[p // 2]:
-            odd[p * p // 2 :: p] = False
-    return odd
+    if y > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"sieve length {y} exceeds budget {MAX_SIEVE_LIMIT}")
+    root = math.isqrt(x + y)
+    base = np.flatnonzero(_odd_flags(0, root)) * 2 + 1 if root >= 3 else np.empty(0, np.int64)
+    lo = (x + 1) // 2  # odd integers <= x; odd m sits at entry m // 2 - lo
+    flags = np.ones((x + y + 1) // 2 - lo, dtype=bool)
+    if x == 0:
+        flags[0] = False  # the integer 1
+    split = int(np.searchsorted(base, y // 2, side="right"))  # 2p <= y
+    for p in base[:split].tolist():
+        flags[p * max(p, (x // p + 1) | 1) // 2 - lo :: p] = False
+    large = base[split:]
+    starts = large * np.maximum(large, (x // large + 1) | 1)
+    flags[starts[starts <= x + y] // 2 - lo] = False
+    return flags
 
 
 def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including `limit`."""
-    odd = _odd_sieve(limit)
-    primes = np.flatnonzero(odd)  # entry 0 is the integer 1, which stands in for 2
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    odd[0] = False
+    if limit < 2:
+        raise DomainError("sieve limit must be >= 2")
+    odd = _odd_flags(0, limit)
     flags = np.zeros(limit + 1, dtype=bool)
     flags[1::2] = odd
     flags[2] = True
-    return PrimeTable(flags=flags, primes=primes)
+    return PrimeTable(flags=flags, primes=np.flatnonzero(flags))
 
 
 # Odd-sieve entries per segment of prime_terms: about 6000 primes near 10^5.
@@ -71,12 +79,14 @@ def prime_terms(limit: int, term, odd: bool = False) -> np.ndarray:
     """term(ell) over the primes ell <= limit (the odd ones if `odd`),
     ascending, as one float64 array.
 
-    The primes come from _odd_sieve, one flag byte per odd number, and
+    The primes come from _odd_flags, one flag byte per odd number, and
     `term` runs on one segment of them at a time as float64, so none of its
     temporaries spans every prime.  `term` must work element by element.
     """
-    flags = _odd_sieve(limit)
-    flags[0] = not odd
+    if limit < 2:
+        raise DomainError("sieve limit must be >= 2")
+    flags = _odd_flags(0, limit)
+    flags[0] = not odd  # the integer 1 stands in for 2
     out = np.empty(np.count_nonzero(flags))
     done = 0
     for lo in range(0, flags.size, _TERM_SEGMENT):
@@ -93,29 +103,16 @@ def prime_terms(limit: int, term, odd: bool = False) -> np.ndarray:
 def sieve_window(x: int, y: int) -> np.ndarray:
     """Primality flags for the window (x, x+y]: entry i marks x+1+i.
 
-    Segmented sieve; only primes up to sqrt(x+y) are materialized.  A base
-    prime p > y has at most one multiple in the window, so those primes
-    strike in one array pass; int64 holds their starts, since the base
-    sieve's budget keeps x + y below (MAX_SIEVE_LIMIT + 1)^2 < 2^61.
+    Only the window and the primes up to sqrt(x+y) are sieved, so the
+    window may start far from 0.
     """
     if y < 1 or x < 0:
         raise DomainError("window requires x >= 0, y >= 1")
-    hi = x + y
-    if y > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"window length {y} exceeds budget {MAX_SIEVE_LIMIT}")
-    flags = np.ones(y, dtype=bool)
-    if x == 0:
-        flags[0] = False  # the integer 1
-    base = sieve(max(2, math.isqrt(hi))).primes
-    split = int(np.searchsorted(base, y, side="right"))
-    for p in base[:split].tolist():
-        start = max(p * p, ((x + p) // p) * p)
-        if start > hi:
-            continue
-        flags[start - x - 1:: p] = False
-    large = base[split:]
-    starts = np.maximum(large * large, (x + large) // large * large)
-    flags[starts[starts <= hi] - x - 1] = False
+    odd = _odd_flags(x, y)
+    flags = np.zeros(y, dtype=bool)
+    flags[x % 2 :: 2] = odd  # x+1 is odd exactly when x is even
+    if x < 2 <= x + y:
+        flags[1 - x] = True
     return flags
 
 

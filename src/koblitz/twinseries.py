@@ -105,23 +105,6 @@ class TwinWindow:
             raise DomainError("window requires X >= 0, Y >= 1")
 
 
-def _sieved_window(
-    window: TwinWindow, R: int
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Primes of (X, X+Y], plus flags, offset and logs for (max(X-R, 0), X+Y+R].
-
-    Entry i of flags and logs describes the integer offset + i; logs holds
-    log n at primes and 0 elsewhere.  Only the window itself is sieved.
-    """
-    lo = max(window.X - R, 0)
-    flags = sieve_window(lo, window.X + window.Y + R - lo)
-    idx = np.flatnonzero(flags)
-    logs = np.zeros(len(flags), dtype=np.float64)
-    logs[idx] = np.log((idx + lo + 1).astype(np.float64))
-    p = idx[(idx >= window.X - lo) & (idx < window.X + window.Y - lo)] + lo + 1
-    return p, flags, lo + 1, logs
-
-
 @dataclass(frozen=True)
 class BdhResult:
     """The dispersion statistic and the grid it sums.
@@ -141,8 +124,9 @@ class BdhResult:
     error: np.ndarray = field(repr=False)
 
 
-def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
-    """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2.
+def bdh_statistic(R: int, Q: int, window: TwinWindow) -> BdhResult:
+    """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2, and its
+    normalization S / (R (X+Y)^2).
 
     Array passes over a grid with one row per shift r = -R..-1, 1..R and one
     column per class (q, a), q = 1..Q, a = 0..q-1.  The window (X-R, X+Y+R]
@@ -152,21 +136,26 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     singular_series_table, and S and per_q are sequential cumsums in
     (r, q, a) order, so every value equals the per-class loop's bit for bit.
     """
-    if window.X + window.Y > x:
-        raise DomainError("window must satisfy X + Y <= x")
-    if R > x or R < 1 or Q < 1:
-        raise DomainError("require 1 <= R <= x and Q >= 1")
+    X, Y = window.X, window.Y
+    if R > X + Y or R < 1 or Q < 1:
+        raise DomainError("require 1 <= R <= X + Y and Q >= 1")
     # 2R * Q(Q+1)/2 grid cells; the R*Q + 1 entry S table is smaller
     if R * Q * (Q + 1) > MAX_BDH_CELLS:
         raise CapacityError(
             f"R={R}, Q={Q} give {R * Q * (Q + 1)} cells, over budget {MAX_BDH_CELLS}"
         )
-    p, flags, off, logs = _sieved_window(window, R)
-    # R leading zeros: the partner p - r >= off - R of a prime p sits at
-    # index at + R - r >= 0, and the integers below off read as non-prime
-    flags = np.concatenate((np.zeros(R, dtype=bool), flags))
-    logs = np.concatenate((np.zeros(R), logs))
-    at = p - off
+    # entry i of flags and logs is the integer X - R + 1 + i; logs holds log n
+    # at primes and 0 elsewhere, and the integers below 1 read as non-prime
+    lo = max(X - R, 0)
+    flags = np.zeros(Y + 2 * R, dtype=bool)
+    flags[lo - X + R :] = sieve_window(lo, X + Y + R - lo)
+    logs = np.zeros(flags.size)
+    idx = np.flatnonzero(flags)
+    logs[idx] = np.log((idx + (X - R + 1)).astype(np.float64))
+    # the primes p of (X, X+Y], at index `at` past entry R; the partner p - r
+    # of p sits at index at in flags[R - r:]
+    at = np.flatnonzero(flags[R : R + Y])
+    p = at + (X + 1)
     logp = logs[R:][at]
     qs = np.arange(1, Q + 1)
     starts = np.cumsum(qs) - qs  # first column of each q
@@ -179,7 +168,7 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     psi_grid = np.zeros((r_values.size, q_col.size))
     for i, r in enumerate(r_values.tolist()):
         # for odd r one of p, p - r is even, so a pair needs p = 2 or p - r = 2
-        if r % 2 and not any(window.X < p2 <= window.X + window.Y for p2 in (2, r + 2)):
+        if r % 2 and not any(X < p2 <= X + Y for p2 in (2, r + 2)):
             continue
         hit = np.flatnonzero(flags[R - r :][at])
         if hit.size == 0:
@@ -214,7 +203,7 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     density = np.zeros((r_values.size, Q))  # 0 at odd r
     density[even] = via_product
     expected = np.take(density, q_col - 1, axis=1)  # C order, like psi_grid
-    expected *= window.Y
+    expected *= Y
     expected[~admissible] = 0.0
     err = psi_grid - expected
     sq = err * err
@@ -225,7 +214,7 @@ def bdh_statistic(x: int, R: int, Q: int, window: TwinWindow) -> BdhResult:
     total = float(np.cumsum(sq, out=sq.reshape(-1))[-1])  # in place: sq is spent
     return BdhResult(
         S=total,
-        normalized=total / (R * float(x) ** 2),
+        normalized=total / (R * float(X + Y) ** 2),
         per_q=per_q,
         r_values=r_values,
         q_col=q_col,

@@ -6,8 +6,9 @@ pairs mod p and the per-curve twin count (curves), reduced-form class numbers
 (classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
 the character sum c_f^r(n), the Euler products from one full sieve and the
 triple sum over f, n and a that converges to C_r (constants), and the scalar
-singular series S(r) and S(r,q,a), the window sum psi and error E, 2*C2 and
-the exponential sum F(s; r; q, a) (twinseries).
+singular series S(r) and S(r,q,a), the sieved window (X-R, X+Y+R] and on it
+the window sum psi and error E, 2*C2 and the exponential sum F(s; r; q, a)
+(twinseries).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from koblitz.constants import (
 )
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
-from koblitz.primes import factorize, is_prime, phi, sieve
-from koblitz.twinseries import TwinWindow, _sieved_window, rho
+from koblitz.primes import factorize, is_prime, phi, sieve, sieve_window
+from koblitz.twinseries import TwinWindow, rho
 
 # ---------------------------------------------------------------------------
 # curves
@@ -346,9 +347,27 @@ def singular_series_mod(r: int, q: int, a: int) -> float:
     return via_product
 
 
+def sieved_window(
+    window: TwinWindow, R: int
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Primes of (X, X+Y], plus flags, offset and logs for (max(X-R, 0), X+Y+R].
+
+    Entry i of flags and logs describes the integer offset + i; logs holds
+    log n at primes and 0 elsewhere.  The flags come from sieve_window, which
+    the primes tests check against independent sieves.
+    """
+    lo = max(window.X - R, 0)
+    flags = sieve_window(lo, window.X + window.Y + R - lo)
+    idx = np.flatnonzero(flags)
+    logs = np.zeros(len(flags), dtype=np.float64)
+    logs[idx] = np.log((idx + lo + 1).astype(np.float64))
+    p = idx[(idx >= window.X - lo) & (idx < window.X + window.Y - lo)] + lo + 1
+    return p, flags, lo + 1, logs
+
+
 def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
     """Log-weighted count of prime pairs (p, p-r) with X < p <= X+Y, p = a mod q."""
-    p, flags, off, logs = _sieved_window(window, abs(r))
+    p, flags, off, logs = sieved_window(window, abs(r))
     p = p[p % q == a % q]
     pp = p - r
     keep = (pp >= off) & flags[np.maximum(pp - off, 0)]

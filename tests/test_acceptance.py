@@ -160,12 +160,12 @@ def test_criterion_09_theorem3_desk_scale():
     single-class statistic decreases as Y grows."""
     norm = {}
     for y in (10**5, 2 * 10**5):
-        rep, _ = harness.run_bdh(y, 10**3, 10, 0, y)
+        rep, _ = harness.run_bdh(10**3, 10, 0, y)
         norm[y] = rep.summary["normalized"]
     assert norm[2 * 10**5] <= norm[10**5], norm
     single = []
     for y in (10**5, 2 * 10**5, 4 * 10**5):
-        rep, _ = harness.run_bdh(y, 10**3, 1, 0, y)
+        rep, _ = harness.run_bdh(10**3, 1, 0, y)
         single.append(rep.summary["single_class_statistic"])
     assert single[1] < single[0] and single[2] < single[1], single
 

@@ -158,7 +158,7 @@ def _pooled_grids(draw):
 
 class TestBdhDriver:
     def test_summary_and_rows(self):
-        rep, res = harness.run_bdh(100, 3, 2, 0, 100)
+        rep, res = harness.run_bdh(3, 2, 0, 100)
         s = rep.summary
         assert set(s) == {"S", "normalized", "single_class_statistic", "per_q"}
         assert s["normalized"] == pytest.approx(s["S"] / (3 * 100.0**2), rel=1e-12)
@@ -170,7 +170,7 @@ class TestBdhDriver:
             assert grid.shape == (6, 3)
 
     def test_csv_shape(self):
-        _, res = harness.run_bdh(50, 2, 1, 0, 50)
+        _, res = harness.run_bdh(2, 1, 0, 50)
         text = "".join(harness.bdh_rows_csv(res))
         lines = text.strip().split("\n")
         assert lines[0] == "r,q,a,psi,expected,error"
@@ -180,14 +180,13 @@ class TestBdhDriver:
     @given(
         st.integers(min_value=0, max_value=400),
         st.integers(min_value=1, max_value=400),
-        st.integers(min_value=1, max_value=20),
+        st.data(),
         st.integers(min_value=1, max_value=6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_csv_equals_per_row_formatter(self, X, Y, R, Q):
-        res = twinseries.bdh_statistic(
-            max(X + Y, R), R, Q, twinseries.TwinWindow(X=X, Y=Y)
-        )
+    def test_csv_equals_per_row_formatter(self, X, Y, data, Q):
+        R = data.draw(st.integers(min_value=1, max_value=min(20, X + Y)), label="R")
+        res = twinseries.bdh_statistic(R, Q, twinseries.TwinWindow(X=X, Y=Y))
         assert "".join(harness.bdh_rows_csv(res)) == _oracle_bdh_csv(res)
 
     def test_csv_of_hand_made_grid(self):
@@ -229,7 +228,7 @@ class TestBdhDriver:
             return repr(value)
 
         monkeypatch.setattr(harness, "repr", counting, raising=False)
-        _, res = harness.run_bdh(2000, 20, 4, 0, 2000)
+        _, res = harness.run_bdh(20, 4, 0, 2000)
         text = "".join(harness.bdh_rows_csv(res))
         monkeypatch.undo()
         assert text == _oracle_bdh_csv(res)
@@ -242,7 +241,7 @@ class TestBdhDriver:
 
     def test_csv_peak_memory_at_window_argv(self):
         # streamed into a sink: the writer never holds the whole file
-        _, res = harness.run_bdh(4_050_000, 300, 10, 4_000_000, 50_000)
+        _, res = harness.run_bdh(300, 10, 4_000_000, 50_000)
         tracemalloc.start()
         try:
             size = sum(map(len, harness.bdh_rows_csv(res)))
@@ -252,7 +251,7 @@ class TestBdhDriver:
         assert peak < 2.5 * size
 
     def test_csv_chunks_are_whole_lines_one_per_shift(self):
-        _, res = harness.run_bdh(2000, 20, 4, 0, 2000)
+        _, res = harness.run_bdh(20, 4, 0, 2000)
         chunks = list(harness.bdh_rows_csv(res))
         assert len(chunks) == 2 + res.r_values.size
         assert all(chunk.endswith("\n") for chunk in chunks)
@@ -351,7 +350,7 @@ class TestCli:
         ) == 0
         assert (tmp_path / "bdh.csv").exists()
         payload = json.loads((tmp_path / "bdh.json").read_text())
-        assert payload["params"]["x"] == 50  # defaults to X + Y
+        assert payload["params"]["x"] == 50  # X + Y
 
     def test_bdh_writer_failing_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         writer = harness.bdh_rows_csv
@@ -368,6 +367,12 @@ class TestCli:
         assert "error: writer failed mid-stream" in capsys.readouterr().err
         assert not (tmp_path / "bdh.csv").exists()
         assert not (tmp_path / "bdh.csv.tmp").exists()
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["constants"], ["bdh", "--R", "2", "--Y", "50"]])
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.iterdir()) == []
 
     def test_cr_json(self, capsys):
@@ -407,6 +412,10 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 cli.main([*argv, "--L", "10"])
             assert exc.value.code == 2
+        # bdh normalizes by X + Y and takes no --x
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bdh", "--R", "2", "--Y", "50", "--x", "60"])
+        assert exc.value.code == 2
         # the triple-sum oracle for C_r is a test route, not a CLI option
         for option in ("--U", "--V"):
             with pytest.raises(SystemExit) as exc:
@@ -526,6 +535,27 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(report.encode("ascii")).hexdigest()
         assert digest == "6644702e530ce063908343c0dab07dfbb65525cbd87d495f54cfa9b6430d3374"
 
+    @pytest.mark.parametrize(
+        "argv, json_digest, csv_digest",
+        [
+            (  # the window (X-R, X+Y+R] reaches below 1
+                "bdh --R 8 --Q 3 --X 3 --Y 60",
+                "c0b3079709c431f0ac308e68da454412e122f6d042a0d801797306694f972f6b",
+                "ab18040e41cea9a5d0616e05213de9c720e35c6df2676e28a3d50fa9f441cf88",
+            ),
+            (  # base primes above the window length strike once each
+                "bdh --R 12 --Q 4 --X 1000000000000 --Y 2000",
+                "81e7acea143b9a96fdee3e9a595ac56c2402b73af605337741fe8e169f245cd8",
+                "11c9bc90222b9ce86be42f802be5e4a6e1dab6fdb865bf9562e1078efb072650",
+            ),
+        ],
+    )
+    def test_bdh_window_edges(self, tmp_path, capsys, argv, json_digest, csv_digest):
+        assert cli.main([*argv.split(), "--out", str(tmp_path / "bdh")]) == 0
+        for suffix, digest in ((".json", json_digest), (".csv", csv_digest)):
+            data = (tmp_path / f"bdh{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
+
     def test_theorem1_large_box(self, capsys):
         # a box covering F_p for every p <= 2000
         assert cli.main(["theorem1", "--x", "2000", "--A", "2000", "--B", "2000"]) == 0
@@ -577,7 +607,7 @@ class TestReportDeterminism:
         a = harness.run_theorem2(150).to_json()
         b = harness.run_theorem2(150).to_json()
         assert a == b
-        c, c_grid = harness.run_bdh(80, 2, 2, 0, 80)
-        d, d_grid = harness.run_bdh(80, 2, 2, 0, 80)
+        c, c_grid = harness.run_bdh(2, 2, 0, 80)
+        d, d_grid = harness.run_bdh(2, 2, 0, 80)
         assert c.to_json() == d.to_json()
         assert list(harness.bdh_rows_csv(c_grid)) == list(harness.bdh_rows_csv(d_grid))

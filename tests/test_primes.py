@@ -1,5 +1,6 @@
 """Integer-primitive tests against independent oracles."""
 
+import functools
 import math
 import random
 
@@ -30,6 +31,18 @@ def _oracle_sieve(limit):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [n for n in range(limit + 1) if flags[n]]
+
+
+# Reach of the window tests' reference flags: every window they draw ends below it.
+_WINDOW_REACH = 10**6 + 3000
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_flags():
+    """Primality flags for 0.._WINDOW_REACH from _oracle_sieve, built once."""
+    flags = np.zeros(_WINDOW_REACH + 1, dtype=bool)
+    flags[_oracle_sieve(_WINDOW_REACH)] = True
+    return flags
 
 
 def _oracle_is_prime(n):
@@ -128,10 +141,15 @@ class TestSieve:
             primes.prime_terms(1 << 31, np.log)
 
     def test_segmented_window_matches_flat_sieve(self):
-        for x, y in ((0, 100), (97, 50), (10**6, 1000), (3, 4)):
+        for x, y in ((0, 100), (97, 50), (10**6, 1000), (3, 4), (0, 1), (1, 1), (2, 1)):
             flags = sieve_window(x, y)
-            full = sieve(x + y).flags
-            assert flags.tolist() == full[x + 1 : x + y + 1].tolist()
+            assert flags.tolist() == _oracle_flags()[x + 1 : x + y + 1].tolist()
+
+    @pytest.mark.parametrize("x, y", [(10**12, 2000), (10**12 - 1, 999), (2**40 + 7, 64)])
+    def test_window_far_from_zero_against_is_prime(self, x, y):
+        # most base primes (up to 10^6) exceed y / 2 and strike in the array pass
+        want = [is_prime(n) for n in range(x + 1, x + y + 1)]
+        assert sieve_window(x, y).tolist() == want
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -141,8 +159,7 @@ class TestSieve:
     def test_window_property_against_flat_sieve(self, x, y):
         # y < sqrt(x + y) here is common, so the base primes above y
         # (one strike each, in one array pass) are exercised
-        full = sieve(max(2, x + y)).flags
-        assert np.array_equal(sieve_window(x, y), full[x + 1 : x + y + 1])
+        assert np.array_equal(sieve_window(x, y), _oracle_flags()[x + 1 : x + y + 1])
 
     def test_window_domain(self):
         with pytest.raises(DomainError):

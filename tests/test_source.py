@@ -178,6 +178,29 @@ def test_one_length_rule_in_curves():
     assert found == []
 
 
+def test_one_strike_site_in_primes():
+    # every sieve strikes composites in _odd_flags: the only assignments of
+    # False into a stepped slice in primes.py lie in one function
+    path = Path(koblitz.__file__).parent / "primes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is False
+        and any(
+            isinstance(t, ast.Subscript)
+            and isinstance(t.slice, ast.Slice)
+            and t.slice.step is not None
+            for t in node.targets
+        )
+    }
+    assert len(sites) == 1, sites
+
+
 def test_cli_opens_files_only_in_atomic_open():
     # every file the CLI writes appears whole or not at all
     path = Path(koblitz.__file__).parent / "cli.py"

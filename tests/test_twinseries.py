@@ -17,7 +17,6 @@ from koblitz.twinseries import (
     F_local,
     F_mult,
     TwinWindow,
-    _sieved_window,
     bdh_statistic,
     rho,
     singular_series_table,
@@ -26,6 +25,7 @@ from oracles import (
     error_E,
     exponential_sum_F,
     psi,
+    sieved_window,
     singular_series,
     singular_series_mod,
 )
@@ -183,13 +183,13 @@ class TestPsi:
         assert e == pytest.approx(psi(w, 2, 3, 1) - expected, rel=1e-12)
 
 
-def _bdh_oracle(x, R, Q, window):
+def _bdh_oracle(R, Q, window):
     """bdh_statistic as one loop over (r, q, a) with the scalar S(r,q,a).
 
     Returns (S, per_q, rows) with the same float operations in the same
     order as the array passes, so the results must agree exactly.
     """
-    p, flags, off, logs = _sieved_window(window, R)
+    p, flags, off, logs = sieved_window(window, R)
     logp = logs[p - off]
     total = 0.0
     per_q = {q: 0.0 for q in range(1, Q + 1)}
@@ -228,39 +228,39 @@ class TestBdhStatistic:
     @given(
         st.integers(min_value=0, max_value=400),
         st.integers(min_value=1, max_value=400),
-        st.integers(min_value=1, max_value=40),
+        st.data(),
         st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_scalar_oracle(self, X, Y, R, Q):
+    def test_equals_scalar_oracle(self, X, Y, data, Q):
+        R = data.draw(st.integers(min_value=1, max_value=min(40, X + Y)), label="R")
         w = TwinWindow(X=X, Y=Y)
-        x = max(X + Y, R)
-        res = bdh_statistic(x, R, Q, w)
-        S, per_q, rows = _bdh_oracle(x, R, Q, w)
+        res = bdh_statistic(R, Q, w)
+        S, per_q, rows = _bdh_oracle(R, Q, w)
         assert _cells(res) == rows
         assert res.S == S
         assert res.per_q == per_q
-        assert res.normalized == S / (R * float(x) ** 2)
+        assert res.normalized == S / (R * float(X + Y) ** 2)
 
     @pytest.mark.parametrize("X", [0, 1, 2, 3])
     @pytest.mark.parametrize("R", [1, 3, 9])
     def test_odd_shifts_near_two(self, X, R):
         # an odd shift pairs only p = 2, or p = r + 2 with p - r = 2
         w = TwinWindow(X=X, Y=50)
-        res = bdh_statistic(X + 50, R, 2, w)
-        S, per_q, rows = _bdh_oracle(X + 50, R, 2, w)
+        res = bdh_statistic(R, 2, w)
+        S, per_q, rows = _bdh_oracle(R, 2, w)
         assert _cells(res) == rows
         assert (res.S, res.per_q) == (S, per_q)
 
     def test_oracle_at_large_X(self):
         w = TwinWindow(X=10**12, Y=2000)
-        res = bdh_statistic(10**12 + 2000, 12, 4, w)
-        assert (res.S, res.per_q, _cells(res)) == _bdh_oracle(10**12 + 2000, 12, 4, w)
+        res = bdh_statistic(12, 4, w)
+        assert (res.S, res.per_q, _cells(res)) == _bdh_oracle(12, 4, w)
 
     def test_no_floating_point_warnings(self):
         # odd shifts have no admissible class; their rho is never divided by
         with np.errstate(all="raise"):
-            bdh_statistic(200, 7, 6, TwinWindow(X=0, Y=200))
+            bdh_statistic(7, 6, TwinWindow(X=0, Y=200))
 
     def test_routes_cross_checked(self, monkeypatch):
         build = singular_series_table
@@ -274,7 +274,7 @@ class TestBdhStatistic:
         # the first even (r, q) that reads S(6) is (-2, 3); a = 2 is its
         # first admissible class
         with pytest.raises(AssertionError, match=r"\(r,q,a\)=\(-2,3,2\)"):
-            bdh_statistic(50, 2, 3, TwinWindow(X=0, Y=50))
+            bdh_statistic(2, 3, TwinWindow(X=0, Y=50))
 
     def test_capacity_checked_before_allocation(self):
         R, Q = 10**6, 10  # a 2R x 55 float64 grid would take 880 MB
@@ -282,7 +282,7 @@ class TestBdhStatistic:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
-                bdh_statistic(10**7, R, Q, TwinWindow(X=0, Y=10**6))
+                bdh_statistic(R, Q, TwinWindow(X=0, Y=10**6))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -292,23 +292,23 @@ class TestBdhStatistic:
         # criterion 09's R = 1000, Q = 10 fits; Q = 50 does not
         assert 1000 * 10 * 11 <= MAX_BDH_CELLS < 1000 * 50 * 51
         with pytest.raises(CapacityError):
-            bdh_statistic(2000, 1000, 50, TwinWindow(X=0, Y=100))
+            bdh_statistic(1000, 50, TwinWindow(X=0, Y=1000))
 
     def test_hand_oracle_small(self):
         w = TwinWindow(X=0, Y=10)
-        res = bdh_statistic(10, 2, 1, w)
+        res = bdh_statistic(2, 1, w)
         direct = sum(error_E(w, r, 1, 0) ** 2 for r in (-2, -1, 1, 2))
         assert res.S == pytest.approx(direct, rel=1e-12)
         assert res.normalized == pytest.approx(direct / (2 * 100.0), rel=1e-12)
 
     def test_per_q_marginals_sum_to_total(self):
         w = TwinWindow(X=0, Y=500)
-        res = bdh_statistic(500, 5, 3, w)
+        res = bdh_statistic(5, 3, w)
         assert sum(res.per_q.values()) == pytest.approx(res.S, rel=1e-12)
 
     def test_matches_error_E_per_row(self):
         w = TwinWindow(X=50, Y=300)
-        res = bdh_statistic(400, 4, 3, w)
+        res = bdh_statistic(4, 3, w)
         for r, q, a, psi_v, exp_v, err in _cells(res):
             # one density per (r, q), reused for every admissible a
             assert exp_v == singular_series_mod(r, q, a) * w.Y
@@ -321,7 +321,7 @@ class TestBdhStatistic:
     )
     def test_against_is_prime_enumeration(self, X, Y, R):
         w = TwinWindow(X=X, Y=Y)
-        res = bdh_statistic(X + Y, R, 3, w)
+        res = bdh_statistic(R, 3, w)
         primes = {n for n in range(X - R + 1, X + Y + R + 1) if is_prime(n)}
         for r, q, a, psi_v, _, _ in _cells(res):
             want = sum(
@@ -334,6 +334,8 @@ class TestBdhStatistic:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bdh_statistic(10, 2, 1, TwinWindow(X=5, Y=10))
+            bdh_statistic(0, 1, TwinWindow(X=0, Y=50))
         with pytest.raises(DomainError):
-            bdh_statistic(100, 0, 1, TwinWindow(X=0, Y=50))
+            bdh_statistic(51, 1, TwinWindow(X=0, Y=50))  # R > X + Y
+        with pytest.raises(DomainError):
+            bdh_statistic(2, 0, TwinWindow(X=0, Y=50))
