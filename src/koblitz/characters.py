@@ -17,7 +17,6 @@ every unit x = 1 mod d.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,6 @@ def _generators(q: int) -> list[tuple[int, int]]:
     return gens
 
 
-@functools.lru_cache(maxsize=64)
 def characters(q: int) -> CharacterTable:
     """All phi(q) Dirichlet characters mod q, in exponent-tuple order."""
     if q < 1:
@@ -99,8 +97,6 @@ def characters(q: int) -> CharacterTable:
     roots = np.append(np.exp(2j * np.pi * np.arange(m) / m), 0)
     values = roots[ang]
     exponents = np.ascontiguousarray(logs.T)
-    for a in (exponents, conductor, values):
-        a.setflags(write=False)  # shared by every caller through the cache
     return CharacterTable(
         modulus=q, phi=m, exponents=exponents, conductor=conductor, values=values
     )

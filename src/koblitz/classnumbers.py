@@ -16,7 +16,6 @@ and less 3 when D = -4f^2 (the form f(1,0,1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +50,8 @@ def twelve_h_weighted_table(dmax: int) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class HBoundReport:
-    max_ratio: float
-    argmax: int
-
-
-def H_bound_check(table: np.ndarray) -> HBoundReport:
-    """Max of H(-D)/(sqrt(D) log^2 D) over 3 <= D < len(table), from 12H."""
+def H_bound_check(table: np.ndarray) -> tuple[float, int]:
+    """(max, argmax) of H(-D)/(sqrt(D) log^2 D) over 3 <= D < len(table), from 12H."""
     dmax = len(table) - 1
     if dmax < 16:
         raise DomainError("dmax must be >= 16")
@@ -67,4 +60,4 @@ def H_bound_check(table: np.ndarray) -> HBoundReport:
         ratio = (table / 12.0) / (np.sqrt(k) * np.log(k) ** 2)
     ratio[:3] = 0.0
     arg = int(np.argmax(ratio))
-    return HBoundReport(max_ratio=float(ratio[arg]), argmax=arg)
+    return float(ratio[arg]), arg

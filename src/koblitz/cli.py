@@ -27,13 +27,17 @@ def _atomic_open(path: str):
     """Text file for writing that appears at `path` only once the block completes.
 
     The text goes to `path.tmp`, which replaces `path` on success and is
-    removed on any error.
+    removed on any error.  An OSError on the temporary file names `path`.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -98,7 +102,7 @@ def _check_census_budget(pmax: int) -> None:
 
 def _cmd_census(args) -> int:
     _check_census_budget(args.pmax)
-    primes = [int(p) for p in sieve(args.pmax).primes if p > 3]
+    primes = [int(p) for p in np.flatnonzero(sieve(args.pmax)) if p > 3]
     censuses = curves.censuses(primes)
     if args.out:
         total = write_census_file(_out_path(args.out, ".csv"), censuses)

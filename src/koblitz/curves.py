@@ -288,13 +288,13 @@ def deuring_sweep(pmax: int, table: np.ndarray) -> list[tuple[int, np.ndarray]]:
     Ordinary traces (r != 0, as |r| < p) are the asserted case; r = 0, the
     supersingular trace, is reported separately by the callers.
     """
-    primes = sieve(pmax).primes[2:].tolist()
+    primes = np.flatnonzero(sieve(pmax))[2:].tolist()
     return [(p, trace_grid(p)[hist != deuring_counts(p, table)]) for p, hist in censuses(primes)]
 
 
 def pi_star(p: int) -> int:
     """#{curves over F_p with a prime number of points}."""
-    flags = sieve(p + 1 + math.isqrt(4 * p)).flags
+    flags = sieve(p + 1 + math.isqrt(4 * p))
     return int(census(p)[twin_traces(flags, p)].sum())
 
 

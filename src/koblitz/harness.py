@@ -68,7 +68,7 @@ def run_theorem2(pmax: int) -> Report:
     if pmax < 10:
         raise DomainError("pmax too small")
     table = classnumbers.twelve_h_weighted_table(4 * pmax)
-    flags = sieve(pmax + 2 * math.isqrt(pmax) + 2).flags
+    flags = sieve(pmax + 2 * math.isqrt(pmax) + 2)
     frak_c = constants.average_constant().value
     with_census = pmax <= 3000
     primes = np.flatnonzero(flags[: pmax + 1])[2:].tolist()  # 5 <= p <= pmax
@@ -120,7 +120,7 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     n_curves = (2 * box_a + 1) * (2 * box_b + 1) - _global_singular_in_box(box_a, box_b)
     if n_curves <= 0:
         raise DomainError("box contains no nonsingular curves")
-    flags = sieve(x + 2 * math.isqrt(x) + 2).flags
+    flags = sieve(x + 2 * math.isqrt(x) + 2)
     table = classnumbers.twelve_h_weighted_table(4 * x)
     total = 0
     terms = [np.zeros(1)]  # H(r^2-4p)/p per twin trace, summed from 0.0 in order
@@ -241,12 +241,12 @@ def _suite_deuring(rows: list[dict]) -> bool:
         not bad_supersingular,
         f"mismatching p: {bad_supersingular}" if bad_supersingular else "all exact",
     )
-    hb = classnumbers.H_bound_check(table)
+    max_ratio, argmax = classnumbers.H_bound_check(table)
     ok &= _check(
         rows,
         "H growth envelope finite at Dmax=10^4",
-        hb.max_ratio < 10.0,
-        f"max H/(sqrt(D) log^2 D) = {hb.max_ratio:.6f} at D={hb.argmax}",
+        max_ratio < 10.0,
+        f"max H/(sqrt(D) log^2 D) = {max_ratio:.6f} at D={argmax}",
     )
     return ok
 
@@ -277,7 +277,7 @@ def _suite_constants(rows: list[dict]) -> bool:
         f"moves by {abs(v5 - v6):.3e}",
     )
     worst = 0.0
-    for ell in (int(p) for p in sieve(50).primes if p >= 3):
+    for ell in (int(p) for p in np.flatnonzero(sieve(50)) if p >= 3):
         for r in (2 * ell + 1, ell, 3 if ell > 3 else 5):
             if r == 1 or r % 2 == 0:
                 continue

@@ -10,7 +10,6 @@ primitive roots, phi, rho and the finite corrections of C_r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,6 @@ MAX_SIEVE_LIMIT = 1 << 30
 # Strong-pseudoprime witnesses covering every n < 3.3 * 10^24, hence all of
 # 64-bit range (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primality flags for 0..limit plus the ascending prime list."""
-
-    flags: np.ndarray
-    primes: np.ndarray
 
 
 def _odd_flags(x: int, y: int) -> np.ndarray:
@@ -60,15 +51,12 @@ def _odd_flags(x: int, y: int) -> np.ndarray:
     return flags
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including `limit`."""
+def sieve(limit: int) -> np.ndarray:
+    """Primality flags for 0..limit, entry n for the integer n:
+    sieve_window(0, limit) behind one False for 0."""
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
-    odd = _odd_flags(0, limit)
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[1::2] = odd
-    flags[2] = True
-    return PrimeTable(flags=flags, primes=np.flatnonzero(flags))
+    return np.concatenate(([False], sieve_window(0, limit)))
 
 
 # Odd-sieve entries per segment of prime_terms: about 6000 primes near 10^5.
@@ -140,7 +128,7 @@ def is_prime(n: int) -> bool:
 
 
 # The trial divisors of factorize(): every prime below 1000.
-_TRIAL_PRIMES = tuple(sieve(1000).primes.tolist())
+_TRIAL_PRIMES = tuple(np.flatnonzero(sieve(1000)).tolist())
 
 
 def _pollard_brent(n: int) -> int:

@@ -34,7 +34,7 @@ def singular_series_table(n: int) -> np.ndarray:
     """
     corr = np.ones(n + 1)
     if n >= 6:
-        for ell in sieve(n // 2).primes[1:].tolist():
+        for ell in np.flatnonzero(sieve(n // 2))[1:].tolist():
             corr[2 * ell :: 2 * ell] *= (ell - 1.0) / (ell - 2.0)
     corr[1::2] = 0.0
     return _twin_constant(DEFAULT_TRUNCATION) * corr

@@ -77,7 +77,7 @@ def pi_twin(a: int, b: int, x: int) -> int:
     if x < 5:
         raise DomainError("x must be >= 5")
     count = 0
-    for p in sieve(x).primes[2:]:
+    for p in np.flatnonzero(sieve(x))[2:]:
         p = int(p)
         if disc % p == 0:
             continue
@@ -245,14 +245,14 @@ def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
 
 def frak_c_form2_full_sieve(limit: int) -> float:
     """prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))) over every prime l <= limit, raw."""
-    ell = sieve(limit).primes.astype(np.float64)
+    ell = np.flatnonzero(sieve(limit)).astype(np.float64)
     g = (ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))
     return math.exp(np.sum(np.log1p(-g)))
 
 
 def frak_c_form1_full_sieve(limit: int) -> float:
     """(2/3) prod_{odd l <= limit} (l^4-2l^3-l^2+3l)/((l-1)^3 (l+1)), raw."""
-    odd = sieve(limit).primes[1:].astype(np.float64)
+    odd = np.flatnonzero(sieve(limit))[1:].astype(np.float64)
     num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
     den = (odd - 1) ** 3 * (odd + 1)
     return (2.0 / 3.0) * math.exp(np.sum(np.log(num) - np.log(den)))
@@ -260,7 +260,7 @@ def frak_c_form1_full_sieve(limit: int) -> float:
 
 def c_r_base_full_sieve(limit: int) -> tuple[float, float]:
     """(base product, applied tail) of (4/3) prod_{odd l} l^2(l^2-2l-2)/((l-1)^3(l+1))."""
-    ell = sieve(limit).primes[1:].astype(np.float64)
+    ell = np.flatnonzero(sieve(limit))[1:].astype(np.float64)
     log_sum = np.sum(
         2 * np.log(ell)
         + np.log(ell * ell - 2 * ell - 2)
@@ -382,7 +382,7 @@ def error_E(window: TwinWindow, r: int, q: int, a: int) -> float:
 
 def twin_constant_full_sieve(limit: int) -> float:
     """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2, from one full sieve."""
-    ell = sieve(limit).primes[1:].astype(np.float64)
+    ell = np.flatnonzero(sieve(limit))[1:].astype(np.float64)
     return 2.0 * math.exp(np.log1p(-1.0 / (ell - 1.0) ** 2).sum())
 
 

@@ -9,6 +9,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from koblitz import constants, curves, harness, twinseries
@@ -23,7 +24,7 @@ def test_criterion_01_deuring_exactness():
     t0 = time.monotonic()
     supersingular_deviations = []
     sweep = curves.deuring_sweep(499, twelve_h_weighted_table(4 * 499))
-    assert [p for p, _ in sweep] == [int(q) for q in sieve(499).primes if q >= 5]
+    assert [p for p, _ in sweep] == [int(q) for q in np.flatnonzero(sieve(499)) if q >= 5]
     for p, r in sweep:
         assert not r.any(), f"ordinary mismatch at p={p}: r in {r.tolist()}"
         if 0 in r:
@@ -63,7 +64,7 @@ def test_criterion_04_character_sum_lemmas():
                 continue
             for n in range(1, 201):
                 assert constants.c_f_r(n, f, r) == c_f_r_bruteforce(n, f, r), (n, f, r)
-    for ell in (int(p) for p in sieve(50).primes if p >= 3):
+    for ell in (int(p) for p in np.flatnonzero(sieve(50)) if p >= 3):
         for r in (2 * ell + 1, ell, 3 if ell > 3 else 5):
             if r % 2 == 0 or r == 1:
                 continue

@@ -184,10 +184,11 @@ class TestWholeTable:
 
 class TestHBound:
     def test_finite_and_slow_growth(self):
-        r4 = H_bound_check(twelve_h_weighted_table(10**4))
-        r5 = H_bound_check(twelve_h_weighted_table(10**5))
-        assert 0 < r4.max_ratio < 10.0
-        assert r5.max_ratio <= 2.0 * r4.max_ratio
+        r4, d4 = H_bound_check(twelve_h_weighted_table(10**4))
+        r5, d5 = H_bound_check(twelve_h_weighted_table(10**5))
+        assert 0 < r4 < 10.0
+        assert r5 <= 2.0 * r4
+        assert 3 <= d4 <= 10**4 and 3 <= d5 <= 10**5
 
     def test_domain(self):
         with pytest.raises(DomainError):

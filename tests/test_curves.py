@@ -26,7 +26,7 @@ from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import _least_primitive_root, is_prime, sieve
 from oracles import CurveModP, kronecker_H, kronecker_table, pi_twin, singular_pair_count, trace
 
-SMALL_PRIMES = [int(q) for q in sieve(300).primes if q >= 5]
+SMALL_PRIMES = [int(q) for q in np.flatnonzero(sieve(300)) if q >= 5]
 # every 2^a 3^b 5^c up to 2^21, enough for the least one >= k at k <= 2^20
 SMOOTH = sorted(
     n
@@ -121,7 +121,7 @@ class TestTrace:
     def test_hasse_bound_all_p_to_2000(self):
         # bincount would lengthen the census for a trace above isqrt(4p) and
         # raise for one below -isqrt(4p)
-        for p in (int(q) for q in sieve(2000).primes if q > 3):
+        for p in (int(q) for q in np.flatnonzero(sieve(2000)) if q > 3):
             assert census(p).shape == (2 * math.isqrt(4 * p) + 1,), p
 
     @settings(max_examples=40, deadline=None)
@@ -149,7 +149,7 @@ class TestTrace:
     def test_length_rule(self):
         # even, so d = [chi, chi] splits in halves; each half holds a row of p
         # columns and the coset sums at g^0..g^5
-        for p in sieve(MAX_CENSUS_PRIME).primes[2:].tolist():
+        for p in np.flatnonzero(sieve(MAX_CENSUS_PRIME))[2:].tolist():
             n = curves._length(p)
             assert n % 2 == 0 and n >= 2 * p and n >= 12, p
 
@@ -173,7 +173,7 @@ class TestTrace:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from([int(q) for q in sieve(1000).primes if q >= 5]),
+        st.sampled_from([int(q) for q in np.flatnonzero(sieve(1000)) if q >= 5]),
         st.integers(1, 3),
         st.booleans(),
         st.integers(0, 2**32 - 1),
@@ -213,7 +213,7 @@ class TestCensus:
         assert _by_r(7)[5] == 1
 
     def test_total_with_independent_singular_count(self):
-        for p in (int(q) for q in sieve(100).primes if q > 3):
+        for p in (int(q) for q in np.flatnonzero(sieve(100)) if q > 3):
             total = int(census(p).sum())
             assert total == p * p - singular_pair_count(p)
             assert singular_pair_count(p) == p
@@ -258,7 +258,7 @@ class TestBatchedTables:
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_censuses_equal_census(self, shuffle):
         rng = np.random.default_rng(2024)
-        pool = [int(q) for q in sieve(3000).primes if q >= 5]
+        pool = [int(q) for q in np.flatnonzero(sieve(3000)) if q >= 5]
         primes = sorted(rng.choice(pool, size=150, replace=False).tolist())
         if shuffle:
             rng.shuffle(primes)
@@ -304,7 +304,7 @@ class TestBatchedTables:
         # a second pass, after the FFT plans are cached: one census per prime
         # at a time peaked at 0.22 MB (222 980 B), batches of up to 2^14 cells
         # at 0.87 MB (873 963 B)
-        primes = [int(q) for q in sieve(500).primes if q >= 5]
+        primes = [int(q) for q in np.flatnonzero(sieve(500)) if q >= 5]
         list(censuses(primes))
         tracemalloc.start()
         try:
@@ -382,7 +382,7 @@ class TestDeuring:
 
     def test_sweep_covers_primes_from_5(self):
         sweep = deuring_sweep(60, twelve_h_weighted_table(240))
-        assert [p for p, _ in sweep] == [int(q) for q in sieve(60).primes if q >= 5]
+        assert [p for p, _ in sweep] == [int(q) for q in np.flatnonzero(sieve(60)) if q >= 5]
         assert all(r.size == 0 for _, r in sweep)
 
 
@@ -416,7 +416,7 @@ class TestPiTwin:
     def test_against_direct_enumeration(self):
         a, b = -1, 0
         direct = 0
-        for p in (int(q) for q in sieve(50).primes if q > 3):
+        for p in (int(q) for q in np.flatnonzero(sieve(50)) if q > 3):
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
             if is_prime(_oracle_point_count(p, a % p, b % p)):

@@ -369,10 +369,18 @@ class TestCli:
         assert not (tmp_path / "bdh.csv.tmp").exists()
         assert sorted(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [["constants"], ["bdh", "--R", "2", "--Y", "50"]])
+    @pytest.mark.parametrize(
+        "argv", [["constants"], ["bdh", "--R", "2", "--Y", "50"], ["cr", "--r", "3"]]
+    )
     def test_unwritable_out_is_an_error(self, tmp_path, capsys, argv):
-        assert cli.main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "missing" / "x"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the error names the path written to (bdh writes its CSV first), not
+        # its temporary file
+        suffix = ".csv" if argv[0] == "bdh" else ".json"
+        assert f"'{out}{suffix}'" in err and ".tmp" not in err
         assert sorted(tmp_path.iterdir()) == []
 
     def test_cr_json(self, capsys):

@@ -201,6 +201,24 @@ def test_one_strike_site_in_primes():
     assert len(sites) == 1, sites
 
 
+def test_one_integer_flag_layout_in_primes():
+    # _odd_flags' odd-only entries are laid out over the integers by
+    # sieve_window alone (prime_terms reads them as odd integers); sieve
+    # takes its flags from sieve_window
+    path = Path(koblitz.__file__).parent / "primes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_odd_flags"
+    }
+    assert callers == {"_odd_flags", "sieve_window", "prime_terms"}, callers
+
+
 def test_cli_opens_files_only_in_atomic_open():
     # every file the CLI writes appears whole or not at all
     path = Path(koblitz.__file__).parent / "cli.py"
