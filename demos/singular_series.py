@@ -7,7 +7,7 @@ r <= 30, and psi and S(r, q, a) * Y from one dispersion grid over every
 shift |r| <= 6 and class a mod q <= 5.
 """
 
-from koblitz.twinseries import TwinWindow, bdh_statistic, rho, singular_series_table
+from koblitz.twinseries import bdh_statistic, rho, singular_series_table
 
 table = singular_series_table(30)
 print("singular series at small even shifts:")
@@ -20,8 +20,7 @@ for r, q in ((2, 3), (3, 3), (2, 15), (6, 35)):
     print(f"  rho({r}, {q:>2}) = {rho(r, q)}")
 
 print("\npsi vs S(r,q,a) * Y over the window (10^5, 2*10^5]:")
-w = TwinWindow(X=10**5, Y=10**5)
-grid = bdh_statistic(6, 5, w)
+grid = bdh_statistic(6, 5, 10**5, 10**5)
 rows = grid.r_values.tolist()
 cols = list(zip(grid.q_col.tolist(), grid.a_col.tolist()))
 for r, q, a in ((2, 1, 0), (4, 1, 0), (2, 3, 1), (6, 5, 2)):

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         type=str,
         default="all",
-        choices=["deuring", "constants", "series", "characters", "all"],
+        choices=[*harness.SUITES, "all"],
     )
     return parser
 

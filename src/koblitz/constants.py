@@ -326,11 +326,8 @@ def C_r(r: int, limit: int = DEFAULT_TRUNCATION) -> ConstantValue:
 
 @dataclass(frozen=True)
 class GallagherAverage:
-    sum_positive: float  # over odd 1 < r <= R
-    sum_two_sided: float  # over odd |r| <= R, r != 1
-    frak_c: float
-    ratio: float  # sum_positive / (frak_c * R); converges to 1
-    ratio_two_sided: float  # sum_two_sided / (frak_c * R); converges to 2
+    ratio: float  # sum of C_r over odd 1 < r <= R, over frak_c * R; converges to 1
+    ratio_two_sided: float  # the sum over odd |r| <= R, r != 1, likewise; converges to 2
 
 
 def gallagher_sum(R: int, limit: int = DEFAULT_TRUNCATION) -> GallagherAverage:
@@ -338,7 +335,7 @@ def gallagher_sum(R: int, limit: int = DEFAULT_TRUNCATION) -> GallagherAverage:
 
     The one-sided sum over 1 < r <= R averages to frak_c * R; the two-sided
     sum over |r| <= R is exactly twice that in the limit (about R odd shifts
-    on each side).  Both are returned, with ratios against frak_c * R.
+    on each side).  Both are returned as ratios against frak_c * R.
     """
     if R < 100:
         raise DomainError("R must be >= 100")
@@ -354,11 +351,7 @@ def gallagher_sum(R: int, limit: int = DEFAULT_TRUNCATION) -> GallagherAverage:
             sum_pos += v
         else:
             sum_neg += v
-    two_sided = sum_pos + sum_neg
     return GallagherAverage(
-        sum_positive=sum_pos,
-        sum_two_sided=two_sided,
-        frak_c=frak_c,
         ratio=sum_pos / (frak_c * R),
-        ratio_two_sided=two_sided / (frak_c * R),
+        ratio_two_sided=(sum_pos + sum_neg) / (frak_c * R),
     )

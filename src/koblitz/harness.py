@@ -17,7 +17,6 @@ from . import classnumbers, constants, curves, twinseries
 from .characters import characters, rho_chi
 from .errors import DomainError
 from .primes import moebius, phi, sieve
-from .twinseries import TwinWindow
 
 
 @dataclass
@@ -153,7 +152,7 @@ def run_bdh(R: int, Q: int, X: int, Y: int) -> tuple[Report, twinseries.BdhResul
 
     Returns the Report and the statistic's grid, which bdh_rows_csv writes.
     """
-    result = twinseries.bdh_statistic(R, Q, TwinWindow(X=X, Y=Y))
+    result = twinseries.bdh_statistic(R, Q, X, Y)
     single_class = result.per_q[1] / (R * float(Y) ** 2)
     report = Report(
         name="bdh",
@@ -173,22 +172,24 @@ def bdh_rows_csv(result: twinseries.BdhResult) -> Iterator[str]:
     in grid order, then `# summary S=... normalized=...`.
 
     Yields the text in chunks: the header, then one chunk per shift r, then
-    the summary, each ending in a newline.  Values print as repr.  A cell
-    whose three values are all +0.0 (odd shifts, classes that are not
-    admissible) shares one preformatted line tail per column.  The values of
-    the other cells are keyed by their bit patterns, so -0.0 stays apart from
-    +0.0, and each distinct pattern goes through repr once for the whole grid.
+    the summary, each ending in a newline.  Values print as repr; error is
+    psi - expected.  A cell whose psi and expected are both +0.0 (odd shifts,
+    classes that are not admissible) has error +0.0 and shares one
+    preformatted line tail per column.  The values of the other cells are
+    keyed by their bit patterns, so -0.0 stays apart from +0.0, and each
+    distinct pattern goes through repr once for the whole grid.
     """
     heads = [f"{q},{a}," for q, a in zip(result.q_col.tolist(), result.a_col.tolist())]
     n = len(heads)
     zero_tails = [head + "0.0,0.0,0.0" for head in heads]
-    bits = [g.view(np.int64).ravel() for g in (result.psi, result.expected, result.error)]
-    nonzero = bits[0] | bits[1]
-    nonzero |= bits[2]
-    at = np.flatnonzero(nonzero)
-    del nonzero
+    psi, expected = result.psi.ravel(), result.expected.ravel()
+    at = np.flatnonzero(psi.view(np.int64) | expected.view(np.int64))
+    psi, expected = psi[at], expected[at]
     # 1-D input: the inverse's shape for N-D input differs across numpy 2.0.x
-    distinct, inverse = np.unique(np.concatenate([b[at] for b in bits]), return_inverse=True)
+    distinct, inverse = np.unique(
+        np.concatenate((psi, expected, psi - expected)).view(np.int64), return_inverse=True
+    )
+    del psi, expected
     values = distinct.view(np.float64)
     text = np.empty(values.size, dtype=object)
     for lo in range(0, values.size, 1 << 16):  # 2^16 Python floats at a time
@@ -405,7 +406,8 @@ def _suite_characters(rows: list[dict]) -> bool:
     return ok
 
 
-_SUITES = {
+# the suites `verify --suite` accepts, in the order `all` runs them
+SUITES = {
     "deuring": _suite_deuring,
     "constants": _suite_constants,
     "series": _suite_series,
@@ -415,13 +417,13 @@ _SUITES = {
 
 def run_verify(suite: str) -> Report:
     """Run one named invariant suite (or `all`)."""
-    if suite != "all" and suite not in _SUITES:
+    if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}")
-    names = list(_SUITES) if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     rows: list[dict] = []
     passed = True
     for name in names:
-        passed &= _SUITES[name](rows)
+        passed &= SUITES[name](rows)
     return Report(
         name="verify",
         params={"suite": suite},

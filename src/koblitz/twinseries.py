@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import DEFAULT_TRUNCATION, _twin_constant
 from .errors import CapacityError, DomainError
-from .primes import factorize, is_prime, sieve, sieve_window
+from .primes import MAX_SIEVE_LIMIT, factorize, sieve, sieve_window
 
 # Budget for bdh_statistic's (r, q, a) grid: 2R * Q(Q+1)/2 cells, 16 MB per
 # float64 array over it.
@@ -59,32 +59,27 @@ def rho(r: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def F_local(p: int, r: int, q: int, a: int) -> int:
-    """Local factor of F at a prime p.
-
-    Equals the exponential double sum over units b, c mod p with
-    gcd(q, p) | c - a.  For invertible residues a mod q this reduces to the
-    familiar four-case table; when p divides both q and a the c-sum is empty
-    and the factor is 0.
-    """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if q % p == 0:
-        if a % p == 0:
-            return 0
-        return p - 1 if (a - r) % p == 0 else -1
-    return -p + 1 if r % p == 0 else 1
-
-
 def F_mult(s: int, r: int, q: int, a: int) -> int:
-    """F(s;r;q,a) for squarefree s, as the product of local factors."""
+    """F(s;r;q,a) for squarefree s, as the product of local factors.
+
+    The factor at a prime p | s equals the exponential double sum over units
+    b, c mod p with gcd(q, p) | c - a.  For invertible residues a mod q this
+    reduces to the familiar four-case table; when p divides both q and a the
+    c-sum is empty and the factor is 0.
+    """
     if s < 1:
         raise DomainError("s must be >= 1")
     out = 1
     for p, e in factorize(s):
         if e > 1:
             raise DomainError(f"s={s} is not squarefree")
-        out *= F_local(p, r, q, a)
+        if q % p == 0:
+            if a % p == 0:
+                out = 0
+            else:
+                out *= p - 1 if (a - r) % p == 0 else -1
+        else:
+            out *= -p + 1 if r % p == 0 else 1
     return out
 
 
@@ -94,23 +89,12 @@ def F_mult(s: int, r: int, q: int, a: int) -> int:
 
 
 @dataclass(frozen=True)
-class TwinWindow:
-    """Prime window (X, X+Y]."""
-
-    X: int
-    Y: int
-
-    def __post_init__(self):
-        if self.Y < 1 or self.X < 0:
-            raise DomainError("window requires X >= 0, Y >= 1")
-
-
-@dataclass(frozen=True)
 class BdhResult:
     """The dispersion statistic and the grid it sums.
 
-    Row i of the psi, expected and error grids is the shift r_values[i];
-    column j is the class (q_col[j], a_col[j]), q ascending, then a.
+    Row i of the psi and expected grids is the shift r_values[i]; column j
+    is the class (q_col[j], a_col[j]), q ascending, then a.  The error of a
+    cell is psi - expected.
     """
 
     S: float
@@ -121,12 +105,11 @@ class BdhResult:
     a_col: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     expected: np.ndarray = field(repr=False)
-    error: np.ndarray = field(repr=False)
 
 
-def bdh_statistic(R: int, Q: int, window: TwinWindow) -> BdhResult:
-    """S = sum over 0<|r|<=R, q<=Q, a mod q of E(window;r,q,a)^2, and its
-    normalization S / (R (X+Y)^2).
+def bdh_statistic(R: int, Q: int, X: int, Y: int) -> BdhResult:
+    """S = sum over 0<|r|<=R, q<=Q, a mod q of E(r,q,a)^2 over the window
+    (X, X+Y], and its normalization S / (R (X+Y)^2).
 
     Array passes over a grid with one row per shift r = -R..-1, 1..R and one
     column per class (q, a), q = 1..Q, a = 0..q-1.  The window (X-R, X+Y+R]
@@ -136,13 +119,18 @@ def bdh_statistic(R: int, Q: int, window: TwinWindow) -> BdhResult:
     singular_series_table, and S and per_q are sequential cumsums in
     (r, q, a) order, so every value equals the per-class loop's bit for bit.
     """
-    X, Y = window.X, window.Y
+    if Y < 1 or X < 0:
+        raise DomainError("window requires X >= 0, Y >= 1")
     if R > X + Y or R < 1 or Q < 1:
         raise DomainError("require 1 <= R <= X + Y and Q >= 1")
     # 2R * Q(Q+1)/2 grid cells; the R*Q + 1 entry S table is smaller
     if R * Q * (Q + 1) > MAX_BDH_CELLS:
         raise CapacityError(
             f"R={R}, Q={Q} give {R * Q * (Q + 1)} cells, over budget {MAX_BDH_CELLS}"
+        )
+    if Y + 2 * R > MAX_SIEVE_LIMIT:
+        raise CapacityError(
+            f"window length Y + 2R = {Y + 2 * R} exceeds sieve budget {MAX_SIEVE_LIMIT}"
         )
     # entry i of flags and logs is the integer X - R + 1 + i; logs holds log n
     # at primes and 0 elsewhere, and the integers below 1 read as non-prime
@@ -205,8 +193,8 @@ def bdh_statistic(R: int, Q: int, window: TwinWindow) -> BdhResult:
     expected = np.take(density, q_col - 1, axis=1)  # C order, like psi_grid
     expected *= Y
     expected[~admissible] = 0.0
-    err = psi_grid - expected
-    sq = err * err
+    sq = psi_grid - expected
+    sq *= sq
     per_q = {
         q: float(np.cumsum(sq[:, s : s + q])[-1])
         for q, s in zip(qs.tolist(), starts.tolist())
@@ -221,5 +209,4 @@ def bdh_statistic(R: int, Q: int, window: TwinWindow) -> BdhResult:
         a_col=a_col,
         psi=psi_grid,
         expected=expected,
-        error=err,
     )

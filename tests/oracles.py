@@ -29,7 +29,7 @@ from koblitz.constants import (
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
 from koblitz.primes import factorize, is_prime, phi, sieve, sieve_window
-from koblitz.twinseries import TwinWindow, rho
+from koblitz.twinseries import rho
 
 # ---------------------------------------------------------------------------
 # curves
@@ -347,37 +347,35 @@ def singular_series_mod(r: int, q: int, a: int) -> float:
     return via_product
 
 
-def sieved_window(
-    window: TwinWindow, R: int
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def sieved_window(X: int, Y: int, R: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Primes of (X, X+Y], plus flags, offset and logs for (max(X-R, 0), X+Y+R].
 
     Entry i of flags and logs describes the integer offset + i; logs holds
     log n at primes and 0 elsewhere.  The flags come from sieve_window, which
     the primes tests check against independent sieves.
     """
-    lo = max(window.X - R, 0)
-    flags = sieve_window(lo, window.X + window.Y + R - lo)
+    lo = max(X - R, 0)
+    flags = sieve_window(lo, X + Y + R - lo)
     idx = np.flatnonzero(flags)
     logs = np.zeros(len(flags), dtype=np.float64)
     logs[idx] = np.log((idx + lo + 1).astype(np.float64))
-    p = idx[(idx >= window.X - lo) & (idx < window.X + window.Y - lo)] + lo + 1
+    p = idx[(idx >= X - lo) & (idx < X + Y - lo)] + lo + 1
     return p, flags, lo + 1, logs
 
 
-def psi(window: TwinWindow, r: int, q: int, a: int) -> float:
+def psi(X: int, Y: int, r: int, q: int, a: int) -> float:
     """Log-weighted count of prime pairs (p, p-r) with X < p <= X+Y, p = a mod q."""
-    p, flags, off, logs = sieved_window(window, abs(r))
+    p, flags, off, logs = sieved_window(X, Y, abs(r))
     p = p[p % q == a % q]
     pp = p - r
     keep = (pp >= off) & flags[np.maximum(pp - off, 0)]
     return float(np.sum(logs[p[keep] - off] * logs[pp[keep] - off]))
 
 
-def error_E(window: TwinWindow, r: int, q: int, a: int) -> float:
-    """E = psi(window; r, q, a) - S(r,q,a) * Y."""
-    expected = singular_series_mod(r, q, a) * window.Y
-    return psi(window, r, q, a) - expected
+def error_E(X: int, Y: int, r: int, q: int, a: int) -> float:
+    """E = psi(X, Y, r, q, a) - S(r,q,a) * Y."""
+    expected = singular_series_mod(r, q, a) * Y
+    return psi(X, Y, r, q, a) - expected
 
 
 def twin_constant_full_sieve(limit: int) -> float:

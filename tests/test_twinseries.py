@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from koblitz import twinseries
 from koblitz.constants import DEFAULT_TRUNCATION
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import is_prime
+from koblitz.primes import MAX_SIEVE_LIMIT, is_prime
 from koblitz.twinseries import (
     MAX_BDH_CELLS,
-    F_local,
     F_mult,
-    TwinWindow,
     bdh_statistic,
     rho,
     singular_series_table,
@@ -110,15 +108,12 @@ class TestSingularSeriesMod:
 
 class TestF:
     def test_case_examples(self):
-        assert F_local(5, 2, 1, 1) == 1
-        assert F_local(3, 3, 1, 1) == -2
-        assert F_local(3, 1, 3, 1) == 2
-        assert F_local(3, 1, 3, 2) == -1
-        assert F_local(3, 1, 6, 3) == 0  # a not invertible mod q
-
-    def test_local_domain(self):
-        with pytest.raises(DomainError):
-            F_local(6, 1, 1, 1)
+        # at prime s, F is the local factor: one case of the four-case table each
+        assert F_mult(5, 2, 1, 1) == 1
+        assert F_mult(3, 3, 1, 1) == -2
+        assert F_mult(3, 1, 3, 1) == 2
+        assert F_mult(3, 1, 3, 2) == -1
+        assert F_mult(3, 1, 6, 3) == 0  # a not invertible mod q
 
     def test_mult_domain(self):
         with pytest.raises(DomainError):
@@ -145,51 +140,49 @@ class TestF:
 
 class TestPsi:
     def test_window_validation(self):
-        with pytest.raises(DomainError):
-            TwinWindow(X=-1, Y=10)
-        with pytest.raises(DomainError):
-            TwinWindow(X=0, Y=0)
+        with pytest.raises(DomainError, match="window requires X >= 0, Y >= 1"):
+            bdh_statistic(1, 1, -1, 10)
+        with pytest.raises(DomainError, match="window requires X >= 0, Y >= 1"):
+            bdh_statistic(1, 1, 0, 0)
 
     def test_hand_enumeration_r2(self):
         # twin pairs (p, p-2) with p <= 20: (5,3), (7,5), (13,11), (19,17)
         expected = sum(math.log(p) * math.log(p - 2) for p in (5, 7, 13, 19))
-        got = psi(TwinWindow(X=0, Y=20), 2, 1, 0)
+        got = psi(0, 20, 2, 1, 0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_odd_r_catches_single_pair(self):
         # r = 1: only (3, 2)
-        got = psi(TwinWindow(X=0, Y=50), 1, 1, 0)
+        got = psi(0, 50, 1, 1, 0)
         assert got == pytest.approx(math.log(3) * math.log(2), rel=1e-12)
 
     def test_even_class_empty(self):
-        assert psi(TwinWindow(X=3, Y=100), 2, 2, 0) == 0.0
+        assert psi(3, 100, 2, 2, 0) == 0.0
 
     def test_residue_class_split(self):
-        w = TwinWindow(X=0, Y=200)
-        total = psi(w, 2, 1, 0)
-        parts = sum(psi(w, 2, 3, a) for a in range(3))
+        total = psi(0, 200, 2, 1, 0)
+        parts = sum(psi(0, 200, 2, 3, a) for a in range(3))
         assert parts == pytest.approx(total, rel=1e-12)
 
     def test_negative_r(self):
         # r = -2 pairs (p, p+2): p in {3, 5, 11, 17, 29} for p <= 30
         expected = sum(math.log(p) * math.log(p + 2) for p in (3, 5, 11, 17, 29))
-        got = psi(TwinWindow(X=0, Y=30), -2, 1, 0)
+        got = psi(0, 30, -2, 1, 0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_error_is_psi_minus_expected(self):
-        w = TwinWindow(X=100, Y=400)
-        e = error_E(w, 2, 3, 1)
-        expected = singular_series_mod(2, 3, 1) * w.Y
-        assert e == pytest.approx(psi(w, 2, 3, 1) - expected, rel=1e-12)
+        e = error_E(100, 400, 2, 3, 1)
+        expected = singular_series_mod(2, 3, 1) * 400
+        assert e == pytest.approx(psi(100, 400, 2, 3, 1) - expected, rel=1e-12)
 
 
-def _bdh_oracle(R, Q, window):
+def _bdh_oracle(R, Q, X, Y):
     """bdh_statistic as one loop over (r, q, a) with the scalar S(r,q,a).
 
     Returns (S, per_q, rows) with the same float operations in the same
     order as the array passes, so the results must agree exactly.
     """
-    p, flags, off, logs = sieved_window(window, R)
+    p, flags, off, logs = sieved_window(X, Y, R)
     logp = logs[p - off]
     total = 0.0
     per_q = {q: 0.0 for q in range(1, Q + 1)}
@@ -201,7 +194,7 @@ def _bdh_oracle(R, Q, window):
         for q in range(1, Q + 1):
             psi_by_a = np.bincount(p[mask] % q, weights=w, minlength=q)
             for a in range(q):
-                expected = singular_series_mod(r, q, a) * window.Y
+                expected = singular_series_mod(r, q, a) * Y
                 err = float(psi_by_a[a]) - expected
                 total += err * err
                 per_q[q] += err * err
@@ -219,7 +212,7 @@ def _cells(res):
             np.tile(res.a_col, n).tolist(),
             res.psi.ravel().tolist(),
             res.expected.ravel().tolist(),
-            res.error.ravel().tolist(),
+            (res.psi - res.expected).ravel().tolist(),
         )
     )
 
@@ -234,9 +227,8 @@ class TestBdhStatistic:
     @settings(max_examples=100, deadline=None)
     def test_equals_scalar_oracle(self, X, Y, data, Q):
         R = data.draw(st.integers(min_value=1, max_value=min(40, X + Y)), label="R")
-        w = TwinWindow(X=X, Y=Y)
-        res = bdh_statistic(R, Q, w)
-        S, per_q, rows = _bdh_oracle(R, Q, w)
+        res = bdh_statistic(R, Q, X, Y)
+        S, per_q, rows = _bdh_oracle(R, Q, X, Y)
         assert _cells(res) == rows
         assert res.S == S
         assert res.per_q == per_q
@@ -246,21 +238,19 @@ class TestBdhStatistic:
     @pytest.mark.parametrize("R", [1, 3, 9])
     def test_odd_shifts_near_two(self, X, R):
         # an odd shift pairs only p = 2, or p = r + 2 with p - r = 2
-        w = TwinWindow(X=X, Y=50)
-        res = bdh_statistic(R, 2, w)
-        S, per_q, rows = _bdh_oracle(R, 2, w)
+        res = bdh_statistic(R, 2, X, 50)
+        S, per_q, rows = _bdh_oracle(R, 2, X, 50)
         assert _cells(res) == rows
         assert (res.S, res.per_q) == (S, per_q)
 
     def test_oracle_at_large_X(self):
-        w = TwinWindow(X=10**12, Y=2000)
-        res = bdh_statistic(12, 4, w)
-        assert (res.S, res.per_q, _cells(res)) == _bdh_oracle(12, 4, w)
+        res = bdh_statistic(12, 4, 10**12, 2000)
+        assert (res.S, res.per_q, _cells(res)) == _bdh_oracle(12, 4, 10**12, 2000)
 
     def test_no_floating_point_warnings(self):
         # odd shifts have no admissible class; their rho is never divided by
         with np.errstate(all="raise"):
-            bdh_statistic(7, 6, TwinWindow(X=0, Y=200))
+            bdh_statistic(7, 6, 0, 200)
 
     def test_routes_cross_checked(self, monkeypatch):
         build = singular_series_table
@@ -274,7 +264,7 @@ class TestBdhStatistic:
         # the first even (r, q) that reads S(6) is (-2, 3); a = 2 is its
         # first admissible class
         with pytest.raises(AssertionError, match=r"\(r,q,a\)=\(-2,3,2\)"):
-            bdh_statistic(2, 3, TwinWindow(X=0, Y=50))
+            bdh_statistic(2, 3, 0, 50)
 
     def test_capacity_checked_before_allocation(self):
         R, Q = 10**6, 10  # a 2R x 55 float64 grid would take 880 MB
@@ -282,7 +272,18 @@ class TestBdhStatistic:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
-                bdh_statistic(R, Q, TwinWindow(X=0, Y=10**6))
+                bdh_statistic(R, Q, 0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sieve_budget_checked_before_allocation(self):
+        # the flags of (X-R, X+Y+R] would take Y + 2R bytes, 1 GB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="sieve budget"):
+                bdh_statistic(1, 1, 0, MAX_SIEVE_LIMIT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -292,36 +293,33 @@ class TestBdhStatistic:
         # criterion 09's R = 1000, Q = 10 fits; Q = 50 does not
         assert 1000 * 10 * 11 <= MAX_BDH_CELLS < 1000 * 50 * 51
         with pytest.raises(CapacityError):
-            bdh_statistic(1000, 50, TwinWindow(X=0, Y=1000))
+            bdh_statistic(1000, 50, 0, 1000)
 
     def test_hand_oracle_small(self):
-        w = TwinWindow(X=0, Y=10)
-        res = bdh_statistic(2, 1, w)
-        direct = sum(error_E(w, r, 1, 0) ** 2 for r in (-2, -1, 1, 2))
+        res = bdh_statistic(2, 1, 0, 10)
+        direct = sum(error_E(0, 10, r, 1, 0) ** 2 for r in (-2, -1, 1, 2))
         assert res.S == pytest.approx(direct, rel=1e-12)
         assert res.normalized == pytest.approx(direct / (2 * 100.0), rel=1e-12)
 
     def test_per_q_marginals_sum_to_total(self):
-        w = TwinWindow(X=0, Y=500)
-        res = bdh_statistic(5, 3, w)
+        res = bdh_statistic(5, 3, 0, 500)
         assert sum(res.per_q.values()) == pytest.approx(res.S, rel=1e-12)
 
     def test_matches_error_E_per_row(self):
-        w = TwinWindow(X=50, Y=300)
-        res = bdh_statistic(4, 3, w)
+        X, Y = 50, 300
+        res = bdh_statistic(4, 3, X, Y)
         for r, q, a, psi_v, exp_v, err in _cells(res):
             # one density per (r, q), reused for every admissible a
-            assert exp_v == singular_series_mod(r, q, a) * w.Y
-            assert err == pytest.approx(error_E(w, r, q, a), abs=1e-9)
-            assert psi_v == pytest.approx(psi(w, r, q, a), abs=1e-9)
+            assert exp_v == singular_series_mod(r, q, a) * Y
+            assert err == pytest.approx(error_E(X, Y, r, q, a), abs=1e-9)
+            assert psi_v == pytest.approx(psi(X, Y, r, q, a), abs=1e-9)
 
     @pytest.mark.parametrize(
         "X, Y, R",
         [(10**12, 3000, 6), (3, 60, 8)],  # far from 0; and X < R, reaching 0
     )
     def test_against_is_prime_enumeration(self, X, Y, R):
-        w = TwinWindow(X=X, Y=Y)
-        res = bdh_statistic(R, 3, w)
+        res = bdh_statistic(R, 3, X, Y)
         primes = {n for n in range(X - R + 1, X + Y + R + 1) if is_prime(n)}
         for r, q, a, psi_v, _, _ in _cells(res):
             want = sum(
@@ -330,12 +328,12 @@ class TestBdhStatistic:
                 if p % q == a and p in primes and p - r in primes
             )
             assert psi_v == pytest.approx(want, rel=1e-12, abs=0.0), (r, q, a)
-            assert psi(w, r, q, a) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert psi(X, Y, r, q, a) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bdh_statistic(0, 1, TwinWindow(X=0, Y=50))
+            bdh_statistic(0, 1, 0, 50)
         with pytest.raises(DomainError):
-            bdh_statistic(51, 1, TwinWindow(X=0, Y=50))  # R > X + Y
+            bdh_statistic(51, 1, 0, 50)  # R > X + Y
         with pytest.raises(DomainError):
-            bdh_statistic(2, 0, TwinWindow(X=0, Y=50))
+            bdh_statistic(2, 0, 0, 50)
