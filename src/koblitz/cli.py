@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import classnumbers, constants, curves, harness
-from .errors import CapacityError
+from .errors import CapacityError, DomainError
 from .primes import sieve
 
 
@@ -96,6 +96,8 @@ def _cmd_constants(args) -> int:
 
 
 def _check_census_budget(pmax: int) -> None:
+    if pmax < 2:
+        raise DomainError(f"pmax={pmax} must be >= 2")
     if pmax > curves.MAX_CENSUS_PRIME:
         raise CapacityError(f"pmax={pmax} exceeds census budget {curves.MAX_CENSUS_PRIME}")
 

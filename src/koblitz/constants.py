@@ -155,126 +155,6 @@ def _twin_constant(limit: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# character-sum coefficients c_f^r(n)
-# ---------------------------------------------------------------------------
-
-
-def _check_cfr_args(f: int, r: int) -> None:
-    if f < 1 or f % 2 == 0:
-        raise DomainError("f must be a positive odd integer")
-    if r % 2 == 0 or r == 1:
-        raise DomainError("r must be odd and != 1")
-
-
-def c_f_r(n: int, f: int, r: int) -> int:
-    """Closed form of the restricted character sum, by multiplicativity."""
-    _check_cfr_args(f, r)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if math.gcd(r, f) != 1 or math.gcd(r - 2, f) != 1:
-        return 0
-    out = 1
-    for ell, alpha in factorize(n):
-        lead = ell ** (alpha - 1)
-        if ell == 2:
-            out *= lead * (-1 if alpha % 2 else 1)
-        elif f % ell == 0:
-            out *= 0 if alpha % 2 else lead * (ell - 1)
-        elif (r * (r - 1) * (r - 2)) % ell == 0:
-            out *= lead * (-1 if alpha % 2 else ell - 2)
-        else:
-            out *= lead * (-2 if alpha % 2 else ell - 3)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# local sums A, B, C
-# ---------------------------------------------------------------------------
-
-
-def a_series_term(ell: int, alpha: int) -> Fraction:
-    if alpha == 0:
-        return Fraction(1)
-    if alpha % 2:
-        return Fraction(0)
-    return Fraction(ell - 1, ell ** (alpha + 1))
-
-
-def b_series_term(ell: int, alpha: int, r: int) -> Fraction:
-    if alpha == 0:
-        return Fraction(1)
-    if ell == 2:
-        return Fraction((-1) ** alpha, 2**alpha)
-    la = ell**alpha
-    if (r - 1) % ell == 0:
-        return Fraction(-1, la * (ell - 1)) if alpha % 2 else Fraction(ell - 2, la * (ell - 1))
-    if (r * (r - 2)) % ell == 0:
-        return Fraction(-1, la * (ell - 2)) if alpha % 2 else Fraction(1, la)
-    return Fraction(-2, la * (ell - 2)) if alpha % 2 else Fraction(ell - 3, la * (ell - 2))
-
-
-def c_series_term(ell: int, alpha: int, r: int) -> Fraction:
-    if (2 * r * (r - 2)) % ell == 0:
-        raise DomainError("c-series requires ell coprime to 2r(r-2)")
-    if alpha == 0:
-        return Fraction(1)
-    ratio = A_closed(ell) / (
-        B2_closed(ell) if (r - 1) % ell == 0 else B1_closed(ell)
-    )
-    unit = ell - 1 if (r - 1) % ell == 0 else ell - 2
-    return Fraction(1, ell ** (3 * alpha - 1) * unit) * ratio
-
-
-def A_closed(ell: int) -> Fraction:
-    return Fraction(ell * ell + ell + 1, ell * (ell + 1))
-
-
-def B1_closed(ell: int) -> Fraction:
-    return Fraction(ell**3 - 2 * ell**2 - 2 * ell - 1, (ell - 2) * (ell * ell - 1))
-
-
-def B2_closed(ell: int) -> Fraction:
-    return Fraction(ell**3 - ell**2 - ell - 1, (ell - 1) ** 2 * (ell + 1))
-
-
-def B3_closed(ell: int) -> Fraction:
-    return Fraction(ell * (ell * ell - 2 * ell - 1), (ell - 2) * (ell * ell - 1))
-
-
-def C1_closed(ell: int) -> Fraction:
-    return Fraction(ell**3 - 2 * ell**2 - 2 * ell, ell**3 - 2 * ell**2 - 2 * ell - 1)
-
-
-def C2_closed(ell: int) -> Fraction:
-    return Fraction(ell * (ell * ell - ell - 1), ell**3 - ell**2 - ell - 1)
-
-
-B_AT_TWO = Fraction(2, 3)
-
-
-@dataclass(frozen=True)
-class LocalSums:
-    a_sum: Fraction
-    b_sum: Fraction
-    c_sum: Fraction | None  # defined only when ell does not divide 2r(r-2)
-
-
-def local_sums(ell: int, r: int) -> LocalSums:
-    """Closed-form values of the three local geometric sums at (ell, r)."""
-    if ell == 2 or not is_prime(ell):
-        raise DomainError("ell must be an odd prime")
-    if r % 2 == 0 or r == 1:
-        raise DomainError("r must be odd and != 1")
-    if (r - 1) % ell == 0:
-        b_sum, c_sum = B2_closed(ell), C2_closed(ell)
-    elif (r * (r - 2)) % ell == 0:
-        b_sum, c_sum = B3_closed(ell), None
-    else:
-        b_sum, c_sum = B1_closed(ell), C1_closed(ell)
-    return LocalSums(a_sum=A_closed(ell), b_sum=b_sum, c_sum=c_sum)
-
-
-# ---------------------------------------------------------------------------
 # the per-r constants C_r and their Gallagher-style average
 # ---------------------------------------------------------------------------
 

@@ -196,15 +196,6 @@ def phi(n: int) -> int:
     return out
 
 
-def moebius(n: int) -> int:
-    if n < 1:
-        raise DomainError("moebius requires n >= 1")
-    pairs = factorize(n)
-    if any(e > 1 for _, e in pairs):
-        return 0
-    return -1 if len(pairs) % 2 else 1
-
-
 def _least_primitive_root(p: int) -> int:
     """Least primitive root mod p, for a p the caller has checked to be prime."""
     divs = [d for d, _ in factorize(p - 1)]

@@ -55,35 +55,6 @@ def rho(r: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the multiplicative exponential sum F(s; r; q, a)
-# ---------------------------------------------------------------------------
-
-
-def F_mult(s: int, r: int, q: int, a: int) -> int:
-    """F(s;r;q,a) for squarefree s, as the product of local factors.
-
-    The factor at a prime p | s equals the exponential double sum over units
-    b, c mod p with gcd(q, p) | c - a.  For invertible residues a mod q this
-    reduces to the familiar four-case table; when p divides both q and a the
-    c-sum is empty and the factor is 0.
-    """
-    if s < 1:
-        raise DomainError("s must be >= 1")
-    out = 1
-    for p, e in factorize(s):
-        if e > 1:
-            raise DomainError(f"s={s} is not squarefree")
-        if q % p == 0:
-            if a % p == 0:
-                out = 0
-            else:
-                out *= p - 1 if (a - r) % p == 0 else -1
-        else:
-            out *= -p + 1 if r % p == 0 else 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # empirical window sums
 # ---------------------------------------------------------------------------
 

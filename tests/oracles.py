@@ -22,7 +22,6 @@ import numpy as np
 from koblitz.constants import (
     DEFAULT_TRUNCATION,
     _c_r_base_neg_log_factor,
-    _check_cfr_args,
     _log_tail,
     _twin_constant,
 )
@@ -30,6 +29,7 @@ from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
 from koblitz.primes import factorize, is_prime, phi, sieve, sieve_window
 from koblitz.twinseries import rho
+from lemmas import _check_cfr_args
 
 # ---------------------------------------------------------------------------
 # curves

@@ -13,9 +13,19 @@ import numpy as np
 import pytest
 
 from koblitz import constants, curves, harness, twinseries
-from koblitz.characters import characters, rho_chi
 from koblitz.classnumbers import twelve_h_weighted_table
-from koblitz.primes import factorize, moebius, sieve
+from koblitz.primes import factorize, sieve
+from lemmas import (
+    F_mult,
+    a_series_term,
+    b_series_term,
+    c_f_r,
+    c_series_term,
+    characters,
+    local_sums,
+    moebius,
+    rho_chi,
+)
 from oracles import C_r_oracle, c_f_r_bruteforce, exponential_sum_F, singular_series
 
 
@@ -63,18 +73,18 @@ def test_criterion_04_character_sum_lemmas():
             if r == 1:
                 continue
             for n in range(1, 201):
-                assert constants.c_f_r(n, f, r) == c_f_r_bruteforce(n, f, r), (n, f, r)
+                assert c_f_r(n, f, r) == c_f_r_bruteforce(n, f, r), (n, f, r)
     for ell in (int(p) for p in np.flatnonzero(sieve(50)) if p >= 3):
         for r in (2 * ell + 1, ell, 3 if ell > 3 else 5):
             if r % 2 == 0 or r == 1:
                 continue
-            ls = constants.local_sums(ell, r)
-            a_num = sum(constants.a_series_term(ell, k) for k in range(61))
-            b_num = sum(constants.b_series_term(ell, k, r) for k in range(61))
+            ls = local_sums(ell, r)
+            a_num = sum(a_series_term(ell, k) for k in range(61))
+            b_num = sum(b_series_term(ell, k, r) for k in range(61))
             assert abs(float(a_num - ls.a_sum)) <= 1e-12
             assert abs(float(b_num - ls.b_sum)) <= 1e-12
             if ls.c_sum is not None:
-                c_num = sum(constants.c_series_term(ell, k, r) for k in range(61))
+                c_num = sum(c_series_term(ell, k, r) for k in range(61))
                 assert abs(float(c_num - ls.c_sum)) <= 1e-12
     for s in range(1, 101):
         if any(e > 1 for _, e in factorize(s)):
@@ -82,7 +92,7 @@ def test_criterion_04_character_sum_lemmas():
         for r in range(-10, 11):
             for a in range(-10, 11):
                 for q in (1, 2, 3, 4, 6, 12):
-                    assert twinseries.F_mult(s, r, q, a) == exponential_sum_F(
+                    assert F_mult(s, r, q, a) == exponential_sum_F(
                         s, r, q, a
                     ), (s, r, q, a)
 

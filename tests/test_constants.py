@@ -9,6 +9,14 @@ import pytest
 
 from koblitz import constants
 from koblitz.constants import (
+    C_r,
+    average_constant,
+    average_constant_forms,
+    gallagher_sum,
+    gl2_count,
+)
+from koblitz.errors import CapacityError, DomainError
+from lemmas import (
     A_closed,
     B1_closed,
     B2_closed,
@@ -16,18 +24,12 @@ from koblitz.constants import (
     B_AT_TWO,
     C1_closed,
     C2_closed,
-    C_r,
     a_series_term,
-    average_constant,
-    average_constant_forms,
     b_series_term,
     c_f_r,
     c_series_term,
-    gallagher_sum,
-    gl2_count,
     local_sums,
 )
-from koblitz.errors import CapacityError, DomainError
 from oracles import (
     C_r_oracle,
     c_f_r_bruteforce,

@@ -15,11 +15,11 @@ from koblitz.primes import (
     _least_primitive_root,
     factorize,
     is_prime,
-    moebius,
     phi,
     sieve,
     sieve_window,
 )
+from lemmas import moebius
 from oracles import kronecker, kronecker_table
 
 

@@ -11,12 +11,6 @@ import koblitz
 SOURCES = sorted(Path(koblitz.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
-# Public names kept in the package although only tests use them, each with its reason.
-UNREFERENCED_OK = {
-    "c_f_r": "the paper's closed form for c_f^r(n), checked against its brute-force sum",
-    "F_mult": "the paper's multiplicative form of F, checked against its exponential sum",
-}
-
 
 def test_no_assert_statements():
     # `python -O` strips assert, so invariants must raise explicitly.
@@ -41,7 +35,8 @@ def test_no_global_statements():
 
 
 def test_public_names_have_a_caller():
-    # scalar and brute-force routes used only by tests live in tests/oracles.py
+    # scalar and brute-force routes used only by tests live in tests/oracles.py,
+    # and the proof's lemmas in tests/lemmas.py
     referenced = set()
     for path in SOURCES + DEMOS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -58,8 +53,7 @@ def test_public_names_have_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert DEMOS and public
-    assert sorted(public - referenced - set(UNREFERENCED_OK)) == []
-    assert sorted(set(UNREFERENCED_OK) - public) == []
+    assert sorted(public - referenced) == []
 
 
 def test_no_oracle_routes_in_package():
@@ -79,7 +73,6 @@ LAYERS = [
     "errors",
     "primes",
     "classnumbers",
-    "characters",
     "curves",
     "constants",
     "twinseries",

@@ -14,11 +14,11 @@ from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import MAX_SIEVE_LIMIT, is_prime
 from koblitz.twinseries import (
     MAX_BDH_CELLS,
-    F_mult,
     bdh_statistic,
     rho,
     singular_series_table,
 )
+from lemmas import F_mult
 from oracles import (
     error_E,
     exponential_sum_F,
