@@ -3,25 +3,22 @@
 The average constant frak_C is the density factor in the expected number of
 primes p for which a random curve has a prime number of points.  It has two
 equivalent product forms; each local factor can also be recovered by brute
-force over GL_2(F_ell).  The per-shift constants C_r play the same role for
-the shifted problem and average back to frak_C over r.
+force over GL_2(F_ell).  Each product takes the primes ell <= 50 one by one
+and the rest from values of zeta, so every digit printed is exact.  The
+per-shift constants C_r play the same role for the shifted problem and
+average back to frak_C over r.
 """
 
 from koblitz.constants import (
     C_r,
-    average_constant,
     average_constant_forms,
     gallagher_sum,
     gl2_count,
 )
 
-L = 10**5
-
-f1, f2 = average_constant_forms(L)
-cv = average_constant(L)
-print(f"frak_C, product form 1 (odd primes, prefactor 2/3): {f1:.12f}")
-print(f"frak_C, product form 2 (all primes):                {f2:.12f}")
-print(f"tail-completed value at L={L}:                  {cv.value:.12f}\n")
+f1, f2 = average_constant_forms()
+print(f"frak_C, product form 1 (odd primes, prefactor 2/3): {f1:.15f}")
+print(f"frak_C, product form 2 (all primes):                {f2:.15f}\n")
 
 print("local factors recovered by GL2 enumeration:")
 for ell in (3, 5, 7, 11, 13):
@@ -33,10 +30,10 @@ for ell in (3, 5, 7, 11, 13):
 
 print("\nper-shift constants (note the symmetry r <-> 2 - r):")
 for r in (3, -1, 5, -3, 7, 9):
-    print(f"  C_{r:<3} = {C_r(r, L).value:.9f}")
+    print(f"  C_{r:<3} = {C_r(r):.9f}")
 
 R = 10**3
-g = gallagher_sum(R, L)
+g = gallagher_sum(R)
 print(
     f"\naveraging C_r over odd 1 < r <= {R}: "
     f"sum / (frak_C * R) = {g.ratio:.5f}  (tends to 1)"

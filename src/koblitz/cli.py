@@ -80,12 +80,9 @@ def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> 
 
 
 def _cmd_constants(args) -> int:
-    cv = constants.average_constant()
     ledgers = {ell: constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13)}
     payload = {
-        "frak_C": cv.value,
-        "tail_bound": cv.tail_bound,
-        "L": constants.DEFAULT_TRUNCATION,
+        "frak_C": constants.average_constant(),
         "local_factors": [
             {"ell": ell, "omega": led.omega_prime_count, "gl2": led.gl2_order}
             for ell, led in ledgers.items()
@@ -144,13 +141,7 @@ def _cmd_bdh(args) -> int:
 
 
 def _cmd_cr(args) -> int:
-    cv = constants.C_r(args.r)
-    payload = {
-        "r": args.r,
-        "C_r": cv.value,
-        "L": constants.DEFAULT_TRUNCATION,
-        "tail_bound": cv.tail_bound,
-    }
+    payload = {"r": args.r, "C_r": constants.C_r(args.r)}
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

@@ -26,7 +26,8 @@ reaches 4p.  `censuses` builds the tables of consecutive primes together, as
 many as fit a budget of cells at the batch's longest length, one zero-padded
 row per prime, and counts them in integers, one histogram pass per batch.
 census, box_trace_histogram and deuring_counts return one layout: an int64
-array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r.
+array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r;
+deuring_batches lays those arrays of a run of primes end to end.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ MAX_BOX_PAIRS = 2**53
 # Most cells, rows times the longest transform length, in one batch of census
 # tables; a prime whose length alone exceeds it is a batch of one.  Against
 # one prime at a time, 2^16 cells raised the peak RSS of `theorem2 --pmax 500`
-# by 1.3-2 MB and 2^14 by under 0.1 MB, at the same speed.
+# by 1.3-2 MB and 2^14 by under 0.1 MB, at the same speed.  Deuring counts
+# use the same budget for rows times the widest Hasse range: every prime up
+# to 500 in one run, about 13 primes a run near 10^5.
 _BATCH_CELLS = 1 << 14
 
 
@@ -217,15 +220,16 @@ def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np
         yield q, hist[i, : m[i, 0]]
 
 
-def _batches(primes: list[int]) -> Iterator[list[int]]:
-    """Runs of consecutive primes, as long as rows times longest length fits _BATCH_CELLS.
+def _batches(primes: list[int], width=_length) -> Iterator[list[int]]:
+    """Runs of consecutive primes, as long as rows times the longest width(p)
+    fits _BATCH_CELLS; the width defaults to the transform length.
 
-    A prime whose length alone exceeds the budget is a run of one.
+    A prime whose width alone exceeds the budget is a run of one.
     """
     batch: list[int] = []
     longest = 0
     for p in primes:
-        n = _length(p)
+        n = width(p)
         if batch and (len(batch) + 1) * max(longest, n) > _BATCH_CELLS:
             yield batch
             batch, longest = [], 0
@@ -266,20 +270,44 @@ def census(p: int) -> np.ndarray:
     return hist
 
 
-def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
-    """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p.
+def _hasse_width(p: int) -> int:
+    """The traces |r| <= isqrt(4p) of p's census layout."""
+    return 2 * math.isqrt(4 * p) + 1
 
-    By Deuring's identity this equals census(p); each (p-1)*12H is checked
-    to be divisible by 12.
+
+def _deuring_gather(primes: list[int], table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """deuring_batches' (p, r, counts) for one run of primes, from one gather of
+    the 12H table; each (p-1)*12H is checked to be divisible by 12."""
+    if len(table) <= 4 * max(primes):
+        raise DomainError(f"12H table of length {len(table)} does not reach 4p={4 * max(primes)}")
+    off = np.array([math.isqrt(4 * q) for q in primes])
+    width = 2 * off + 1
+    p = np.repeat(np.array(primes, dtype=np.int64), width)
+    # prime i's last entry, cumsum[i] - 1, has r = off_i
+    r = np.arange(p.size) - np.repeat(np.cumsum(width) - off - 1, width)
+    twelve = (p - 1) * table[4 * p - r * r]
+    counts = twelve // 12
+    bad = np.flatnonzero(counts * 12 != twelve)
+    if bad.size:
+        raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p[bad[0]]}, r={r[bad[0]]}")
+    return p, r, counts
+
+
+def deuring_batches(primes: Iterable[int], table: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(p, r, counts) per run of consecutive `primes`, as many per run as keep
+    rows times the widest Hasse range within _BATCH_CELLS, from a 12H table
+    reaching 4p: flat over each prime's traces |r| <= isqrt(4p), in the order
+    of the primes and then of r, counts = (p-1)*H(r^2-4p).
+
+    By Deuring's identity, the counts of each p equal census(p).
     """
-    if len(table) <= 4 * p:
-        raise DomainError(f"12H table of length {len(table)} does not reach 4p={4 * p}")
-    r = trace_grid(p)
-    counts, rem = np.divmod((p - 1) * table[4 * p - r * r], 12)
-    if np.count_nonzero(rem):
-        bad = int(r[np.flatnonzero(rem)[0]])
-        raise AssertionError(f"(p-1)*12H not divisible by 12 at p={p}, r={bad}")
-    return counts
+    return (_deuring_gather(b, table) for b in _batches([int(p) for p in primes], _hasse_width))
+
+
+def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
+    """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p:
+    the one-prime case of deuring_batches."""
+    return _deuring_gather([p], table)[2]
 
 
 def deuring_sweep(pmax: int, table: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import classnumbers, constants, curves, twinseries
 from .errors import DomainError
-from .primes import phi, sieve
+from .primes import phi, prime_terms, sieve
 
 
 @dataclass
@@ -67,11 +67,12 @@ def run_theorem2(pmax: int) -> Report:
         raise DomainError("pmax too small")
     table = classnumbers.twelve_h_weighted_table(4 * pmax)
     flags = sieve(pmax + 2 * math.isqrt(pmax) + 2)
-    frak_c = constants.average_constant().value
+    frak_c = constants.average_constant()
     with_census = pmax <= 3000
     primes = np.flatnonzero(flags[: pmax + 1])[2:].tolist()  # 5 <= p <= pmax
     class_route = sum(
-        int(curves.deuring_counts(p, table)[curves.twin_traces(flags, p)].sum()) for p in primes
+        int(counts[flags[p + 1 - r]].sum())
+        for p, r, counts in curves.deuring_batches(primes, table)
     )
     if with_census:
         census_route = sum(
@@ -81,7 +82,7 @@ def run_theorem2(pmax: int) -> Report:
     asymptotic = frak_c * pmax**3 / (3 * math.log(pmax) ** 2)
     report = Report(
         name="theorem2",
-        params={"pmax": pmax, "L": constants.DEFAULT_TRUNCATION},
+        params={"pmax": pmax},
     )
     summary = {
         "class_route_sum": class_route,
@@ -129,7 +130,7 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         terms.append(curves.deuring_counts(p, table)[good] / (p - 1) / p)
     refined = float(np.cumsum(np.concatenate(terms))[-1])
     average = total / n_curves
-    frak_c = constants.average_constant().value
+    frak_c = constants.average_constant()
     naive = frak_c * x / math.log(x) ** 2
     return Report(
         name="theorem1",
@@ -288,20 +289,23 @@ def _suite_constants(rows: list[dict]) -> bool:
             True,
             f"omega={led.omega_prime_count}, gl2={led.gl2_order}",
         )
-    f1, f2 = constants.average_constant_forms(10**6)
+    f1, f2 = constants.average_constant_forms()
     ok &= _check(
         rows,
-        "average constant: two product forms agree at L=10^6",
-        abs(f1 - f2) <= 1e-9,
+        "average constant: two product forms agree to 1e-14",
+        abs(f1 - f2) <= 1e-14,
         f"|{f1!r} - {f2!r}| = {abs(f1 - f2):.3e}",
     )
-    v5 = constants.average_constant(10**5).value
-    v6 = constants.average_constant(10**6).value
+    # the factors 1 - (l^2-l-1)/((l-1)^3 (l+1)) past L take off about
+    # sum_{l > L} 1/l^2, which is below 1/(L log L)
+    L = 10**5
+    logs = prime_terms(L, lambda t: np.log1p((1 + t - t * t) / ((t - 1) ** 3 * (t + 1))))
+    gap = math.exp(float(np.sum(logs))) / f2 - 1
     ok &= _check(
         rows,
-        "average constant stable between L=10^5 and 10^6",
-        abs(v5 - v6) < 1e-7,
-        f"moves by {abs(v5 - v6):.3e}",
+        "average constant: the product over the primes <= 10^5 exceeds it by under 1/(L log L)",
+        0 < gap < 1 / (L * math.log(L)),
+        f"relative excess {gap:.3e}",
     )
     g3 = constants.gallagher_sum(10**3)
     g4 = constants.gallagher_sum(10**4)

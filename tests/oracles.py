@@ -4,8 +4,9 @@ Each one computes a quantity straight from its definition, independently of
 the array kernel the package uses for it: point-count traces, the singular
 pairs mod p and the per-curve twin count (curves), reduced-form class numbers
 (classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
-the character sum c_f^r(n), the Euler products from one full sieve and the
-triple sum over f, n and a that converges to C_r (constants), and the scalar
+the character sum c_f^r(n), the Euler products truncated at a limit L, from
+prime_terms with a tail estimate and from one full sieve, and the triple sum
+over f, n and a that converges to C_r (constants), and the scalar
 singular series S(r) and S(r,q,a), the sieved window (X-R, X+Y+R] and on it
 the window sum psi and error E, 2*C2 and the exponential sum F(s; r; q, a)
 (twinseries).
@@ -19,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from koblitz.constants import (
-    DEFAULT_TRUNCATION,
-    _c_r_base_neg_log_factor,
-    _log_tail,
-    _twin_constant,
-)
+from koblitz.constants import DEFAULT_TRUNCATION, _twin_constant
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
-from koblitz.primes import factorize, is_prime, phi, sieve, sieve_window
+from koblitz.primes import factorize, is_prime, phi, prime_terms, sieve, sieve_window
 from koblitz.twinseries import rho
 from lemmas import _check_cfr_args
 
@@ -239,8 +235,106 @@ def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
     return int(kron[invertible & cond1 & cond2].sum())
 
 
-# The Euler products as the package formed them from one full sieve, every
-# term over the whole prime list at once.
+# The Euler products truncated at a limit L, as the package formed them
+# before it took the primes past 50 from zeta: the terms over the primes <= L
+# from prime_terms, and for the average constant and the C_r base a tail
+# estimate past L.
+
+# Gauss-Laguerre rule for the tail integrals; 30 nodes give ~1e-14 relative
+# for every truncation limit 10^3 <= L <= 10^8 (tests/test_constants.py).
+LAGUERRE_NODES = 30
+_LAG_X, _LAG_W = np.polynomial.laguerre.laggauss(LAGUERRE_NODES)
+
+
+def _log_tail(neg_log_factor, limit: int) -> float:
+    """Estimated sum over primes > limit of -log(factor), via prime density.
+
+    Integrates -log(factor(t))/log(t) dt over t > L.  Substituting t = e^v
+    and v = log L + w gives e^{-log L} * integral_0^inf e^{-w} g(w) dw with
+    g(w) = -log(factor(e^v)) e^{2v}/v, which is smooth and bounded because
+    the omitted factors behave like 1 - O(1/t^2); a fixed Gauss-Laguerre
+    rule integrates it.  `neg_log_factor` must accept a float64 array.
+    """
+    v = math.log(limit) + _LAG_X
+    t = np.exp(v)
+    g = neg_log_factor(t) * t * t / v
+    return float(_LAG_W @ g) / limit
+
+
+def _frak_c_neg_log_factor(t: np.ndarray) -> np.ndarray:
+    # -log(1 - (t^2-t-1)/((t-1)^3 (t+1))), written in s = 1/t so that no
+    # intermediate overflows (finite for every t <= 1e300)
+    s = 1.0 / t
+    g = s * s * (1 - s - s * s) / ((1 - s) ** 3 * (1 + s))
+    return -np.log1p(-g)
+
+
+@functools.lru_cache(maxsize=8)
+def _frak_c_parts(limit: int) -> tuple[float, float]:
+    """(form2, tail) for the average constant at truncation `limit`.
+
+    form2 = prod_l (1 - (l^2-l-1)/((l-1)^3 (l+1))), raw (no tail).
+    """
+    terms = prime_terms(
+        limit, lambda ell: np.log1p(-((ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1))))
+    )
+    return math.exp(np.sum(terms)), _log_tail(_frak_c_neg_log_factor, limit)
+
+
+def average_constant_forms_truncated(limit: int) -> tuple[float, float]:
+    """The two displayed product forms of the average constant, raw at L.
+
+    form1 = (2/3) prod_{odd l} (l^4-2l^3-l^2+3l)/((l-1)^3 (l+1)); form2 is
+    the product over every l of _frak_c_parts.
+    """
+    if limit < 10**3:
+        raise DomainError("truncation limit must be >= 1000")
+
+    def term(odd):
+        num = odd**4 - 2 * odd**3 - odd**2 + 3 * odd
+        den = (odd - 1) ** 3 * (odd + 1)
+        return np.log(num) - np.log(den)
+
+    form1 = (2.0 / 3.0) * math.exp(np.sum(prime_terms(limit, term, odd=True)))
+    return form1, _frak_c_parts(limit)[0]
+
+
+def average_constant_truncated(limit: int) -> float:
+    """The average density constant, tail-completed at truncation `limit`."""
+    if limit < 10**3:
+        raise DomainError("truncation limit must be >= 1000")
+    form2, tail = _frak_c_parts(limit)
+    return form2 * math.exp(-tail)
+
+
+def _c_r_base_neg_log_factor(t: np.ndarray) -> np.ndarray:
+    # -log(t^2 (t^2-2t-2)/((t-1)^3 (t+1))) = -log(1 - (2t^2+2t-1)/((t-1)^3 (t+1))),
+    # by log1p since the factor is 1 - O(1/t^2), and in s = 1/t so that no
+    # intermediate overflows (finite for every t <= 1e300)
+    s = 1.0 / t
+    h = s * s * (2 + 2 * s - s * s) / ((1 - s) ** 3 * (1 + s))
+    return -np.log1p(-h)
+
+
+@functools.lru_cache(maxsize=8)
+def c_r_base_truncated(limit: int) -> tuple[float, float]:
+    """(base product, applied tail) of (4/3) prod_{odd l} l^2(l^2-2l-2)/((l-1)^3(l+1))."""
+    log_sum = np.sum(
+        prime_terms(
+            limit,
+            lambda ell: 2 * np.log(ell)
+            + np.log(ell * ell - 2 * ell - 2)
+            - 3 * np.log(ell - 1)
+            - np.log(ell + 1),
+            odd=True,
+        )
+    )
+    tail = _log_tail(_c_r_base_neg_log_factor, limit)
+    return (4.0 / 3.0) * math.exp(log_sum - tail), tail
+
+
+# The same truncated Euler products from one full sieve, every term over the
+# whole prime list at once.
 
 
 def frak_c_form2_full_sieve(limit: int) -> float:

@@ -26,7 +26,13 @@ from lemmas import (
     moebius,
     rho_chi,
 )
-from oracles import C_r_oracle, c_f_r_bruteforce, exponential_sum_F, singular_series
+from oracles import (
+    C_r_oracle,
+    average_constant_truncated,
+    c_f_r_bruteforce,
+    exponential_sum_F,
+    singular_series,
+)
 
 
 def test_criterion_01_deuring_exactness():
@@ -58,12 +64,13 @@ def test_criterion_02_gl2_local_factors():
 
 
 def test_criterion_03_constant_consistency():
-    """Two product forms within 1e-9 at L=1e6; value stable 1e5 -> 1e6."""
-    f1, f2 = constants.average_constant_forms(10**6)
-    assert abs(f1 - f2) <= 1e-9
-    v5 = constants.average_constant(10**5).value
-    v6 = constants.average_constant(10**6).value
-    assert abs(v5 - v6) < 1e-7
+    """Two product forms within 1e-14; the products truncated at L = 1e5 and
+    1e6, tail-completed, within 1e-7 of the value and closing in on it."""
+    f1, f2 = constants.average_constant_forms()
+    assert abs(f1 - f2) <= 1e-14
+    v5 = average_constant_truncated(10**5)
+    v6 = average_constant_truncated(10**6)
+    assert abs(v6 - f2) < abs(v5 - f2) < 1e-7
 
 
 def test_criterion_04_character_sum_lemmas():
@@ -142,7 +149,7 @@ def test_criterion_06_gallagher_average():
 def test_criterion_07_cr_oracle_convergence():
     """|oracle - C_r| decreases as U doubles (1.5x noise allowance), V=20."""
     for r in (3, 5, -3):
-        target = constants.C_r(r).value
+        target = constants.C_r(r)
         errors = [abs(C_r_oracle(r, U, 20) - target) for U in (250, 500, 1000)]
         assert errors[1] <= 1.5 * errors[0], (r, errors)
         assert errors[2] <= 1.5 * errors[1], (r, errors)

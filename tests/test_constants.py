@@ -29,11 +29,16 @@ from lemmas import (
     c_f_r,
     c_series_term,
     local_sums,
+    moebius,
 )
+import oracles
 from oracles import (
     C_r_oracle,
+    average_constant_forms_truncated,
+    average_constant_truncated,
     c_f_r_bruteforce,
     c_r_base_full_sieve,
+    c_r_base_truncated,
     frak_c_form1_full_sieve,
     frak_c_form2_full_sieve,
     twin_constant_full_sieve,
@@ -66,42 +71,48 @@ class TestGl2:
 
 class TestAverageConstant:
     def test_two_forms_close(self):
-        f1, f2 = average_constant_forms(10**5)
-        assert abs(f1 - f2) < 1e-9
+        f1, f2 = average_constant_forms()
+        assert abs(f1 - f2) < 1e-14
 
     def test_factor_at_two(self):
         # the all-primes form has factor 1 - 1/3 = 2/3 at ell = 2
         assert 1 - Fraction(4 - 2 - 1, 1 * 3) == Fraction(2, 3)
 
     def test_value_range(self):
-        v = average_constant(10**5).value
+        v = average_constant()
         assert 0.50 < v < 0.51
 
     def test_tail_completion_tightens_truncation(self):
-        raw4 = average_constant_forms(10**4)[1]
-        raw5 = average_constant_forms(10**5)[1]
-        done4 = average_constant(10**4).value
-        done5 = average_constant(10**5).value
-        v6 = average_constant(10**6).value
-        assert abs(done4 - v6) < abs(raw4 - v6)
-        assert abs(done5 - v6) < abs(raw5 - v6)
-        assert abs(done5 - v6) < abs(done4 - v6) + 1e-12
+        # the truncated oracle, raw and tail-completed, against the complete value
+        exact = average_constant()
+        raw4 = average_constant_forms_truncated(10**4)[1]
+        raw5 = average_constant_forms_truncated(10**5)[1]
+        done4 = average_constant_truncated(10**4)
+        done5 = average_constant_truncated(10**5)
+        assert abs(done4 - exact) < abs(raw4 - exact)
+        assert abs(done5 - exact) < abs(raw5 - exact)
+        assert abs(done5 - exact) < abs(done4 - exact)
+        assert abs(average_constant_truncated(10**6) - exact) < 1e-11
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            average_constant(100)
+            average_constant_truncated(100)
+        # a local factor 1 + c/ell + ... gives a divergent product
+        with pytest.raises(DomainError):
+            constants._log_past_head((1, -1), (1,))
 
 
-# Each Euler product, from prime_terms, against its full-sieve formula.
+# Each truncated Euler product, from prime_terms, against its full-sieve
+# formula: 2*C2 in the package, and the truncated oracles of the others.
 EULER_PRODUCTS = [
     pytest.param(constants._twin_constant, twin_constant_full_sieve, id="twin"),
     pytest.param(
-        lambda L: constants._frak_c_parts(L)[0], frak_c_form2_full_sieve, id="frak_form2"
+        lambda L: oracles._frak_c_parts(L)[0], frak_c_form2_full_sieve, id="frak_form2"
     ),
     pytest.param(
-        lambda L: average_constant_forms(L)[0], frak_c_form1_full_sieve, id="frak_form1"
+        lambda L: average_constant_forms_truncated(L)[0], frak_c_form1_full_sieve, id="frak_form1"
     ),
-    pytest.param(constants._c_r_base, c_r_base_full_sieve, id="c_r_base"),
+    pytest.param(c_r_base_truncated, c_r_base_full_sieve, id="c_r_base"),
 ]
 
 
@@ -115,9 +126,9 @@ class TestEulerProductsFromPrimes:
         "build",
         [
             constants._twin_constant.__wrapped__,
-            constants._frak_c_parts.__wrapped__,
-            constants._c_r_base.__wrapped__,
-            average_constant_forms,
+            oracles._frak_c_parts.__wrapped__,
+            c_r_base_truncated.__wrapped__,
+            average_constant_forms_truncated,
         ],
         ids=["twin", "frak", "c_r_base", "forms"],
     )
@@ -127,15 +138,128 @@ class TestEulerProductsFromPrimes:
         limit = 10**6
         bound = limit // 2 + 8 * 78498 + (1 << 19)
         build(10**3)  # imports and one-time state out of the measurement
-        constants._frak_c_parts.cache_clear()
+        oracles._frak_c_parts.cache_clear()
         tracemalloc.start()
         try:
             build(limit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            constants._frak_c_parts.cache_clear()
+            oracles._frak_c_parts.cache_clear()
         assert peak < bound
+
+
+# Each local factor past the primes <= 50 as (numerator, denominator)
+# polynomials in x = 1/ell; 2*C2 is here to check the method, which the
+# package does not yet use for it.
+LOCAL_FACTORS = {
+    "frak_c": ((1, -2, -1, 3), (1, -2, 0, 2, -1)),
+    "c_r_base": ((1, -2, -2), (1, -2, 0, 2, -1)),
+    "twin": ((1, -2), (1, -2, 1)),
+}
+HEAD = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _fraction_log_series(poly, terms):
+    """Coefficients of log poly(x) up to x^terms, for poly[0] = 1, from
+    log(1 + u) = sum_j (-1)^(j+1) u^j / j in exact rationals."""
+    u = [Fraction(0)] + [Fraction(c) for c in poly[1:]]
+    out = [Fraction(0)] * (terms + 1)
+    power = [Fraction(1)]  # u^j, cut at degree terms
+    for j in range(1, terms + 1):
+        power = [
+            sum(power[i] * u[m - i] for i in range(len(power)) if 0 <= m - i < len(u))
+            for m in range(min(len(power) + len(u) - 1, terms + 1))
+        ]
+        for m, c in enumerate(power):
+            out[m] += Fraction((-1) ** (j + 1), j) * c
+    return out
+
+
+def _mp_log_past_head(mp, num, den, terms=45):
+    """sum_{ell > 50} log(num(1/ell)/den(1/ell)) from exact a_k and mpmath's prime
+    zeta function, independent of the package's zeta values and Moebius sums."""
+    a = [n - d for n, d in zip(_fraction_log_series(num, terms), _fraction_log_series(den, terms))]
+    return mp.fsum(
+        mp.mpf(a[k].numerator) / a[k].denominator
+        * (mp.primezeta(k) - mp.fsum(mp.mpf(ell) ** -k for ell in HEAD))
+        for k in range(2, terms + 1)
+    )
+
+
+class TestProductsFromZeta:
+    @pytest.mark.parametrize("name", sorted(LOCAL_FACTORS))
+    def test_coefficients_exact(self, name):
+        num, den = LOCAL_FACTORS[name]
+        want = [
+            float(n - d)
+            for n, d in zip(
+                _fraction_log_series(num, constants.SERIES_TERMS),
+                _fraction_log_series(den, constants.SERIES_TERMS),
+            )
+        ]
+        assert constants._log_coefficients(num, den) == want
+        assert want[1] == 0.0  # the products converge
+
+    def test_zeta_values_and_moebius(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            assert constants._ZETA == tuple(float(mpmath.zeta(s)) for s in range(2, 6))
+        assert constants._MOBIUS == tuple(
+            moebius(m) if m else 0 for m in range(constants.SERIES_TERMS // 2 + 1)
+        )
+
+    def test_rough_zeta_logs(self):
+        mpmath = pytest.importorskip("mpmath")
+        got = constants._rough_zeta_logs()
+        assert len(got) == constants.SERIES_TERMS + 1 and got[:2] == (0.0, 0.0)
+        with mpmath.workdps(80):
+            for s in range(2, constants.SERIES_TERMS + 1):
+                want = mpmath.log(
+                    mpmath.zeta(s) * mpmath.fprod(1 - mpmath.mpf(ell) ** -s for ell in HEAD)
+                )
+                # up to s = 5 from log zeta(s), which exceeds the result by up
+                # to 128 times; from s = 6 on the direct sums omit n > 2^12
+                assert abs(got[s] - float(want)) <= (1e-16 if s <= 5 else 3e-20), s
+
+    def test_products_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        f1, f2 = average_constant_forms()
+        base = constants._c_r_base()
+        with mpmath.workdps(40):
+            frak_tail = _mp_log_past_head(mpmath, *LOCAL_FACTORS["frak_c"])
+            frak_c = mpmath.exp(
+                mpmath.fsum(
+                    mpmath.log(1 - mpmath.mpf(ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1)))
+                    for ell in HEAD
+                )
+                + frak_tail
+            )
+            want_base = mpmath.mpf(4) / 3 * mpmath.exp(
+                mpmath.fsum(
+                    mpmath.log(mpmath.mpf(ell * ell * (ell * ell - 2 * ell - 2))
+                               / ((ell - 1) ** 3 * (ell + 1)))
+                    for ell in HEAD[1:]
+                )
+                + _mp_log_past_head(mpmath, *LOCAL_FACTORS["c_r_base"])
+            )
+            frak_c, want_base = float(frak_c), float(want_base)
+        assert average_constant() == f2
+        assert f1 == pytest.approx(frak_c, rel=1e-13, abs=0)
+        assert f2 == pytest.approx(frak_c, rel=1e-13, abs=0)
+        assert base == pytest.approx(want_base, rel=1e-13, abs=0)
+
+    def test_method_gives_the_twin_constant(self):
+        # 2*C2 stays truncated in the package; the same tail would make it exact
+        mpmath = pytest.importorskip("mpmath")
+        head = sum(math.log1p(-1.0 / (ell - 1) ** 2) for ell in HEAD[1:])
+        got = 2.0 * math.exp(head + constants._log_past_head(*LOCAL_FACTORS["twin"]))
+        with mpmath.workdps(30):
+            want = float(2 * mpmath.twinprime)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert constants._twin_constant(constants.DEFAULT_TRUNCATION) == pytest.approx(
+            want, rel=1e-7
+        )
 
 
 def _mp_frak_c_nlf(mp, t):
@@ -149,8 +273,8 @@ def _mp_c_r_nlf(mp, t):
 
 class TestLogTail:
     FACTORS = [
-        (constants._frak_c_neg_log_factor, _mp_frak_c_nlf),
-        (constants._c_r_base_neg_log_factor, _mp_c_r_nlf),
+        (oracles._frak_c_neg_log_factor, _mp_frak_c_nlf),
+        (oracles._c_r_base_neg_log_factor, _mp_c_r_nlf),
     ]
 
     @pytest.mark.parametrize("limit", [10**3, 10**5, 10**6, 10**8])
@@ -164,7 +288,7 @@ class TestLogTail:
                 [L, 2 * L, 10 * L, 100 * L, 10**4 * L, mpmath.inf],
             )
             want = float(want)
-        assert constants._log_tail(nlf, limit) == pytest.approx(want, rel=1e-13, abs=0)
+        assert oracles._log_tail(nlf, limit) == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("nlf, mp_nlf", FACTORS)
     def test_factor_matches_mpmath(self, nlf, mp_nlf):
@@ -179,7 +303,7 @@ class TestLogTail:
     def test_factor_finite_far_out(self, nlf):
         # the largest Laguerre node at L = 10^8 is the farthest point the
         # tail evaluates; no intermediate may overflow even far beyond it
-        largest = 1e8 * math.exp(constants._LAG_X[-1])
+        largest = 1e8 * math.exp(oracles._LAG_X[-1])
         t = np.array([largest, 1e200, 1e300])
         values = nlf(t)
         assert np.all(np.isfinite(values)) and np.all(values >= 0)
@@ -273,20 +397,20 @@ class TestLocalSums:
 class TestCr:
     def test_symmetry_r_and_two_minus_r(self):
         # the divisor data of r-1 and r(r-2) is invariant under r -> 2-r
-        assert C_r(3).value == pytest.approx(C_r(-1).value, rel=1e-14)
-        assert C_r(5).value == pytest.approx(C_r(-3).value, rel=1e-14)
+        assert C_r(3) == pytest.approx(C_r(-1), rel=1e-14)
+        assert C_r(5) == pytest.approx(C_r(-3), rel=1e-14)
 
     def test_base_factor_at_three(self):
         assert Fraction(9 * (9 - 6 - 2), 8 * 4) == Fraction(9, 32)
 
     def test_known_value(self):
         # regression anchor; C_3 = (8/3) * base product, ell=3 correction 2
-        assert C_r(3).value == pytest.approx(0.55140118, abs=1e-7)
-        assert C_r(3, 10**5).value == pytest.approx(C_r(3, 10**6).value, abs=1e-7)
+        assert C_r(3) == pytest.approx(0.55140118, abs=1e-7)
+        assert C_r(3) == pytest.approx(2 * c_r_base_truncated(10**6)[0], rel=1e-10)
 
     def test_positive_and_finite(self):
         for r in (-9, -5, 3, 7, 15, 99):
-            v = C_r(r).value
+            v = C_r(r)
             assert 0.0 < v < 20.0
 
     def test_domain(self):
@@ -294,8 +418,6 @@ class TestCr:
             C_r(4)
         with pytest.raises(DomainError):
             C_r(1)
-        with pytest.raises(DomainError):
-            C_r(3, limit=10)
 
 
 class TestCrOracle:
@@ -309,7 +431,7 @@ class TestCrOracle:
     def test_rough_agreement(self):
         # loose sanity band; the convergence trend is an acceptance criterion
         got = C_r_oracle(3, 400, 15)
-        assert abs(got - C_r(3).value) < 0.05
+        assert abs(got - C_r(3)) < 0.05
 
     def test_pinned_bits(self):
         # exact bits: a reordered sum over (f, n) shows here, not in the convergence checks
@@ -335,8 +457,8 @@ class TestGallagher:
             gallagher_sum(99)
 
     def test_small_R_structure(self):
-        g = gallagher_sum(100, limit=10**4)
-        direct_pos = sum(C_r(r, 10**4).value for r in range(3, 101, 2))
-        frak_c = average_constant(10**4).value
+        g = gallagher_sum(100)
+        direct_pos = sum(C_r(r) for r in range(3, 101, 2))
+        frak_c = average_constant()
         assert g.ratio == pytest.approx(direct_pos / (frak_c * 100), rel=1e-12)
         assert g.ratio_two_sided > g.ratio

@@ -25,6 +25,8 @@ class TestTheorem2:
     def test_ratio_fields_consistent(self):
         rep = harness.run_theorem2(500)
         s = rep.summary
+        assert rep.params == {"pmax": 500}  # frak_C is complete: no truncation L
+        assert s["frak_c"] == constants.average_constant()
         assert s["ratio_to_integral"] == pytest.approx(
             s["class_route_sum"] / s["integral_main_term"], rel=1e-12
         )
@@ -153,6 +155,8 @@ class TestBdhDriver:
         rep, res = harness.run_bdh(3, 2, 0, 100)
         s = rep.summary
         assert set(s) == {"S", "normalized", "single_class_statistic", "per_q"}
+        # S(r) reads 2*C2 truncated at L, the one product still truncated
+        assert rep.params["L"] == constants.DEFAULT_TRUNCATION == 10**6
         assert s["normalized"] == pytest.approx(s["S"] / (3 * 100.0**2), rel=1e-12)
         assert rep.rows == []
         # grid: 6 values of r, q=1 has 1 class, q=2 has 2
@@ -294,8 +298,8 @@ class TestCli:
     def test_constants_json(self, capsys):
         assert cli.main(["constants"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert 0.50 < payload["frak_C"] < 0.51
-        assert payload["L"] == 1000000
+        assert payload["frak_C"] == constants.average_constant()
+        assert sorted(payload) == ["frak_C", "local_factors"]
         ell3 = next(f for f in payload["local_factors"] if f["ell"] == 3)
         assert ell3 == {"ell": 3, "omega": 21, "gl2": 48}
 
@@ -389,9 +393,8 @@ class TestCli:
     def test_cr_json(self, capsys):
         assert cli.main(["cr", "--r", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert sorted(payload) == ["C_r", "L", "r", "tail_bound"]
-        assert (payload["r"], payload["L"]) == (3, 1000000)
-        assert payload["C_r"] == constants.C_r(3).value
+        assert sorted(payload) == ["C_r", "r"]
+        assert (payload["r"], payload["C_r"]) == (3, constants.C_r(3))
 
     def test_write_is_atomic(self, tmp_path, capsys):
         out = str(tmp_path / "report")
@@ -422,7 +425,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
-        # every verb uses constants.DEFAULT_TRUNCATION and takes no --L
+        # no verb takes a truncation limit --L
         for argv in (
             ["bdh", "--R", "2", "--Y", "50"],
             ["theorem2", "--pmax", "500"],
@@ -588,15 +591,15 @@ class TestPinnedOutputs:
         out = capsys.readouterr().out
         assert json.loads(out)["summary"]["total_twin_count"] == 387021943
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-        assert digest == "502961b71714a5155067670a1c4cb6b870867e198be7526e4da3e1f752cb4da1"
+        assert digest == "69b1e5baa0e0a6554d5dc6a352c0a42ba249cf1f113013aa1ac303febb90c726"
 
     @pytest.mark.parametrize(
         "suite, digest",
         [
             ("deuring", "d7f413ed3f9ac6f815dd889f04973bca33795fe34064939a95eb21b8f2dc3385"),
-            ("constants", "ea59adaa68bd22c3f9c48c68197ddcef5f0f714b3ae0a88afdb741b40119291c"),
+            ("constants", "43d98913baebed02164f72d9826a08312e468bdac586e235b561d9e6c254a1a6"),
             ("series", "e701d60f810531c5aed3faaa5b85d7fc4c20d4b7a922436edc8ec6f47d964270"),
-            ("all", "65791013c6b6e41039e9f7bc564d6289e9ba89248aea8241a5efd6017fb36e5a"),
+            ("all", "26ecae95ded821a13dd00f665e8bb17509e6650754a163c8180dc1ae69202891"),
         ],
     )
     def test_verify_suite_stdout(self, capsys, suite, digest):
@@ -607,8 +610,8 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            ("constants", "6bb6a9dcd5248c17d301c73d8df3e853a9ede27bcba0fca6a2377249654fdf67"),
-            ("cr --r 3", "df7f81047b42e751b2cee83b2912fc4b10d9e922631a4704826e24013ee37ae9"),
+            ("constants", "82b882707ce4f090310897b7374de078a5e6cf9a4cd0595af491e9499d666551"),
+            ("cr --r 3", "d0ab80a616dfa8e4dab061cace3e4514518a38f5970faece9797b5ae5b78b638"),
         ],
     )
     def test_constant_stdout(self, capsys, argv, digest):
@@ -636,3 +639,31 @@ class TestReportDeterminism:
         d, d_grid = harness.run_bdh(2, 2, 0, 80)
         assert c.to_json() == d.to_json()
         assert list(harness.bdh_rows_csv(c_grid)) == list(harness.bdh_rows_csv(d_grid))
+
+
+class TestTheorem2Work:
+    def test_no_sieve_past_the_window_and_one_gather_per_batch(self, monkeypatch):
+        # frak_C needs the primes <= 50 only, and the class route reads the 12H
+        # table once per batch of primes, not once per prime
+        ends, gathers = [], []
+        strike, gather = primes._odd_flags, curves._deuring_gather
+
+        def counting_strike(x, y):
+            ends.append(x + y)
+            return strike(x, y)
+
+        def counting_gather(batch, table):
+            gathers.append(list(batch))
+            return gather(batch, table)
+
+        monkeypatch.setattr(primes, "_odd_flags", counting_strike)
+        monkeypatch.setattr(curves, "_deuring_gather", counting_gather)
+        constants.average_constant_forms.cache_clear()
+        constants._rough_zeta_logs.cache_clear()
+        pmax = 500
+        summary = harness.run_theorem2(pmax).summary
+        assert summary["class_route_sum"] == 596076
+        assert ends and max(ends) <= pmax + 2 * math.isqrt(pmax) + 2
+        census_primes = [p for p in range(5, pmax + 1) if primes.is_prime(p)]
+        assert gathers == list(curves._batches(census_primes, curves._hasse_width))
+        assert len(gathers) == 1
