@@ -10,21 +10,21 @@ Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by chi(l), so for a = g^i
 and b = g^j the pair has the trace chi(ab) t_cc[a^3 b^-2] = (-1)^(k + j)
 t_cc[g^k] of its log class k = 3i - 2j mod p - 1 (k = i mod 2).  A box
 weighing the pair w_a(a) w_b(b) thus puts on class k, per parity of j, the
-cyclic convolution of w_a(g^i) binned at 3i with w_b(g^j) binned at -2j.  A
-census is the all-ones box, with (p - 1)/2 per class and parity and no
-convolution, so it costs O(p log p).  The class log(-27/4) is exactly the
-singular class with ab != 0.
+cyclic convolution of w_a(g^i) binned at 3i with w_b(g^j) binned at -2j.  The
+class log(-27/4) is exactly the singular class with ab != 0.
 
 With l = g^2 the rescaling keeps the trace, so a_p(E(g^i, 0)) depends only on
 i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1): the two
-families are at most 10 direct sums at g^0..g^5, and each coset weighs
-(p - 1)/gcd in a census.
+families are at most 10 direct sums at g^0..g^5, weighed per coset.
 
+One assembly, _histograms, turns class and coset weights into histograms.  A
+census is the all-ones box |a|, |b| <= (p - 1)/2: (p - 1)/2 per class and
+parity, (p - 1)/gcd per coset, and no convolution, so it costs O(p log p).
 Transforms run at lengths 2 * 2^a 3^b 5^c, which numpy's FFT factors fully:
 for p > 100 the length n stays below 1.11 * 2p, where the next power of two
 reaches 4p.  `censuses` builds the tables of consecutive primes together, as
 many as fit a budget of cells at the batch's longest length, one zero-padded
-row per prime, and counts them in integers, one histogram pass per batch.
+row per prime, and assembles the batch's histograms in one bincount.
 census, box_trace_histogram and deuring_counts return one layout: an int64
 array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r;
 deuring_batches lays those arrays of a run of primes end to end.
@@ -32,6 +32,7 @@ deuring_batches lays those arrays of a run of primes end to end.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
@@ -65,23 +66,16 @@ def _check_prime(p: int) -> None:
         raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
 
 
+# Every 2^a 3^b 5^c up to 2^21, ascending: each odd part 3^b 5^c times its powers of two
+_SMOOTH = tuple(sorted(
+    m << a for m in (3**b * 5**c for b in range(14) for c in range(10)) for a in range(22)
+    if m << a <= 1 << 21
+))
+
+
 def _smooth(k: int) -> int:
-    """The least 2^a 3^b 5^c >= k: per odd part 3^b 5^c, its least power-of-two multiple."""
-    best = 1
-    while best < k:
-        best *= 2
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            m = f35
-            while m < k:
-                m *= 2
-            if m < best:
-                best = m
-            f35 *= 3
-        f5 *= 5
-    return best
+    """The least 2^a 3^b 5^c >= k, for k <= 2^21."""
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, k)]
 
 
 def _length(p: int) -> int:
@@ -186,38 +180,43 @@ def _trace_tables(primes: list[int]) -> _TraceTables:
     )
 
 
-def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np.ndarray]]:
-    """(p, census(p)) per row of a batch, from integer bincounts over its traces.
+def _histograms(primes: list[int], tab: _TraceTables, w_cc, w_a0, w_0b) -> np.ndarray:
+    """Each row's histogram over |r| <= isqrt(4p) from integer weights, in one
+    bincount; a row's columns past its own 2 isqrt(4p) + 1 stay 0.
 
-    Each ab != 0 class weighs (p - 1)/2 per parity of j, with trace t or -t;
-    each coset of the two families weighs (p - 1)/gcd.  Every row's histogram
-    and total is formed in one pass over the batch, before any row is yielded.
+    w_cc[row, s, k] weighs log class k < p - 1 at (-1)^s t_log[k], and the
+    singular class weighs 0; w_a0[row, i] weighs the pairs (a, 0) of trace
+    t_a0[i], and w_0b[row, j] the pairs (0, b) of trace t_0b[j].  The float64
+    bincount is exact while every count stays at most 2^53 (MAX_BOX_PAIRS).
     """
+    rows, width = tab.t_log.shape
     p = np.array(primes, dtype=np.int64)[:, None]
     off = np.array([math.isqrt(4 * q) for q in primes])[:, None]
     size = 2 * int(off.max()) + 1
-    base = np.arange(len(primes))[:, None] * size + off
+    k = np.arange(width)
+    live = (k < p - 1) & (k != tab.k_singular[:, None])
+    w_cc = live[:, None] * np.broadcast_to(w_cc, (rows, 2, width))
+    weights = np.concatenate([w_cc[:, 0], w_cc[:, 1], w_a0, w_0b], axis=1, dtype=np.float64)
+    at = np.concatenate([tab.t_log, -tab.t_log, tab.t_a0, tab.t_0b], axis=1)
+    at += np.arange(rows)[:, None] * size + off
+    hist = np.bincount(at.ravel(), weights.ravel(), rows * size)
+    return hist.reshape(rows, size).astype(np.int64)
 
-    def counts(traces, live):
-        return np.bincount((base + traces)[live], minlength=base.size * size).reshape(-1, size)
 
-    k = np.arange(tab.t_log.shape[1])
-    cc = counts(tab.t_log, (k < p - 1) & (k != tab.k_singular[:, None]))
+def _census_rows(primes: list[int], tab: _TraceTables) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, census(p)) per row of a batch: the all-ones box, whose ab != 0
+    classes weigh (p - 1)/2 per parity of j and whose family cosets weigh
+    (p - 1)/gcd.  Every row's total is checked before any row is yielded.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None]
     d4, d6 = np.gcd(4, p - 1), np.gcd(6, p - 1)
-    a0 = counts(tab.t_a0, np.arange(4) < d4)
-    b0 = counts(tab.t_0b, np.arange(6) < d6)
-    # trace -r of a row reads column m - 1 - j of its own m = 2 off + 1; mod
-    # size, the zero columns past m read each other
-    m = 2 * off + 1
-    mirror = np.take_along_axis(cc, (m - 1 - np.arange(size)) % size, axis=1)
-    hist = (p - 1) // 2 * (cc + mirror) + (p - 1) // d4 * a0 + (p - 1) // d6 * b0
-    totals = hist.sum(axis=1)
-    bad = np.flatnonzero(totals != p[:, 0] * (p[:, 0] - 1))
-    if bad.size:
-        i = int(bad[0])
-        raise AssertionError(f"census total {totals[i]} != p^2 - p for p={primes[i]}")
-    for i, q in enumerate(primes):
-        yield q, hist[i, : m[i, 0]]
+    w_a0, w_0b = (p - 1) // d4 * (np.arange(4) < d4), (p - 1) // d6 * (np.arange(6) < d6)
+    hist = _histograms(primes, tab, (p[:, None] - 1) // 2, w_a0, w_0b)
+    for q, total in zip(primes, hist.sum(axis=1).tolist()):
+        if total != q * (q - 1):
+            raise AssertionError(f"census total {total} != p^2 - p for p={q}")
+    for q, row in zip(primes, hist):
+        yield q, row[: _hasse_width(q)]
 
 
 def _batches(primes: list[int], width=_length) -> Iterator[list[int]]:
@@ -365,16 +364,12 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     n = 2 * _smooth(m)
     conv = _exact_convolution(rows_a[:, None, None], rows_b.reshape(-1, 2, m), n)
     w_class = np.einsum("x,y,xysk->sk", ca, cb, conv[..., :m] + conv[..., m : 2 * m])
-    # the ab != 0 classes but the singular one, then (0, g^j) and (g^i, 0) by
-    # log: the coset values at g^0..g^5 repeat with period gcd(6 or 4, p - 1)
+    # (g^i, 0) and (0, g^j) by log: the coset traces at g^0..g^5 repeat with
+    # period gcd(4 or 6, p - 1), so i mod 4 and j mod 6 pick theirs
     w_a, w_b = qa + ea, qb + eb
-    t_cc = np.delete(tab.t_log[0, :m], tab.k_singular[0])
-    traces = np.concatenate([t_cc, -t_cc, tab.t_0b[0, k % 6], tab.t_a0[0, k % 4]])
-    weights = np.concatenate(
-        [np.delete(w_class, tab.k_singular[0], axis=1).ravel(), w_a[0] * w_b[pw], w_b[0] * w_a[pw]]
-    )
-    off = math.isqrt(4 * p)
-    hist = np.bincount(traces + off, weights=weights, minlength=2 * off + 1).astype(np.int64)
+    w_cc = np.pad(w_class, ((0, 0), (0, tab.pw.shape[1] - m)))[None]
+    w_a0, w_0b = np.bincount(k % 4, w_b[0] * w_a[pw], 4), np.bincount(k % 6, w_a[0] * w_b[pw], 6)
+    [hist] = _histograms([p], tab, w_cc, w_a0[None], w_0b[None])
     t = np.arange(p, dtype=np.int64)
     singular = int(np.sum(w_a[-3 * t * t % p] * w_b[2 * (t * t % p) * t % p]))
     total, want = int(hist.sum()), (2 * box_a + 1) * (2 * box_b + 1) - singular

@@ -121,13 +121,13 @@ def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
         raise DomainError("box contains no nonsingular curves")
     flags = sieve(x + 2 * math.isqrt(x) + 2)
     table = classnumbers.twelve_h_weighted_table(4 * x)
-    total = 0
+    primes = np.flatnonzero(flags[: x + 1])[2:].tolist()  # 5 <= p <= x
+    hists = (curves.box_trace_histogram(p, box_a, box_b) for p in primes)
+    total = sum(int(hist[curves.twin_traces(flags, p)].sum()) for p, hist in zip(primes, hists))
     terms = [np.zeros(1)]  # H(r^2-4p)/p per twin trace, summed from 0.0 in order
-    for p in np.flatnonzero(flags[: x + 1])[2:].tolist():  # 5 <= p <= x
-        good = curves.twin_traces(flags, p)
-        total += int(curves.box_trace_histogram(p, box_a, box_b)[good].sum())
+    for p, r, counts in curves.deuring_batches(primes, table):
         # (p-1)H / (p-1) rounds to the same float as 12H / 12
-        terms.append(curves.deuring_counts(p, table)[good] / (p - 1) / p)
+        terms.append((counts / (p - 1) / p)[flags[p + 1 - r]])
     refined = float(np.cumsum(np.concatenate(terms))[-1])
     average = total / n_curves
     frak_c = constants.average_constant()

@@ -564,20 +564,22 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(report.encode("ascii")).hexdigest()
         assert digest == "6644702e530ce063908343c0dab07dfbb65525cbd87d495f54cfa9b6430d3374"
 
+    # pinned cases are named by their argv alone, so a re-pin keeps the test ids
+    WINDOW_EDGES = [
+        (  # the window (X-R, X+Y+R] reaches below 1
+            "bdh --R 8 --Q 3 --X 3 --Y 60",
+            "c0b3079709c431f0ac308e68da454412e122f6d042a0d801797306694f972f6b",
+            "ab18040e41cea9a5d0616e05213de9c720e35c6df2676e28a3d50fa9f441cf88",
+        ),
+        (  # base primes above the window length strike once each
+            "bdh --R 12 --Q 4 --X 1000000000000 --Y 2000",
+            "81e7acea143b9a96fdee3e9a595ac56c2402b73af605337741fe8e169f245cd8",
+            "11c9bc90222b9ce86be42f802be5e4a6e1dab6fdb865bf9562e1078efb072650",
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "argv, json_digest, csv_digest",
-        [
-            (  # the window (X-R, X+Y+R] reaches below 1
-                "bdh --R 8 --Q 3 --X 3 --Y 60",
-                "c0b3079709c431f0ac308e68da454412e122f6d042a0d801797306694f972f6b",
-                "ab18040e41cea9a5d0616e05213de9c720e35c6df2676e28a3d50fa9f441cf88",
-            ),
-            (  # base primes above the window length strike once each
-                "bdh --R 12 --Q 4 --X 1000000000000 --Y 2000",
-                "81e7acea143b9a96fdee3e9a595ac56c2402b73af605337741fe8e169f245cd8",
-                "11c9bc90222b9ce86be42f802be5e4a6e1dab6fdb865bf9562e1078efb072650",
-            ),
-        ],
+        "argv, json_digest, csv_digest", WINDOW_EDGES, ids=[case[0] for case in WINDOW_EDGES]
     )
     def test_bdh_window_edges(self, tmp_path, capsys, argv, json_digest, csv_digest):
         assert cli.main([*argv.split(), "--out", str(tmp_path / "bdh")]) == 0
@@ -593,26 +595,28 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
         assert digest == "69b1e5baa0e0a6554d5dc6a352c0a42ba249cf1f113013aa1ac303febb90c726"
 
+    VERIFY_STDOUT = [
+        ("deuring", "d7f413ed3f9ac6f815dd889f04973bca33795fe34064939a95eb21b8f2dc3385"),
+        ("constants", "43d98913baebed02164f72d9826a08312e468bdac586e235b561d9e6c254a1a6"),
+        ("series", "e701d60f810531c5aed3faaa5b85d7fc4c20d4b7a922436edc8ec6f47d964270"),
+        ("all", "26ecae95ded821a13dd00f665e8bb17509e6650754a163c8180dc1ae69202891"),
+    ]
+
     @pytest.mark.parametrize(
-        "suite, digest",
-        [
-            ("deuring", "d7f413ed3f9ac6f815dd889f04973bca33795fe34064939a95eb21b8f2dc3385"),
-            ("constants", "43d98913baebed02164f72d9826a08312e468bdac586e235b561d9e6c254a1a6"),
-            ("series", "e701d60f810531c5aed3faaa5b85d7fc4c20d4b7a922436edc8ec6f47d964270"),
-            ("all", "26ecae95ded821a13dd00f665e8bb17509e6650754a163c8180dc1ae69202891"),
-        ],
+        "suite, digest", VERIFY_STDOUT, ids=[case[0] for case in VERIFY_STDOUT]
     )
     def test_verify_suite_stdout(self, capsys, suite, digest):
         assert cli.main(["verify", "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    CONSTANT_STDOUT = [
+        ("constants", "82b882707ce4f090310897b7374de078a5e6cf9a4cd0595af491e9499d666551"),
+        ("cr --r 3", "d0ab80a616dfa8e4dab061cace3e4514518a38f5970faece9797b5ae5b78b638"),
+    ]
+
     @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            ("constants", "82b882707ce4f090310897b7374de078a5e6cf9a4cd0595af491e9499d666551"),
-            ("cr --r 3", "d0ab80a616dfa8e4dab061cace3e4514518a38f5970faece9797b5ae5b78b638"),
-        ],
+        "argv, digest", CONSTANT_STDOUT, ids=[case[0] for case in CONSTANT_STDOUT]
     )
     def test_constant_stdout(self, capsys, argv, digest):
         assert cli.main(argv.split()) == 0

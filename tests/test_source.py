@@ -154,6 +154,26 @@ def test_one_transform_site_in_curves():
     assert fft_refs(site) and len(fft_refs(tree)) == len(fft_refs(site))
 
 
+def test_one_weighted_assembly_in_curves():
+    # censuses and box histograms turn trace tables into counts in
+    # _histograms alone, and only _trace_tables builds the tables
+    path = Path(koblitz.__file__).parent / "curves.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fields = {"t_log", "t_a0", "t_0b"}
+
+    def sites(kind, name):
+        return {
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, kind) and getattr(node, name) in fields
+        }
+
+    assert sites(ast.Attribute, "attr") == {"_histograms"}
+    assert sites(ast.keyword, "arg") == {"_trace_tables"}
+
+
 def test_one_length_rule_in_curves():
     # transform lengths are 2^a 3^b 5^c from _smooth, never a power of two
     # rounded up by bit_length
