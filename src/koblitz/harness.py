@@ -15,7 +15,7 @@ import numpy as np
 
 from . import classnumbers, constants, curves, twinseries
 from .errors import DomainError
-from .primes import phi, prime_terms, sieve
+from .primes import phi, sieve
 
 
 @dataclass
@@ -299,7 +299,8 @@ def _suite_constants(rows: list[dict]) -> bool:
     # the factors 1 - (l^2-l-1)/((l-1)^3 (l+1)) past L take off about
     # sum_{l > L} 1/l^2, which is below 1/(L log L)
     L = 10**5
-    logs = prime_terms(L, lambda t: np.log1p((1 + t - t * t) / ((t - 1) ** 3 * (t + 1))))
+    t = np.flatnonzero(sieve(L)).astype(np.float64)
+    logs = np.log1p((1 + t - t * t) / ((t - 1) ** 3 * (t + 1)))
     gap = math.exp(float(np.sum(logs))) / f2 - 1
     ok &= _check(
         rows,

@@ -1,9 +1,9 @@
 """Integer primitives: sieves, primality and factorization.
 
 Everything here is pure and deterministic and keeps no state between calls.
-The heavier callers (Euler products, window statistics, census prime lists)
-lean on the numpy-backed sieves, which all read one odd-only sieve of a
-window, _odd_flags; factorization is for the integers below 2^63 behind
+The heavier callers (window statistics, census prime lists) lean on the
+numpy-backed sieves, which all read one odd-only sieve of a window,
+_odd_flags; factorization is for the integers below 2^63 behind
 primitive roots, phi, rho and the finite corrections of C_r.
 """
 
@@ -57,35 +57,6 @@ def sieve(limit: int) -> np.ndarray:
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     return np.concatenate(([False], sieve_window(0, limit)))
-
-
-# Odd-sieve entries per segment of prime_terms: about 6000 primes near 10^5.
-_TERM_SEGMENT = 1 << 15
-
-
-def prime_terms(limit: int, term, odd: bool = False) -> np.ndarray:
-    """term(ell) over the primes ell <= limit (the odd ones if `odd`),
-    ascending, as one float64 array.
-
-    The primes come from _odd_flags, one flag byte per odd number, and
-    `term` runs on one segment of them at a time as float64, so none of its
-    temporaries spans every prime.  `term` must work element by element.
-    """
-    if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
-    flags = _odd_flags(0, limit)
-    flags[0] = not odd  # the integer 1 stands in for 2
-    out = np.empty(np.count_nonzero(flags))
-    done = 0
-    for lo in range(0, flags.size, _TERM_SEGMENT):
-        ell = np.flatnonzero(flags[lo : lo + _TERM_SEGMENT]) + lo * 1.0
-        ell *= 2.0
-        ell += 1.0
-        if lo == 0 and not odd:
-            ell[0] = 2.0
-        out[done : done + ell.size] = term(ell)
-        done += ell.size
-    return out
 
 
 def sieve_window(x: int, y: int) -> np.ndarray:

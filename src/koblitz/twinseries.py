@@ -5,7 +5,7 @@ distance r; S(r,q,a) restricts to an arithmetic progression.  psi is the
 log-weighted empirical count of such pairs over a window, and bdh_statistic
 is the mean-square dispersion of psi - S(r,q,a) Y over all (r, q, a).  Each
 is computed for a whole range at once: S(r) for every r <= n in one
-singular_series_table (its factor 2*C2 comes from constants), psi and
+singular_series_table (its factor 2*C2 is constants.TWIN_CONSTANT), psi and
 S(r,q,a) Y for every (r, q, a) in one bdh_statistic grid.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_TRUNCATION, _twin_constant
+from .constants import TWIN_CONSTANT
 from .errors import CapacityError, DomainError
 from .primes import MAX_SIEVE_LIMIT, factorize, sieve, sieve_window
 
@@ -27,17 +27,17 @@ MAX_BDH_CELLS = 1 << 21
 def singular_series_table(n: int) -> np.ndarray:
     """S(m) for 1 <= m <= n (entry 0 is unused), from one sieve pass.
 
-    S(m) is 0 for odd m and 2*C2 prod_{odd p | m} (p-1)/(p-2) for even m.
-    Each even entry takes its factors (ell-1)/(ell-2) in ascending ell and
-    then 2*C2, so entry m equals the scalar route in tests/oracles.py bit
-    for bit.
+    S(m) is 0 for odd m and 2*C2 prod_{odd p | m} (p-1)/(p-2) for even m,
+    with 2*C2 the truncated product TWIN_CONSTANT.  Each even entry takes its
+    factors (ell-1)/(ell-2) in ascending ell and then 2*C2, so entry m equals
+    the scalar route in tests/oracles.py bit for bit.
     """
     corr = np.ones(n + 1)
     if n >= 6:
         for ell in np.flatnonzero(sieve(n // 2))[1:].tolist():
             corr[2 * ell :: 2 * ell] *= (ell - 1.0) / (ell - 2.0)
     corr[1::2] = 0.0
-    return _twin_constant(DEFAULT_TRUNCATION) * corr
+    return TWIN_CONSTANT * corr
 
 
 def rho(r: int, q: int) -> int:

@@ -5,7 +5,8 @@ the array kernel the package uses for it: point-count traces, the singular
 pairs mod p and the per-curve twin count (curves), reduced-form class numbers
 (classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
 the character sum c_f^r(n), the Euler products truncated at a limit L, from
-prime_terms with a tail estimate and from one full sieve, and the triple sum
+prime_terms with a tail estimate and from one full sieve (among them 2*C2,
+which the package keeps as the literal TWIN_CONSTANT), and the triple sum
 over f, n and a that converges to C_r (constants), and the scalar
 singular series S(r) and S(r,q,a), the sieved window (X-R, X+Y+R] and on it
 the window sum psi and error E, 2*C2 and the exponential sum F(s; r; q, a)
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from koblitz.constants import DEFAULT_TRUNCATION, _twin_constant
+from koblitz.constants import TWIN_CONSTANT
 from koblitz.curves import _check_prime
 from koblitz.errors import DomainError
-from koblitz.primes import factorize, is_prime, phi, prime_terms, sieve, sieve_window
+from koblitz.primes import _odd_flags, factorize, is_prime, phi, sieve, sieve_window
 from koblitz.twinseries import rho
 from lemmas import _check_cfr_args
 
@@ -235,10 +236,47 @@ def c_f_r_bruteforce(n: int, f: int, r: int) -> int:
     return int(kron[invertible & cond1 & cond2].sum())
 
 
+# Odd-sieve entries per segment of prime_terms: about 6000 primes near 10^5.
+_TERM_SEGMENT = 1 << 15
+
+
+def prime_terms(limit: int, term, odd: bool = False) -> np.ndarray:
+    """term(ell) over the primes ell <= limit (the odd ones if `odd`),
+    ascending, as one float64 array.
+
+    The primes come from _odd_flags, one flag byte per odd number, and
+    `term` runs on one segment of them at a time as float64, so none of its
+    temporaries spans every prime.  `term` must work element by element.
+    """
+    if limit < 2:
+        raise DomainError("sieve limit must be >= 2")
+    flags = _odd_flags(0, limit)
+    flags[0] = not odd  # the integer 1 stands in for 2
+    out = np.empty(np.count_nonzero(flags))
+    done = 0
+    for lo in range(0, flags.size, _TERM_SEGMENT):
+        ell = np.flatnonzero(flags[lo : lo + _TERM_SEGMENT]) + lo * 1.0
+        ell *= 2.0
+        ell += 1.0
+        if lo == 0 and not odd:
+            ell[0] = 2.0
+        out[done : done + ell.size] = term(ell)
+        done += ell.size
+    return out
+
+
 # The Euler products truncated at a limit L, as the package formed them
 # before it took the primes past 50 from zeta: the terms over the primes <= L
 # from prime_terms, and for the average constant and the C_r base a tail
-# estimate past L.
+# estimate past L.  2*C2 has no tail: the package's TWIN_CONSTANT is
+# twin_constant_truncated(10^6).
+
+
+def twin_constant_truncated(limit: int) -> float:
+    """2*C2 = 2 prod_{odd ell <= limit} ell(ell-2)/(ell-1)^2."""
+    terms = prime_terms(limit, lambda ell: np.log1p(-1.0 / (ell - 1.0) ** 2), odd=True)
+    return 2.0 * math.exp(terms.sum())
+
 
 # Gauss-Laguerre rule for the tail integrals; 30 nodes give ~1e-14 relative
 # for every truncation limit 10^3 <= L <= 10^8 (tests/test_constants.py).
@@ -417,7 +455,7 @@ def singular_series(r: int) -> float:
         raise DomainError("singular series undefined at r = 0")
     if r % 2 != 0:
         return 0.0
-    return _twin_constant(DEFAULT_TRUNCATION) * _odd_prime_correction(r)
+    return TWIN_CONSTANT * _odd_prime_correction(r)
 
 
 def singular_series_mod(r: int, q: int, a: int) -> float:

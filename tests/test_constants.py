@@ -16,6 +16,7 @@ from koblitz.constants import (
     gl2_count,
 )
 from koblitz.errors import CapacityError, DomainError
+from koblitz.primes import sieve
 from lemmas import (
     A_closed,
     B1_closed,
@@ -41,7 +42,9 @@ from oracles import (
     c_r_base_truncated,
     frak_c_form1_full_sieve,
     frak_c_form2_full_sieve,
+    prime_terms,
     twin_constant_full_sieve,
+    twin_constant_truncated,
 )
 
 
@@ -102,10 +105,10 @@ class TestAverageConstant:
             constants._log_past_head((1, -1), (1,))
 
 
-# Each truncated Euler product, from prime_terms, against its full-sieve
-# formula: 2*C2 in the package, and the truncated oracles of the others.
+# Each truncated Euler product oracle, from prime_terms, against its
+# full-sieve formula.
 EULER_PRODUCTS = [
-    pytest.param(constants._twin_constant, twin_constant_full_sieve, id="twin"),
+    pytest.param(twin_constant_truncated, twin_constant_full_sieve, id="twin"),
     pytest.param(
         lambda L: oracles._frak_c_parts(L)[0], frak_c_form2_full_sieve, id="frak_form2"
     ),
@@ -117,15 +120,36 @@ EULER_PRODUCTS = [
 
 
 class TestEulerProductsFromPrimes:
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_prime_terms_visit_the_sieve_primes_in_order(self, odd):
+        seg = 2 * oracles._TERM_SEGMENT  # integers per segment
+        for limit in (2, 3, 4, 10, 2000, seg - 1, seg, seg + 1, 3 * seg + 7, 10**6):
+            want = np.flatnonzero(sieve(limit))[int(odd) :].astype(np.float64)
+            got = prime_terms(limit, lambda ell: ell, odd=odd)
+            assert got.dtype == np.float64 and np.array_equal(got, want), limit
+            # a term runs on segments, but its values are those on the whole list
+            got = prime_terms(limit, lambda ell: np.log1p(-1.0 / ell**2), odd=odd)
+            assert np.array_equal(got, np.log1p(-1.0 / want**2)), limit
+
+    def test_prime_terms_limits(self):
+        with pytest.raises(DomainError):
+            prime_terms(1, np.log)
+        with pytest.raises(CapacityError):
+            prime_terms(1 << 31, np.log)
+
     @pytest.mark.parametrize("limit", [10**3, 10**4, 10**5, 10**6])
     @pytest.mark.parametrize("product, full_sieve", EULER_PRODUCTS)
     def test_bit_identical_to_full_sieve(self, product, full_sieve, limit):
         assert product(limit) == full_sieve(limit)
 
+    def test_twin_constant_is_the_product_at_the_truncation(self):
+        # the package's literal is this evaluation, to the last bit
+        assert constants.TWIN_CONSTANT == twin_constant_full_sieve(constants.DEFAULT_TRUNCATION)
+
     @pytest.mark.parametrize(
         "build",
         [
-            constants._twin_constant.__wrapped__,
+            twin_constant_truncated,
             oracles._frak_c_parts.__wrapped__,
             c_r_base_truncated.__wrapped__,
             average_constant_forms_truncated,
@@ -257,9 +281,7 @@ class TestProductsFromZeta:
         with mpmath.workdps(30):
             want = float(2 * mpmath.twinprime)
         assert got == pytest.approx(want, rel=1e-15, abs=0)
-        assert constants._twin_constant(constants.DEFAULT_TRUNCATION) == pytest.approx(
-            want, rel=1e-7
-        )
+        assert constants.TWIN_CONSTANT == pytest.approx(want, rel=1e-7)
 
 
 def _mp_frak_c_nlf(mp, t):

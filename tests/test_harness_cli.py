@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -671,3 +672,23 @@ class TestTheorem2Work:
         census_primes = [p for p in range(5, pmax + 1) if primes.is_prime(p)]
         assert gathers == list(curves._batches(census_primes, curves._hasse_width))
         assert len(gathers) == 1
+
+
+class TestBdhWork:
+    def test_no_sieve_past_the_window(self, monkeypatch):
+        # 2*C2 is a literal, so the statistic sieves its window (X-R, X+Y+R]
+        # and the primes below its root, and nothing up to 10^6
+        windows = []
+        strike = primes._odd_flags
+
+        def counting_strike(x, y):
+            windows.append((x, y))
+            return strike(x, y)
+
+        monkeypatch.setattr(primes, "_odd_flags", counting_strike)
+        R, Q, X, Y = 300, 10, 4_000_000, 50_000
+        rep, _ = harness.run_bdh(R, Q, X, Y)
+        assert windows and [(x, y) for x, y in windows if y > Y + 2 * R] == []
+        path = Path(__file__).parents[1] / "bench" / "references.json"
+        want = json.loads(path.read_text())["reports"][f"bdh --R {R} --Q {Q} --X {X} --Y {Y}"]
+        assert rep.summary["S"] == want["summary"]["S"]

@@ -122,23 +122,6 @@ class TestSieve:
         with pytest.raises(CapacityError):
             sieve(1 << 31)
 
-    @pytest.mark.parametrize("odd", [False, True])
-    def test_prime_terms_visit_the_sieve_primes_in_order(self, odd):
-        seg = 2 * primes._TERM_SEGMENT  # integers per segment
-        for limit in (2, 3, 4, 10, 2000, seg - 1, seg, seg + 1, 3 * seg + 7, 10**6):
-            want = np.flatnonzero(sieve(limit))[int(odd) :].astype(np.float64)
-            got = primes.prime_terms(limit, lambda ell: ell, odd=odd)
-            assert got.dtype == np.float64 and np.array_equal(got, want), limit
-            # a term runs on segments, but its values are those on the whole list
-            got = primes.prime_terms(limit, lambda ell: np.log1p(-1.0 / ell**2), odd=odd)
-            assert np.array_equal(got, np.log1p(-1.0 / want**2)), limit
-
-    def test_prime_terms_limits(self):
-        with pytest.raises(DomainError):
-            primes.prime_terms(1, np.log)
-        with pytest.raises(CapacityError):
-            primes.prime_terms(1 << 31, np.log)
-
     def test_segmented_window_matches_flat_sieve(self):
         for x, y in ((0, 100), (97, 50), (10**6, 1000), (3, 4), (0, 1), (1, 1), (2, 1)):
             flags = sieve_window(x, y)
