@@ -14,8 +14,10 @@ cyclic convolution of w_a(g^i) binned at 3i with w_b(g^j) binned at -2j.  The
 class log(-27/4) is exactly the singular class with ab != 0.
 
 With l = g^2 the rescaling keeps the trace, so a_p(E(g^i, 0)) depends only on
-i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1): the two
-families are at most 10 direct sums at g^0..g^5, weighed per coset.
+i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1).  With
+l = g it flips the sign, as chi(g) = -1: a_p(E(g^(i+2), 0)) = -a_p(E(g^i, 0))
+and a_p(E(0, g^(i+3))) = -a_p(E(0, g^i)).  So the two families are at most
+five direct sums, at g^0, g^1 and at g^0..g^2, weighed per coset.
 
 One assembly, _histograms, turns class and coset weights into histograms.  A
 census is the all-ones box |a|, |b| <= (p - 1)/2: (p - 1)/2 per class and
@@ -25,9 +27,9 @@ for p > 100 the length n stays below 1.11 * 2p, where the next power of two
 reaches 4p.  `censuses` builds the tables of consecutive primes together, as
 many as fit a budget of cells at the batch's longest length, one zero-padded
 row per prime, and assembles the batch's histograms in one bincount.
-census, box_trace_histogram and deuring_counts return one layout: an int64
-array over the Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r;
-deuring_batches lays those arrays of a run of primes end to end.
+census and box_trace_histogram return one layout: an int64 array over the
+Hasse range |r| <= isqrt(4p), entry r + isqrt(4p) for trace r;
+deuring_batches lays the Deuring counts of a run of primes end to end in it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import _least_primitive_root, is_prime, sieve
+from .primes import _least_primitive_root, sieve
 
 # Largest p for the length-p trace tables behind census and
 # box_trace_histogram: the class-number route's budget 10^5.
@@ -59,11 +61,19 @@ MAX_BOX_PAIRS = 2**53
 _BATCH_CELLS = 1 << 14
 
 
-def _check_prime(p: int) -> None:
-    if p <= 3 or not is_prime(p):
-        raise DomainError(f"p={p} must be a prime > 3")
-    if p > MAX_CENSUS_PRIME:
-        raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
+def _check_primes(primes: list[int]) -> None:
+    """Raise unless every p is a prime > 3 within the census budget.
+
+    The budget comes first, so the one sieve, to the largest p, stays within
+    it; each check raises at its first failing p in input order.
+    """
+    for p in primes:
+        if p > MAX_CENSUS_PRIME:
+            raise CapacityError(f"p={p} exceeds census budget {MAX_CENSUS_PRIME}")
+    flags = sieve(max([2, *primes]))
+    for p in primes:
+        if p <= 3 or not flags[p]:
+            raise DomainError(f"p={p} must be a prime > 3")
 
 
 # Every 2^a 3^b 5^c up to 2^21, ascending: each odd part 3^b 5^c times its powers of two
@@ -79,7 +89,7 @@ def _smooth(k: int) -> int:
 
 
 def _length(p: int) -> int:
-    """The transform length n of p's correlation: p <= n/2, and 6 <= n/2 for g^0..g^5."""
+    """The transform length n of p's correlation: p <= n/2, and 6 <= n/2."""
     return 2 * _smooth(max(p, 6))
 
 
@@ -159,12 +169,14 @@ def _trace_tables(primes: list[int]) -> _TraceTables:
         return flat.reshape(live.shape)
 
     def coset_traces(w, count):
-        """-sum_v w[v] d[v + g^i] for i < count: the window of d at g^i, per row.
+        """-sum_v w[v] d[v + g^i] for i < 2 count: the window of d at g^i, per row.
 
-        The count windows of each row are gathered at once, count * n/2 cells a row.
+        Only the count windows at i < count are gathered, count * n/2 cells a
+        row; the twist sign gives the rest, t[i + count] = -t[i].
         """
         windows = np.lib.stride_tricks.sliding_window_view(d, half, axis=1)
-        return -np.einsum("rv,rcv->rc", w, windows[row, pw[:, :count]]).astype(np.int64)
+        sums = np.einsum("rv,rcv->rc", w, windows[row, pw[:, :count]]).astype(np.int64)
+        return np.concatenate([-sums, sums], axis=1)
 
     # x + 1 = g^k runs over x != -1 with (x + 1)^-1 = g^(p-1-k); x = -1 adds chi(-1)
     x = pw - 1
@@ -175,8 +187,8 @@ def _trace_tables(primes: list[int]) -> _TraceTables:
         k_singular=np.argmax(pw == [[-27 * pow(4, -1, q) % q] for q in primes], axis=1),
         t_log=sign * (-d[row, p - 1] - corr[row, pw]),
         # over y = k < p: chi(y) chi(y^2 + a) and chi(y^3 + b)
-        t_a0=coset_traces(binned(k * k % p, k < p, d[:, :half]), 4),
-        t_0b=coset_traces(binned(k * k % p * k % p, k < p), 6),
+        t_a0=coset_traces(binned(k * k % p, k < p, d[:, :half]), 2),
+        t_0b=coset_traces(binned(k * k % p * k % p, k < p), 3),
     )
 
 
@@ -258,8 +270,7 @@ def censuses(primes: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
     its longest prime's length, so ascending input wastes the fewest cells.
     """
     primes = [int(p) for p in primes]
-    for p in primes:
-        _check_prime(p)
+    _check_primes(primes)
     return (out for batch in _batches(primes) for out in _census_rows(batch, _trace_tables(batch)))
 
 
@@ -303,21 +314,21 @@ def deuring_batches(primes: Iterable[int], table: np.ndarray) -> Iterator[tuple[
     return (_deuring_gather(b, table) for b in _batches([int(p) for p in primes], _hasse_width))
 
 
-def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
-    """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p:
-    the one-prime case of deuring_batches."""
-    return _deuring_gather([p], table)[2]
-
-
 def deuring_sweep(pmax: int, table: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """(p, r) for every prime 5 <= p <= pmax, all against one 12H table: r
-    holds the traces at which census(p) and deuring_counts(p, table) differ.
+    holds the traces at which census(p) and its Deuring counts differ.
 
-    Ordinary traces (r != 0, as |r| < p) are the asserted case; r = 0, the
-    supersingular trace, is reported separately by the callers.
+    The counts come from deuring_batches, one gather per run of primes, split
+    where p changes.  Ordinary traces (r != 0, as |r| < p) are the asserted
+    case; r = 0, the supersingular trace, is reported separately by the callers.
     """
     primes = np.flatnonzero(sieve(pmax))[2:].tolist()
-    return [(p, trace_grid(p)[hist != deuring_counts(p, table)]) for p, hist in censuses(primes)]
+    expected = (
+        counts
+        for p, _, run in deuring_batches(primes, table)
+        for counts in np.split(run, np.flatnonzero(np.diff(p)) + 1)
+    )
+    return [(p, trace_grid(p)[hist != want]) for want, (p, hist) in zip(expected, censuses(primes))]
 
 
 def pi_star(p: int) -> int:
@@ -343,7 +354,7 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
     histogram must total the box's pairs less its singular ones, which mod p
     are exactly (-3t^2, 2t^3) for t in F_p.
     """
-    _check_prime(p)  # the budget check comes before any length-p array
+    _check_primes([p])  # the budget check comes before any length-p array
     if min(box_a, box_b) < 0 or (2 * box_a + 1) * (2 * box_b + 1) > MAX_BOX_PAIRS:
         raise DomainError(f"box A={box_a}, B={box_b} needs radii >= 0 and <= 2^53 pairs")
     tab = _trace_tables([p])

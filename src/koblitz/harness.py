@@ -38,9 +38,26 @@ class Report:
 
 
 # Gauss-Legendre rule for the Theorem 2 main term; 32 nodes give ~1e-14
-# relative for every pmax <= 10^5 (tests/test_harness_cli.py).
+# relative for every pmax <= 10^5 (tests/test_harness_cli.py).  The rule is
+# data: the 16 positive nodes and their weights as numpy 2.x's
+# numpy.polynomial.legendre.leggauss(32) gives them, mirrored as leggauss
+# mirrors them, so the package never imports numpy.polynomial.  A test holds
+# the rule within 1 ulp of leggauss.
 LEGENDRE_NODES = 32
-_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
+_LEG_HALF_X = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+)
+_LEG_HALF_W = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+)
+_LEG_X = np.concatenate([np.negative(_LEG_HALF_X[::-1]), _LEG_HALF_X])
+_LEG_W = np.concatenate([_LEG_HALF_W[::-1], _LEG_HALF_W])
 
 
 def _integral_main_term(pmax: int, frak_c: float) -> float:

@@ -10,7 +10,8 @@ which the package keeps as the literal TWIN_CONSTANT), and the triple sum
 over f, n and a that converges to C_r (constants), and the scalar
 singular series S(r) and S(r,q,a), the sieved window (X-R, X+Y+R] and on it
 the window sum psi and error E, 2*C2 and the exponential sum F(s; r; q, a)
-(twinseries).
+(twinseries).  deuring_counts alone is not independent: it is the one-prime
+case of curves.deuring_batches, for the tests that check a single prime.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from koblitz.constants import TWIN_CONSTANT
-from koblitz.curves import _check_prime
+from koblitz.curves import _check_primes, deuring_batches
 from koblitz.errors import DomainError
 from koblitz.primes import _odd_flags, factorize, is_prime, phi, sieve, sieve_window
 from koblitz.twinseries import rho
@@ -42,7 +43,7 @@ class CurveModP:
     b: int
 
     def __post_init__(self):
-        _check_prime(self.p)
+        _check_primes([self.p])
         object.__setattr__(self, "a", self.a % self.p)
         object.__setattr__(self, "b", self.b % self.p)
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
@@ -56,6 +57,13 @@ def trace(curve: CurveModP) -> int:
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x + a * x + b) % p
     return -int(k[vals].sum())
+
+
+def deuring_counts(p: int, table: np.ndarray) -> np.ndarray:
+    """(p-1)*H(r^2-4p) in the census layout, from a 12H table reaching 4p:
+    the one-prime case of deuring_batches."""
+    [(_, _, counts)] = deuring_batches([p], table)
+    return counts
 
 
 def singular_pair_count(p: int) -> int:

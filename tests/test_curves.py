@@ -17,14 +17,21 @@ from koblitz.curves import (
     box_trace_histogram,
     census,
     censuses,
-    deuring_counts,
     deuring_sweep,
     pi_star,
     trace_grid,
 )
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import _least_primitive_root, is_prime, sieve
-from oracles import CurveModP, kronecker_H, kronecker_table, pi_twin, singular_pair_count, trace
+from oracles import (
+    CurveModP,
+    deuring_counts,
+    kronecker_H,
+    kronecker_table,
+    pi_twin,
+    singular_pair_count,
+    trace,
+)
 
 SMALL_PRIMES = [int(q) for q in np.flatnonzero(sieve(300)) if q >= 5]
 # every 2^a 3^b 5^c up to 2^21, enough for the least one >= k at k <= 2^20
@@ -254,6 +261,19 @@ class TestBatchedTables:
             for i, a in enumerate(tab.pw[row, : p - 1].tolist()):
                 assert tab.t_a0[row, i % 4] == trace(CurveModP(p=p, a=a, b=0)), (p, a)
                 assert tab.t_0b[row, i % 6] == trace(CurveModP(p=p, a=0, b=a)), (p, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 10**6))
+    def test_twist_sign_against_point_counts(self, p, i):
+        # rescaling by l = g multiplies a_p by chi(g) = -1, so the (a, 0) trace
+        # at g^(i+2) and the (0, b) trace at g^(i+3) negate those at g^i; the
+        # tables gather only g^0, g^1 and g^0..g^2 and take the rest from it
+        g = _least_primitive_root(p)
+        tab = curves._trace_tables([p])
+        a0 = [_oracle_trace(p, pow(g, i + s, p), 0) for s in (0, 2)]
+        b0 = [_oracle_trace(p, 0, pow(g, i + s, p)) for s in (0, 3)]
+        assert a0[1] == -a0[0] == -tab.t_a0[0, i % 4]
+        assert b0[1] == -b0[0] == -tab.t_0b[0, i % 6]
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_censuses_equal_census(self, shuffle):

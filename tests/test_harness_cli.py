@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koblitz import classnumbers, cli, constants, curves, harness, primes, twinseries
-from koblitz.errors import DomainError
+from koblitz.errors import CapacityError, DomainError
 from oracles import pi_twin
 
 
@@ -42,6 +42,16 @@ class TestTheorem2:
             want = float(want)
         got = harness._integral_main_term(pmax, 1.0)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_literal_rule_is_leggauss(self):
+        # the rule is data in harness: antisymmetric nodes, symmetric weights,
+        # each within 1 ulp of numpy's leggauss
+        x, w = harness._LEG_X, harness._LEG_W
+        assert x.shape == w.shape == (harness.LEGENDRE_NODES,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        want_x, want_w = np.polynomial.legendre.leggauss(harness.LEGENDRE_NODES)
+        assert np.all(np.abs(x - want_x) <= np.spacing(np.abs(want_x)))
+        assert np.all(np.abs(w - want_w) <= np.spacing(want_w))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -526,8 +536,22 @@ class TestDeuringMismatches:
 
 
 class TestOnePrimeCheckPerCensusPrime:
+    """Census primes are checked against one sieve of their maximum."""
+
+    @pytest.fixture
+    def sieve_calls(self, monkeypatch):
+        calls = []
+        real = curves.sieve
+
+        def counting(limit):
+            calls.append(limit)
+            return real(limit)
+
+        monkeypatch.setattr(curves, "sieve", counting)
+        return calls
+
     def test_theorem2_is_prime_calls(self, monkeypatch, capsys):
-        # each of the 93 primes 5 <= p <= 500 is checked once, before its census
+        # the 93 census primes 5 <= p <= 500 are read off a sieve: no Miller-Rabin
         calls = []
         check = primes.is_prime
 
@@ -535,11 +559,38 @@ class TestOnePrimeCheckPerCensusPrime:
             calls.append(n)
             return check(n)
 
-        for module in (primes, constants, curves):
-            monkeypatch.setattr(module, "is_prime", counting)
+        for module in (primes, constants, curves, harness):
+            if hasattr(module, "is_prime"):
+                monkeypatch.setattr(module, "is_prime", counting)
         assert cli.main(["theorem2", "--pmax", "500"]) == 0
         capsys.readouterr()
-        assert sorted(calls) == [p for p in range(5, 501) if check(p)] and len(calls) == 93
+        assert calls == []
+
+    def test_censuses_sieve_once(self, sieve_calls):
+        got = list(curves.censuses([5, 7, 499, 11, 13]))
+        assert [p for p, _ in got] == [5, 7, 499, 11, 13]
+        assert sieve_calls == [499]
+        sieve_calls.clear()
+        curves.census(101)
+        curves.box_trace_histogram(37, 2, 2)
+        assert sieve_calls == [101, 37]
+
+    def test_errors_in_input_order(self, sieve_calls):
+        with pytest.raises(DomainError, match=r"^p=9 must be a prime > 3$"):
+            curves.censuses([5, 9, 15, 7])
+        with pytest.raises(DomainError, match=r"^p=3 must be a prime > 3$"):
+            curves.censuses([3, 5])
+        with pytest.raises(CapacityError, match=r"^p=100003 exceeds census budget 100000$"):
+            curves.censuses([9, 100003, 100019])
+        assert sieve_calls == [15, 5]  # the budget check sieves nothing
+
+    def test_budget_checked_before_the_sieve(self, monkeypatch):
+        def fail(limit):
+            raise AssertionError(f"sieve({limit}) before the budget check")
+
+        monkeypatch.setattr(curves, "sieve", fail)
+        with pytest.raises(CapacityError, match=r"p=1000000000000 exceeds census budget"):
+            curves.censuses([5, 10**12])
 
 
 class TestPinnedOutputs:

@@ -138,6 +138,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule is data; numpy before 2.0 imports
+    # numpy.polynomial itself, so only what the package adds counts
+    code = (
+        "import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+        "import koblitz.cli; print(before, 'numpy.polynomial' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(koblitz.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    before, after = out.stdout.split()
+    assert after == before
+
+
 def test_one_transform_site_in_curves():
     # every census and box histogram transforms through _exact_convolution
     path = Path(koblitz.__file__).parent / "curves.py"
