@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -20,6 +21,28 @@ import numpy as np
 from . import classnumbers, constants, curves, harness
 from .errors import CapacityError, DomainError
 from .primes import sieve
+
+
+@contextlib.contextmanager
+def _frozen_heap():
+    """Keep the objects that exist before a command out of its garbage collections.
+
+    Modules, functions and import-time tables live as long as the process.
+    Unfrozen, they sit in whichever generation the collector's counts left
+    them in, so a command's first collection walks thousands of them, or
+    none, depending on what ran before; in a forked process that walk also
+    copies their pages.  Frozen, every collection of the command walks only
+    the command's own objects.  If the caller has frozen objects already,
+    the collector is left as it is.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 @contextlib.contextmanager
@@ -202,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ValueError, RuntimeError, AssertionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _frozen_heap():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.fn(args)
+        except (ValueError, RuntimeError, AssertionError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Experiment-driver and command-line tests."""
 
+import gc
 import hashlib
 import json
 import math
@@ -473,6 +474,34 @@ class TestCli:
         assert cli.main(["deuring", "--pmax", "30"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not divisible by 12" in err
+
+
+class TestFrozenHeap:
+    """A command's collections walk only its own objects, and main restores
+    the collector whatever way the command ends."""
+
+    def test_command_runs_with_prior_objects_frozen(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_constants", lambda args: seen.append(gc.get_freeze_count()) or 0)
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["constants"]) == 0
+        assert seen and seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_error_and_usage_exit(self, capsys):
+        assert cli.main(["theorem2", "--pmax", "5"]) == 1
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(SystemExit):
+            cli.main(["theorem2"])
+        assert gc.get_freeze_count() == 0
+
+    def test_callers_freeze_is_kept(self, capsys):
+        gc.freeze()
+        try:
+            assert cli.main(["constants"]) == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestOneTablePerSweep:
