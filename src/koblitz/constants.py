@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import factorize, is_prime
+from .primes import MAX_FACTOR, factorize
 
 # The truncation limit L of 2*C2, the one product still truncated.
 DEFAULT_TRUNCATION = 10**6
@@ -56,10 +56,10 @@ def gl2_count(ell: int) -> LocalFactorLedger:
     identity (1 - |Omega'|/|GL2|)/(1 - 1/ell) = 1 - (l^2-l-1)/((l-1)^3(l+1))
     is verified before returning.
     """
-    if not is_prime(ell) or ell == 2:
-        raise DomainError(f"{ell} must be an odd prime")
     if ell > MAX_GL2_PRIME:
         raise CapacityError(f"ell={ell} exceeds enumeration budget {MAX_GL2_PRIME}")
+    if ell not in HEAD_PRIMES[1:]:
+        raise DomainError(f"{ell} must be an odd prime")
     v = np.arange(ell, dtype=np.int64)
     a, b, c, d = np.meshgrid(v, v, v, v, indexing="ij", sparse=True)
     det = (a * d - b * c) % ell
@@ -206,10 +206,12 @@ def C_r(r: int) -> float:
     """The positive constant attached to an odd shift r != 1.
 
     The base product, memoized, times finite corrections from the odd
-    primes dividing r-1 and r(r-2).
+    primes dividing r-1 and r(r-2), each within factorize's budget.
     """
     if r % 2 == 0 or r == 1:
         raise DomainError("r must be odd and != 1")
+    if max(abs(r), abs(r - 2)) > MAX_FACTOR:
+        raise CapacityError(f"r={r}: |r| or |r - 2| exceeds factorization budget {MAX_FACTOR}")
     val = _c_r_base()
     for p, _ in factorize(abs(r - 1))[1:]:  # r - 1 is even: the pairs after (2, e)
         val *= 1.0 + (p + 1.0) / (p * p - 2.0 * p - 2.0)

@@ -89,8 +89,8 @@ def _smooth(k: int) -> int:
 
 
 def _length(p: int) -> int:
-    """The transform length n of p's correlation: p <= n/2, and 6 <= n/2."""
-    return 2 * _smooth(max(p, 6))
+    """The transform length n of p's correlation: p <= n/2."""
+    return 2 * _smooth(p)
 
 
 class _TraceTables(NamedTuple):

@@ -3,8 +3,10 @@
 Everything here is pure and deterministic and keeps no state between calls.
 The heavier callers (window statistics, census prime lists) lean on the
 numpy-backed sieves, which all read one odd-only sieve of a window,
-_odd_flags; factorization is for the integers below 2^63 behind
-primitive roots, phi, rho and the finite corrections of C_r.
+_odd_flags.  Primality is read off those flags.  factorize() is trial
+division by the primes below 1000, so it splits every n <= MAX_FACTOR =
+1009^2 - 1: the p - 1 behind primitive roots, the q of phi and rho, and the
+r - 2, r - 1 and r of C_r.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from .errors import CapacityError, DomainError
 
 # Largest sieve we are willing to allocate (one byte per integer).
 MAX_SIEVE_LIMIT = 1 << 30
-
-# Strong-pseudoprime witnesses covering every n < 3.3 * 10^24, hence all of
-# 64-bit range (Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _odd_flags(x: int, y: int) -> np.ndarray:
@@ -75,86 +73,38 @@ def sieve_window(x: int, y: int) -> np.ndarray:
     return flags
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # The trial divisors of factorize(): every prime below 1000.
 _TRIAL_PRIMES = tuple(np.flatnonzero(sieve(1000)).tolist())
 
-
-def _pollard_brent(n: int) -> int:
-    """Deterministic Brent-cycle Pollard rho; returns a nontrivial factor of
-    an odd composite n."""
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise RuntimeError(f"factorization failed for {n}")  # pragma: no cover
+# The largest n factorize() splits: below 1009^2, the square of the least
+# prime past _TRIAL_PRIMES, n has at most one prime factor above 1000.
+MAX_FACTOR = 1009**2 - 1
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Ascending (prime, exponent) pairs of n, for 1 <= n < 2^63."""
-    if not 1 <= n < 1 << 63:
-        raise DomainError("factorize requires 1 <= n < 2^63")
-    pairs: dict[int, int] = {}
+    """Ascending (prime, exponent) pairs of n, for 1 <= n <= MAX_FACTOR.
+
+    Trial division by _TRIAL_PRIMES.  The loop stops once p^2 exceeds the
+    cofactor left, or after 997; either way the cofactor has no prime factor
+    up to its square root, so it is 1 or a prime.
+    """
+    if n < 1:
+        raise DomainError("factorize requires n >= 1")
+    if n > MAX_FACTOR:
+        raise CapacityError(f"n={n} exceeds factorization budget {MAX_FACTOR}")
+    pairs = []
     for p in _TRIAL_PRIMES:
         if p * p > n:
             break
+        e = 0
         while n % p == 0:
-            pairs[p] = pairs.get(p, 0) + 1
             n //= p
-    # Had the loop stopped at p, n < p^2 with no prime factor below p is 1 or
-    # a prime.  Otherwise every prime factor of n exceeds 1000: n < 1009^2 is
-    # prime, and a composite n is odd, as is each factor Pollard-Brent splits.
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m < 10**6 or is_prime(m):
-            pairs[m] = pairs.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return tuple(sorted(pairs.items()))
+            e += 1
+        if e:
+            pairs.append((p, e))
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 def phi(n: int) -> int:

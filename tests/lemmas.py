@@ -6,7 +6,9 @@ coefficients c_f^r(n), the local geometric sums A, B and C with their series
 terms, and the multiplicative form of the exponential sum F(s; r; q, a).
 Tier-1 checks each against its definition or a brute-force route in
 tests/oracles.py (criteria 04 and 05, test_characters, test_constants,
-test_twinseries).
+test_twinseries).  They factor with _oracle_factorize, trial division with
+no budget, since _generators is checked at a modulus past
+koblitz.primes.MAX_FACTOR.
 """
 
 from __future__ import annotations
@@ -18,7 +20,29 @@ from fractions import Fraction
 import numpy as np
 
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import _least_primitive_root, factorize, is_prime, phi
+from koblitz.primes import _least_primitive_root, phi
+
+# ---------------------------------------------------------------------------
+# factorization by trial division, without a budget
+# ---------------------------------------------------------------------------
+
+
+def _oracle_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial division by every d >= 2 up to sqrt(n), no sieve and no budget."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
 
 # ---------------------------------------------------------------------------
 # Dirichlet characters mod q from one exact integer angle table
@@ -58,7 +82,7 @@ class CharacterTable:
 def _generators(q: int) -> list[tuple[int, int]]:
     """(generator lifted to mod q, order) of each cyclic factor of (Z/q)^*."""
     gens = []
-    for p, k in factorize(q):
+    for p, k in _oracle_factorize(q):
         pk = p**k
         if p == 2:
             local = [(pk - 1, 2), (5, pk // 4)][: max(k - 1, 0)]
@@ -127,7 +151,7 @@ def rho_chi(r: int, table: CharacterTable) -> np.ndarray:
 def moebius(n: int) -> int:
     if n < 1:
         raise DomainError("moebius requires n >= 1")
-    pairs = factorize(n)
+    pairs = _oracle_factorize(n)
     if any(e > 1 for _, e in pairs):
         return 0
     return -1 if len(pairs) % 2 else 1
@@ -153,7 +177,7 @@ def c_f_r(n: int, f: int, r: int) -> int:
     if math.gcd(r, f) != 1 or math.gcd(r - 2, f) != 1:
         return 0
     out = 1
-    for ell, alpha in factorize(n):
+    for ell, alpha in _oracle_factorize(n):
         lead = ell ** (alpha - 1)
         if ell == 2:
             out *= lead * (-1 if alpha % 2 else 1)
@@ -240,7 +264,7 @@ class LocalSums:
 
 def local_sums(ell: int, r: int) -> LocalSums:
     """Closed-form values of the three local geometric sums at (ell, r)."""
-    if ell == 2 or not is_prime(ell):
+    if ell == 2 or _oracle_factorize(ell) != ((ell, 1),):
         raise DomainError("ell must be an odd prime")
     if r % 2 == 0 or r == 1:
         raise DomainError("r must be odd and != 1")
@@ -269,7 +293,7 @@ def F_mult(s: int, r: int, q: int, a: int) -> int:
     if s < 1:
         raise DomainError("s must be >= 1")
     out = 1
-    for p, e in factorize(s):
+    for p, e in _oracle_factorize(s):
         if e > 1:
             raise DomainError(f"s={s} is not squarefree")
         if q % p == 0:

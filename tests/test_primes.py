@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koblitz import primes
+from koblitz import cli, primes
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import (
+    MAX_FACTOR,
     _least_primitive_root,
     factorize,
-    is_prime,
     phi,
     sieve,
     sieve_window,
 )
-from lemmas import moebius
-from oracles import kronecker, kronecker_table
+from lemmas import _oracle_factorize, moebius
+from oracles import is_prime, kronecker, kronecker_table
 
 
 def _oracle_sieve(limit):
@@ -53,23 +53,6 @@ def _oracle_is_prime(n):
         if n % d == 0:
             return False
     return True
-
-
-def _oracle_factorize(n):
-    """Trial division by every d >= 2 up to sqrt(n), no sieve."""
-    pairs = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            pairs.append((d, e))
-        d += 1
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
 
 
 def _oracle_kronecker(a, n):
@@ -218,47 +201,52 @@ class TestFactorize:
     def test_examples(self):
         assert factorize(12) == ((2, 2), (3, 1))
         assert factorize(1) == ()
-        assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
-        # squares and products of primes above 10^6, split by Pollard-Brent
-        assert factorize(1000003**2) == ((1000003, 2),)
-        assert factorize(999983 * 1000003) == ((999983, 1), (1000003, 1))
-        # the top of the exact range, and a semiprime near it with two factors
-        # near 2^31.5, the slowest kind for Pollard-Brent
-        assert factorize(2**63 - 1) == (
-            (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)
-        )
-        assert factorize(3037000453 * 3037000493) == ((3037000453, 1), (3037000493, 1))
+        assert factorize(999983) == ((999983, 1),)
 
     def test_trial_boundary(self):
-        # trial division stops at 997, where a cofactor below 10^6 is prime;
-        # 1009^2 and 1009 * 1013 are the first composites past it to split,
-        # and 722 000 = 2^4 5^3 19^2 is the largest n the CLI verbs and demos
-        # ask for at their default and benchmark sizes
+        # trial division stops at 997, where the cofactor, below 1009^2, is 1
+        # or a prime; 722 000 = 2^4 5^3 19^2 is the largest n the CLI verbs
+        # and demos ask for at their default and benchmark sizes
         assert primes._TRIAL_PRIMES == tuple(_oracle_sieve(1000))
-        for n in (999983, 1009**2, 1009 * 1013, 997 * 1009, 997**2, 722000, 10**6 - 1):
+        # 1018057 is the largest prime in the budget, and 2 * 509027 leaves a
+        # prime cofactor above 1000
+        for n in (999983, 997**2, 722000, 10**6 - 1, 1018057, 2 * 509027):
             assert factorize(n) == _oracle_factorize(n), n
 
     def test_large_semiprime(self):
-        p, q = 1000003, 1000033
+        # the largest trial prime times the least prime past it
+        p, q = 997, 1009
         assert factorize(p * q) == ((p, 1), (q, 1))
 
+    def test_budget(self):
+        # MAX_FACTOR = 1009^2 - 1 is the largest n the trial primes split;
+        # anything above is refused before any division
+        assert factorize(MAX_FACTOR) == ((2, 5), (3, 2), (5, 1), (7, 1), (101, 1))
+        for n in (MAX_FACTOR + 1, 1009**2, 1009 * 1013, 2**63, (2**61 - 1) * (2**89 - 1)):
+            with pytest.raises(CapacityError, match=f"^n={n} exceeds factorization budget"):
+                factorize(n)
+
     def test_domain(self):
-        # n >= 2^63 is rejected before any division: such inputs can run for hours
-        for n in (0, 2**63, (2**61 - 1) * (2**89 - 1)):
+        for n in (0, -1, -12):
             with pytest.raises(DomainError):
                 factorize(n)
 
-    @given(st.integers(min_value=1, max_value=10**12))
+    @given(st.integers(min_value=1, max_value=MAX_FACTOR))
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_and_primality(self, n):
         fac = factorize(n)
-        prod = 1
-        for p, e in fac:
-            assert e >= 1
-            assert _oracle_is_prime(p) if p < 10**6 else is_prime(p)
-            prod *= p**e
-        assert prod == n
-        assert isinstance(fac, tuple) and fac == tuple(sorted(fac))
+        assert fac == _oracle_factorize(n)
+        assert isinstance(fac, tuple) and math.prod(p**e for p, e in fac) == n
+
+    def test_cr_cli_at_the_budget(self, capsys):
+        # C_r factors r - 2, r - 1 and r: the largest odd r within the budget
+        # runs, and the next odd r is refused with an error naming it
+        top = MAX_FACTOR - 1  # MAX_FACTOR = 1009^2 - 1 is even
+        assert cli.main(["cr", "--r", str(top)]) == 0
+        capsys.readouterr()
+        assert cli.main(["cr", "--r", str(top + 2)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"r={top + 2}" in err
 
 
 class TestMultiplicativeFunctions:

@@ -246,6 +246,43 @@ def test_one_integer_flag_layout_in_primes():
     assert callers == {"_odd_flags", "sieve_window"}, callers
 
 
+def test_one_factorization_path_in_primes():
+    # factorize trial-divides by _TRIAL_PRIMES within its budget; Miller-Rabin
+    # and Pollard-Brent are not package routes, and curves reads primality
+    # off one sieve
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    defined = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("is_prime", "_pollard_brent")
+    ]
+    assert defined == []
+    reads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_TRIAL_PRIMES"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "_TRIAL_PRIMES")
+        or (isinstance(node, ast.alias) and node.name == "_TRIAL_PRIMES")
+    ]
+    (factorize,) = [
+        node for node in trees["primes"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "factorize"
+    ]
+    inside = [node for node in ast.walk(factorize) if node in reads]
+    assert reads and len(inside) == len(reads)
+    (check,) = [
+        node for node in trees["curves"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_primes"
+    ]
+    assert any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sieve"
+        for node in ast.walk(check)
+    )
+
+
 def test_cli_opens_files_only_in_atomic_open():
     # every file the CLI writes appears whole or not at all
     path = Path(koblitz.__file__).parent / "cli.py"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from koblitz import twinseries
 from koblitz.constants import DEFAULT_TRUNCATION
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import MAX_SIEVE_LIMIT, is_prime
+from koblitz.primes import MAX_SIEVE_LIMIT
 from koblitz.twinseries import (
     MAX_BDH_CELLS,
     bdh_statistic,
@@ -22,6 +22,7 @@ from lemmas import F_mult
 from oracles import (
     error_E,
     exponential_sum_F,
+    is_prime,
     psi,
     sieved_window,
     singular_series,
