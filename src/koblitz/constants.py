@@ -2,14 +2,15 @@
 
 Every infinite product over primes lives here.  The average constant and
 the C_r base are complete products, evaluated in log space: the primes
-below 50 (HEAD_PRIMES) enter one by one, and past them the local factor f
-enters through its power series log f(ell) = sum_k a_k ell^-k, whose
-prime sums sum_{ell > 50} ell^-k come from values of zeta by Moebius
-inversion (H. Cohen, "High precision computation of Hardy-Littlewood
-constants", 1998; P. Moree, Manuscripta Math. 101, 2000).  Both lie within
-1e-15 relative of a 40-digit mpmath evaluation.  The twin-prime constant
-2*C2 is one literal, TWIN_CONSTANT: the plain product over the primes up to
-DEFAULT_TRUNCATION, which the stored bdh references were computed with.
+below 50 (HEAD_PRIMES) enter one by one, and past them the sum of
+log f(ell) over the primes ell > 50 is a stored float, _FRAK_C_TAIL or
+_C_R_BASE_TAIL.  Each tail was summed from the power series of log f(ell)
+in 1/ell and the prime sums sum_{ell > 50} ell^-k (H. Cohen, "High
+precision computation of Hardy-Littlewood constants", 1998); the tests hold
+both tails and both products to a 40-digit mpmath evaluation.  The
+twin-prime constant 2*C2 is one literal, TWIN_CONSTANT: the plain product
+over the primes up to DEFAULT_TRUNCATION, which the stored bdh references
+were computed with.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ DEFAULT_TRUNCATION = 10**6
 
 # 2*C2 truncated at L: 2 prod_{3 <= ell <= L} ell(ell-2)/(ell-1)^2,
 # exp of the sum of its log1p terms, 0x1.5200bc4299898p+0.  It lies 6.8e-8
-# relative above the complete product, which the zeta route of this module
-# gives to 1e-15; it stays truncated so that S(r) and every bdh statistic
-# keep their values, and tests/oracles.py recomputes it bit for bit.
+# relative above the complete product, 2 mpmath.twinprime; it stays
+# truncated so that S(r) and every bdh statistic keep their values, and
+# tests/oracles.py recomputes it bit for bit.
 TWIN_CONSTANT = 1.3203237211796814
 
 MAX_GL2_PRIME = 50
@@ -77,88 +78,18 @@ def gl2_count(ell: int) -> LocalFactorLedger:
 
 
 # ---------------------------------------------------------------------------
-# products over every prime, from the primes <= 50 and zeta
+# products over every prime, from the primes <= 50 and a stored tail
 # ---------------------------------------------------------------------------
 
 # The primes below 50, which enter each product one by one.
 HEAD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# Terms k <= SERIES_TERMS of sum_k a_k sum_{ell > 50} ell^-k.  Every a_k here
-# is at most 2.74^k (the C_r base), so the first omitted term is below
-# (2.74 / 53)^21 < 1e-26.
-SERIES_TERMS = 20
-
-# zeta(2), ..., zeta(5), each the float64 nearest the true value
-_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337)
-
-# mu(m) for m <= SERIES_TERMS / 2, the largest m with m k <= SERIES_TERMS at k = 2
-_MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1)
-
-# log zeta_{>50}(s) for s >= 6 sums n^-s over the 50-rough n <= _ROUGH_LIMIT:
-# the rough n past it add under 3e-20, at s = 6.
-_ROUGH_LIMIT = 1 << 12
-
-
-def _power_sums(poly: tuple[int, ...]) -> list[int]:
-    """[s_0, ..., s_SERIES_TERMS], s_k = sum_i y_i^k for poly(x) = prod_i (1 - y_i x).
-
-    Newton's identities give s_k = -k c_k - sum_{0 < i < k} c_i s_{k-i} for
-    the coefficients c_i of poly (c_0 = 1), in integers.
-    """
-    c = list(poly) + [0] * SERIES_TERMS
-    s = [0]  # s_0 is never read
-    for k in range(1, SERIES_TERMS + 1):
-        s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, min(k, len(poly)))))
-    return s
-
-
-def _log_coefficients(num: tuple[int, ...], den: tuple[int, ...]) -> list[float]:
-    """[a_0, ..., a_SERIES_TERMS] with log(num(x) / den(x)) = sum_k a_k x^k.
-
-    log poly(x) = -sum_k s_k x^k / k, so a_k = (s_k(den) - s_k(num)) / k, an
-    integer ratio rounded once.
-    """
-    return [0.0] + [
-        (d - n) / k for k, (n, d) in enumerate(zip(_power_sums(num), _power_sums(den))) if k
-    ]
-
-
-@functools.cache
-def _rough_zeta_logs() -> tuple[float, ...]:
-    """log zeta_{>50}(s) for s <= SERIES_TERMS (0.0 for s < 2), where
-    zeta_{>50}(s) = zeta(s) prod_{ell <= 50} (1 - ell^-s) = sum over the
-    50-rough n of n^-s.
-
-    Up to s = 5 from zeta(s); from s = 6 on, where that product would cancel
-    to about 53^-s, as log1p of the direct sum over the 50-rough n > 1.
-    """
-    head = np.array(HEAD_PRIMES, dtype=np.float64)[:, None] ** -np.arange(2.0, 6.0)
-    removed = np.log1p(-head).sum(axis=0).tolist()
-    n = np.arange(3, _ROUGH_LIMIT + 1, 2)  # 2 is a head prime
-    n = n[np.gcd(n, math.prod(HEAD_PRIMES)) == 1].astype(np.float64)
-    direct = np.log1p((n[:, None] ** -np.arange(6.0, SERIES_TERMS + 1)).sum(axis=0)).tolist()
-    return (0.0, 0.0, *(math.log(z) + r for z, r in zip(_ZETA, removed)), *direct)
-
-
-def _log_past_head(num: tuple[int, ...], den: tuple[int, ...]) -> float:
-    """sum over the primes ell > 50 of log(num(1/ell) / den(1/ell)).
-
-    That is sum_k a_k P(k), P(k) = sum_{ell > 50} ell^-k, and P(k) =
-    sum_m mu(m)/m log zeta_{>50}(mk) inverts log zeta_{>50}(s) = sum_j P(js)/j.
-    num and den must agree to first order, a_1 = 0, for the product to converge.
-    """
-    a = _log_coefficients(num, den)
-    if a[1]:
-        raise DomainError("the local factor must be 1 + O(1/ell^2)")
-    z = _rough_zeta_logs()
-    tail = 0.0
-    for k in range(SERIES_TERMS, 1, -1):  # the smallest terms first
-        tail += a[k] * sum(_MOBIUS[m] / m * z[m * k] for m in range(SERIES_TERMS // k, 0, -1))
-    return tail
-
-
-# (l-1)^3 (l+1) in x = 1/l, over l^4: the denominator of both local factors
-_CUBE_DEN = (1, -2, 0, 2, -1)
+# Each tail is the sum over the primes ell > 50 of log f(1/ell), for the
+# local factor f the product takes past the head:
+# f(x) = (1 - 2x - x^2 + 3x^3) / ((1 - x)^3 (1 + x)), the frak_C factor
+_FRAK_C_TAIL = -0.003919309997745811
+# f(x) = (1 - 2x - 2x^2) / ((1 - x)^3 (1 + x)), the C_r base factor
+_C_R_BASE_TAIL = -0.008008836715595515
 
 
 @functools.cache
@@ -176,8 +107,7 @@ def average_constant_forms() -> tuple[float, float]:
         np.log(odd**4 - 2 * odd**3 - odd**2 + 3 * odd) - np.log((odd - 1) ** 3 * (odd + 1))
     )
     form2 = np.sum(np.log1p(-((ell * ell - ell - 1) / ((ell - 1) ** 3 * (ell + 1)))))
-    tail = _log_past_head((1, -2, -1, 3), _CUBE_DEN)
-    return math.exp(form1 + tail), math.exp(form2 + tail)
+    return math.exp(form1 + _FRAK_C_TAIL), math.exp(form2 + _FRAK_C_TAIL)
 
 
 def average_constant() -> float:
@@ -199,7 +129,7 @@ def _c_r_base() -> float:
     """
     ell = np.array(HEAD_PRIMES[1:], dtype=np.float64)
     head = np.sum(np.log1p(-(2 * ell * ell + 2 * ell - 1) / ((ell - 1) ** 3 * (ell + 1))))
-    return (4.0 / 3.0) * math.exp(head + _log_past_head((1, -2, -2), _CUBE_DEN))
+    return (4.0 / 3.0) * math.exp(head + _C_R_BASE_TAIL)
 
 
 def C_r(r: int) -> float:

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from . import classnumbers, constants, curves, twinseries
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .primes import phi, sieve
 
 
@@ -78,8 +78,10 @@ def run_theorem2(pmax: int) -> Report:
     The class-number route needs no censuses; for pmax <= 3000 the exact
     census sum is also computed and must match exactly.
     """
-    if pmax > 10**5:
-        raise DomainError("pmax exceeds the class-number-route budget 10^5")
+    if pmax > classnumbers.MAX_H_TABLE // 4:
+        raise CapacityError(
+            f"pmax={pmax} exceeds class-number budget {classnumbers.MAX_H_TABLE // 4}"
+        )
     if pmax < 10:
         raise DomainError("pmax too small")
     table = classnumbers.twelve_h_weighted_table(4 * pmax)
@@ -129,8 +131,10 @@ def _global_singular_in_box(box_a: int, box_b: int) -> int:
 
 def run_theorem1(x: int, box_a: int, box_b: int) -> Report:
     """Average of pi_twin over the (2A+1)(2B+1) box of curves up to x."""
-    if x < 10 or x > curves.MAX_CENSUS_PRIME:
-        raise DomainError(f"x must be in [10, {curves.MAX_CENSUS_PRIME}] for the box average")
+    if x > curves.MAX_CENSUS_PRIME:
+        raise CapacityError(f"x={x} exceeds census budget {curves.MAX_CENSUS_PRIME}")
+    if x < 10:
+        raise DomainError(f"x={x} must be >= 10 for the box average")
     if box_a < 0 or box_b < 0 or (2 * box_a + 1) * (2 * box_b + 1) > curves.MAX_BOX_PAIRS:
         raise DomainError("box radii must be >= 0, with at most 2^53 pairs")
     n_curves = (2 * box_a + 1) * (2 * box_b + 1) - _global_singular_in_box(box_a, box_b)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koblitz import constants
 from koblitz.constants import (
@@ -16,7 +18,7 @@ from koblitz.constants import (
     gl2_count,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import sieve
+from koblitz.primes import MAX_FACTOR, sieve
 from lemmas import (
     A_closed,
     B1_closed,
@@ -25,12 +27,12 @@ from lemmas import (
     B_AT_TWO,
     C1_closed,
     C2_closed,
+    _oracle_factorize,
     a_series_term,
     b_series_term,
     c_f_r,
     c_series_term,
     local_sums,
-    moebius,
 )
 import oracles
 from oracles import (
@@ -100,9 +102,6 @@ class TestAverageConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             average_constant_truncated(100)
-        # a local factor 1 + c/ell + ... gives a divergent product
-        with pytest.raises(DomainError):
-            constants._log_past_head((1, -1), (1,))
 
 
 # Each truncated Euler product oracle, from prime_terms, against its
@@ -174,8 +173,8 @@ class TestEulerProductsFromPrimes:
 
 
 # Each local factor past the primes <= 50 as (numerator, denominator)
-# polynomials in x = 1/ell; 2*C2 is here to check the method, which the
-# package does not yet use for it.
+# polynomials in x = 1/ell; 2*C2 is here to check the method, whose tail the
+# package does not yet store.
 LOCAL_FACTORS = {
     "frak_c": ((1, -2, -1, 3), (1, -2, 0, 2, -1)),
     "c_r_base": ((1, -2, -2), (1, -2, 0, 2, -1)),
@@ -201,8 +200,8 @@ def _fraction_log_series(poly, terms):
 
 
 def _mp_log_past_head(mp, num, den, terms=45):
-    """sum_{ell > 50} log(num(1/ell)/den(1/ell)) from exact a_k and mpmath's prime
-    zeta function, independent of the package's zeta values and Moebius sums."""
+    """sum_{ell > 50} log(num(1/ell)/den(1/ell)) from the exact series
+    coefficients a_k of the log and mpmath's prime zeta function."""
     a = [n - d for n, d in zip(_fraction_log_series(num, terms), _fraction_log_series(den, terms))]
     return mp.fsum(
         mp.mpf(a[k].numerator) / a[k].denominator
@@ -212,39 +211,15 @@ def _mp_log_past_head(mp, num, den, terms=45):
 
 
 class TestProductsFromZeta:
-    @pytest.mark.parametrize("name", sorted(LOCAL_FACTORS))
-    def test_coefficients_exact(self, name):
-        num, den = LOCAL_FACTORS[name]
-        want = [
-            float(n - d)
-            for n, d in zip(
-                _fraction_log_series(num, constants.SERIES_TERMS),
-                _fraction_log_series(den, constants.SERIES_TERMS),
-            )
-        ]
-        assert constants._log_coefficients(num, den) == want
-        assert want[1] == 0.0  # the products converge
-
-    def test_zeta_values_and_moebius(self):
+    def test_tails_against_mpmath(self):
+        # each stored tail against the same sum at 40 digits; the C_r base
+        # tail sits 9.6e-16 from the float nearest it
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
-            assert constants._ZETA == tuple(float(mpmath.zeta(s)) for s in range(2, 6))
-        assert constants._MOBIUS == tuple(
-            moebius(m) if m else 0 for m in range(constants.SERIES_TERMS // 2 + 1)
-        )
-
-    def test_rough_zeta_logs(self):
-        mpmath = pytest.importorskip("mpmath")
-        got = constants._rough_zeta_logs()
-        assert len(got) == constants.SERIES_TERMS + 1 and got[:2] == (0.0, 0.0)
-        with mpmath.workdps(80):
-            for s in range(2, constants.SERIES_TERMS + 1):
-                want = mpmath.log(
-                    mpmath.zeta(s) * mpmath.fprod(1 - mpmath.mpf(ell) ** -s for ell in HEAD)
-                )
-                # up to s = 5 from log zeta(s), which exceeds the result by up
-                # to 128 times; from s = 6 on the direct sums omit n > 2^12
-                assert abs(got[s] - float(want)) <= (1e-16 if s <= 5 else 3e-20), s
+            frak_c = _mp_log_past_head(mpmath, *LOCAL_FACTORS["frak_c"])
+            c_r_base = _mp_log_past_head(mpmath, *LOCAL_FACTORS["c_r_base"])
+            assert abs(constants._FRAK_C_TAIL - frak_c) <= 1e-16
+            assert abs(constants._C_R_BASE_TAIL - c_r_base) <= 1e-15
 
     def test_products_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -274,13 +249,14 @@ class TestProductsFromZeta:
         assert base == pytest.approx(want_base, rel=1e-13, abs=0)
 
     def test_method_gives_the_twin_constant(self):
-        # 2*C2 stays truncated in the package; the same tail would make it exact
+        # 2*C2 stays truncated in the package; a float head and the rounded
+        # tail from the same sum would make it exact
         mpmath = pytest.importorskip("mpmath")
         head = sum(math.log1p(-1.0 / (ell - 1) ** 2) for ell in HEAD[1:])
-        got = 2.0 * math.exp(head + constants._log_past_head(*LOCAL_FACTORS["twin"]))
-        with mpmath.workdps(30):
+        with mpmath.workdps(40):
+            tail = float(_mp_log_past_head(mpmath, *LOCAL_FACTORS["twin"]))
             want = float(2 * mpmath.twinprime)
-        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert 2.0 * math.exp(head + tail) == pytest.approx(want, rel=1e-15, abs=0)
         assert constants.TWIN_CONSTANT == pytest.approx(want, rel=1e-7)
 
 
@@ -440,6 +416,26 @@ class TestCr:
             C_r(4)
         with pytest.raises(DomainError):
             C_r(1)
+
+    # r = 2k + 1 runs over the odd r != 1 with |r|, |r - 2| <= MAX_FACTOR
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1 - MAX_FACTOR // 2, MAX_FACTOR // 2 - 1).filter(bool).map(lambda k: 2 * k + 1)
+    )
+    @example(3)
+    @example(-1)
+    @example(MAX_FACTOR - 1)
+    @example(-MAX_FACTOR + 3)
+    def test_corrections_exact(self, r):
+        # the base times the exact product of its corrections: one per odd
+        # prime dividing r - 1, one per prime dividing r(r - 2)
+        fix = Fraction(1)
+        for p, _ in _oracle_factorize(abs(r - 1)):
+            if p > 2:
+                fix *= 1 + Fraction(p + 1, p * p - 2 * p - 2)
+        for p in {p for n in (r, r - 2) for p, _ in _oracle_factorize(abs(n))}:
+            fix *= 1 + Fraction(1, p * p - 2 * p - 2)
+        assert C_r(r) == pytest.approx(constants._c_r_base() * float(fix), rel=1e-14, abs=0)
 
 
 class TestCrOracle:

@@ -54,10 +54,14 @@ class TestTheorem2:
         assert np.all(np.abs(x - want_x) <= np.spacing(np.abs(want_x)))
         assert np.all(np.abs(w - want_w) <= np.spacing(want_w))
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved before the budget check")
+
+        monkeypatch.setattr(harness, "sieve", no_sieve)
         with pytest.raises(DomainError):
             harness.run_theorem2(5)
-        with pytest.raises(DomainError):
+        with pytest.raises(CapacityError, match="pmax=100001 .* 100000"):
             harness.run_theorem2(10**5 + 1)
 
 
@@ -97,8 +101,14 @@ class TestTheorem1:
         with pytest.raises(DomainError):
             harness.run_theorem1(100, 0, 0)
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved before the budget check")
+
+        monkeypatch.setattr(harness, "sieve", no_sieve)
         with pytest.raises(DomainError):
+            harness.run_theorem1(9, 10, 10)
+        with pytest.raises(CapacityError, match="x=100001 .* 100000"):
             harness.run_theorem1(10**5 + 1, 10, 10)
 
     @pytest.mark.parametrize("A, B", [(-1, 10), (10, -1), (2**52, 0), (10**9, 10**9), (0, 0)])
@@ -728,7 +738,6 @@ class TestTheorem2Work:
         monkeypatch.setattr(primes, "_odd_flags", counting_strike)
         monkeypatch.setattr(curves, "_deuring_gather", counting_gather)
         constants.average_constant_forms.cache_clear()
-        constants._rough_zeta_logs.cache_clear()
         pmax = 500
         summary = harness.run_theorem2(pmax).summary
         assert summary["class_route_sum"] == 596076
