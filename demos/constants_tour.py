@@ -2,31 +2,31 @@
 
 The average constant frak_C is the density factor in the expected number of
 primes p for which a random curve has a prime number of points.  It has two
-equivalent product forms; each local factor can also be recovered by brute
-force over GL_2(F_ell).  Each product takes the primes ell <= 50 one by one
-and the rest from values of zeta, so every digit printed is exact.  The
-per-shift constants C_r play the same role for the shifted problem and
-average back to frak_C over r.
+equivalent product forms.  Each local factor of the second comes from two
+closed-form counts: |GL_2(F_ell)| and |Omega'|, the matrices g in it with
+det(I - g) = 0.  Each product takes the primes ell < 50 one by one and the
+rest from one stored tail per product.  The per-shift constants C_r play the
+same role for the shifted problem and average back to frak_C over r.
 """
+
+from fractions import Fraction
 
 from koblitz.constants import (
     C_r,
     average_constant_forms,
     gallagher_sum,
-    gl2_count,
+    gl2_counts,
 )
 
 f1, f2 = average_constant_forms()
 print(f"frak_C, product form 1 (odd primes, prefactor 2/3): {f1:.15f}")
 print(f"frak_C, product form 2 (all primes):                {f2:.15f}\n")
 
-print("local factors recovered by GL2 enumeration:")
+print("local factors (1 - |Omega'|/|GL2|) / (1 - 1/ell) from the closed-form counts:")
 for ell in (3, 5, 7, 11, 13):
-    led = gl2_count(ell)
-    print(
-        f"  ell={ell:>2}: |GL2| = {led.gl2_order:>6}, "
-        f"|Omega'| = {led.omega_prime_count:>5}, factor = {led.factor}"
-    )
+    omega, gl2 = gl2_counts(ell)
+    factor = (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell))
+    print(f"  ell={ell:>2}: |GL2| = {gl2:>6}, |Omega'| = {omega:>5}, factor = {factor}")
 
 print("\nper-shift constants (note the symmetry r <-> 2 - r):")
 for r in (3, -1, 5, -3, 7, 9):

@@ -103,14 +103,11 @@ def write_census_file(path: str, censuses: Iterable[tuple[int, np.ndarray]]) -> 
 
 
 def _cmd_constants(args) -> int:
-    ledgers = {ell: constants.gl2_count(ell) for ell in (3, 5, 7, 11, 13)}
-    payload = {
-        "frak_C": constants.average_constant(),
-        "local_factors": [
-            {"ell": ell, "omega": led.omega_prime_count, "gl2": led.gl2_order}
-            for ell, led in ledgers.items()
-        ],
-    }
+    factors = []
+    for ell in (3, 5, 7, 11, 13):
+        omega, gl2 = constants.gl2_counts(ell)
+        factors.append({"ell": ell, "omega": omega, "gl2": gl2})
+    payload = {"frak_C": constants.average_constant(), "local_factors": factors}
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -199,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("theorem1", _cmd_theorem1, help="box-averaged twin count experiment")
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--A", type=int, default=0)
-    p.add_argument("--B", type=int, default=0)
+    p.add_argument("--A", type=int, required=True)
+    p.add_argument("--B", type=int, required=True)
 
     p = add("theorem2", _cmd_theorem2, help="summed prime-order census experiment")
     p.add_argument("--pmax", type=int, required=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,46 +34,23 @@ DEFAULT_TRUNCATION = 10**6
 # tests/oracles.py recomputes it bit for bit.
 TWIN_CONSTANT = 1.3203237211796814
 
-MAX_GL2_PRIME = 50
-
 
 # ---------------------------------------------------------------------------
-# GL2 counting
+# GL2 counts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalFactorLedger:
-    omega_prime_count: int
-    gl2_order: int
-    factor: Fraction
+def gl2_counts(ell: int) -> tuple[int, int]:
+    """(|Omega'|, |GL2(F_ell)|) for an odd prime ell, in closed form.
 
-
-def gl2_count(ell: int) -> LocalFactorLedger:
-    """Count invertible 2x2 matrices g mod ell with det(g)+1-tr(g) = 0.
-
-    Exhaustive enumeration over all ell^4 matrices; the exact rational
-    identity (1 - |Omega'|/|GL2|)/(1 - 1/ell) = 1 - (l^2-l-1)/((l-1)^3(l+1))
-    is verified before returning.
+    Omega' = {g in GL2(F_ell) : det(I - g) = 0} has ell^3 - 2 ell elements
+    and GL2(F_ell) has (ell^2 - 1)(ell^2 - ell); tests/lemmas.py counts both
+    over all ell^4 matrices.  Primality is read from factorize, so an ell
+    past MAX_FACTOR raises its CapacityError.
     """
-    if ell > MAX_GL2_PRIME:
-        raise CapacityError(f"ell={ell} exceeds enumeration budget {MAX_GL2_PRIME}")
-    if ell not in HEAD_PRIMES[1:]:
+    if ell < 3 or ell % 2 == 0 or factorize(ell) != ((ell, 1),):
         raise DomainError(f"{ell} must be an odd prime")
-    v = np.arange(ell, dtype=np.int64)
-    a, b, c, d = np.meshgrid(v, v, v, v, indexing="ij", sparse=True)
-    det = (a * d - b * c) % ell
-    tr = (a + d) % ell
-    invertible = det != 0
-    gl2 = int(invertible.sum())
-    omega = int((invertible & ((det + 1 - tr) % ell == 0)).sum())
-    if gl2 != (ell * ell - 1) * (ell * ell - ell):
-        raise AssertionError(f"|GL2(F_{ell})| counted as {gl2}")
-    lhs = (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell))
-    factor = 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
-    if lhs != factor:
-        raise AssertionError(f"GL2 local factor identity fails at ell={ell}")
-    return LocalFactorLedger(omega_prime_count=omega, gl2_order=gl2, factor=factor)
+    return ell**3 - 2 * ell, (ell * ell - 1) * (ell * ell - ell)
 
 
 # ---------------------------------------------------------------------------

@@ -303,12 +303,15 @@ def _suite_deuring(rows: list[dict]) -> bool:
 def _suite_constants(rows: list[dict]) -> bool:
     ok = True
     for ell in (3, 5, 7, 11, 13):
-        led = constants.gl2_count(ell)  # raises if the exact identity fails
+        # (1 - omega/gl2)/(1 - 1/l) = 1 - (l^2-l-1)/((l-1)^3 (l+1)), the
+        # factor of form 2, cleared of denominators
+        omega, gl2 = constants.gl2_counts(ell)
+        den = (ell - 1) ** 3 * (ell + 1)
         ok &= _check(
             rows,
             f"gl2 local factor identity at ell={ell}",
-            True,
-            f"omega={led.omega_prime_count}, gl2={led.gl2_order}",
+            (gl2 - omega) * ell * den == (den - (ell * ell - ell - 1)) * gl2 * (ell - 1),
+            f"omega={omega}, gl2={gl2}",
         )
     f1, f2 = constants.average_constant_forms()
     ok &= _check(

@@ -2,13 +2,14 @@
 
 No report of the package reads these: Dirichlet characters mod q and the
 character sums rho(r, chi), the Moebius function, the character-sum
-coefficients c_f^r(n), the local geometric sums A, B and C with their series
-terms, and the multiplicative form of the exponential sum F(s; r; q, a).
-Tier-1 checks each against its definition or a brute-force route in
-tests/oracles.py (criteria 04 and 05, test_characters, test_constants,
-test_twinseries).  They factor with _oracle_factorize, trial division with
-no budget, since _generators is checked at a modulus past
-koblitz.primes.MAX_FACTOR.
+coefficients c_f^r(n), the GL2 counts behind the local factor of frak_C by
+enumeration of all ell^4 matrices, the local geometric sums A, B and C with
+their series terms, and the multiplicative form of the exponential sum
+F(s; r; q, a).  Tier-1 checks each against its definition, a brute-force
+route in tests/oracles.py or the package's closed form (criteria 02, 04 and
+05, test_characters, test_constants, test_twinseries).  They factor with
+_oracle_factorize, trial division with no budget, since _generators is
+checked at a modulus past koblitz.primes.MAX_FACTOR.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from koblitz.constants import HEAD_PRIMES
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import _least_primitive_root, phi
 
@@ -188,6 +190,47 @@ def c_f_r(n: int, f: int, r: int) -> int:
         else:
             out *= lead * (-2 if alpha % 2 else ell - 3)
     return out
+
+
+# ---------------------------------------------------------------------------
+# GL2 counts by enumeration
+# ---------------------------------------------------------------------------
+
+MAX_GL2_PRIME = 50
+
+
+@dataclass(frozen=True)
+class LocalFactorLedger:
+    omega_prime_count: int
+    gl2_order: int
+    factor: Fraction
+
+
+def gl2_count(ell: int) -> LocalFactorLedger:
+    """Count invertible 2x2 matrices g mod ell with det(g)+1-tr(g) = 0.
+
+    Exhaustive enumeration over all ell^4 matrices; the exact rational
+    identity (1 - |Omega'|/|GL2|)/(1 - 1/ell) = 1 - (l^2-l-1)/((l-1)^3(l+1))
+    is verified before returning.
+    """
+    if ell > MAX_GL2_PRIME:
+        raise CapacityError(f"ell={ell} exceeds enumeration budget {MAX_GL2_PRIME}")
+    if ell not in HEAD_PRIMES[1:]:
+        raise DomainError(f"{ell} must be an odd prime")
+    v = np.arange(ell, dtype=np.int64)
+    a, b, c, d = np.meshgrid(v, v, v, v, indexing="ij", sparse=True)
+    det = (a * d - b * c) % ell
+    tr = (a + d) % ell
+    invertible = det != 0
+    gl2 = int(invertible.sum())
+    omega = int((invertible & ((det + 1 - tr) % ell == 0)).sum())
+    if gl2 != (ell * ell - 1) * (ell * ell - ell):
+        raise AssertionError(f"|GL2(F_{ell})| counted as {gl2}")
+    lhs = (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell))
+    factor = 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
+    if lhs != factor:
+        raise AssertionError(f"GL2 local factor identity fails at ell={ell}")
+    return LocalFactorLedger(omega_prime_count=omega, gl2_order=gl2, factor=factor)
 
 
 # ---------------------------------------------------------------------------

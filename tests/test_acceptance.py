@@ -22,6 +22,7 @@ from lemmas import (
     c_f_r,
     c_series_term,
     characters,
+    gl2_count,
     local_sums,
     moebius,
     rho_chi,
@@ -51,15 +52,17 @@ def test_criterion_01_deuring_exactness():
 
 
 def test_criterion_02_gl2_local_factors():
-    """Brute-force GL2 factor equals the closed rational form, in < 5 s."""
+    """Closed-form GL2 counts equal the brute-force ones and give the closed
+    rational factor, in < 5 s."""
     t0 = time.monotonic()
     for ell in (3, 5, 7, 11, 13):
-        led = constants.gl2_count(ell)  # raises if the exact identity fails
-        lhs = (1 - Fraction(led.omega_prime_count, led.gl2_order)) / (
-            1 - Fraction(1, ell)
-        )
-        assert lhs == 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
-    assert constants.gl2_count(3).omega_prime_count == 21
+        led = gl2_count(ell)  # raises if the exact identity fails
+        omega, gl2 = constants.gl2_counts(ell)
+        assert (omega, gl2) == (led.omega_prime_count, led.gl2_order)
+        lhs = (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell))
+        factor = 1 - Fraction(ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1))
+        assert lhs == led.factor == factor
+    assert constants.gl2_counts(3)[0] == 21
     assert time.monotonic() - t0 < 5.0
 
 

@@ -15,7 +15,7 @@ from koblitz.constants import (
     average_constant,
     average_constant_forms,
     gallagher_sum,
-    gl2_count,
+    gl2_counts,
 )
 from koblitz.errors import CapacityError, DomainError
 from koblitz.primes import MAX_FACTOR, sieve
@@ -32,6 +32,7 @@ from lemmas import (
     b_series_term,
     c_f_r,
     c_series_term,
+    gl2_count,
     local_sums,
 )
 import oracles
@@ -51,27 +52,39 @@ from oracles import (
 
 
 class TestGl2:
+    # the closed forms against the ell^4 enumeration in tests/lemmas.py
     def test_ell3(self):
+        assert gl2_counts(3) == (21, 48)
         led = gl2_count(3)
-        assert led.gl2_order == 48
-        assert led.omega_prime_count == 21
+        assert (led.omega_prime_count, led.gl2_order) == (21, 48)
         assert led.factor == Fraction(27, 32)
         assert led.factor == 1 - Fraction(5, 32)
 
     def test_identity_holds_up_to_13(self):
         for ell in (5, 7, 11, 13):
-            led = gl2_count(ell)
-            assert led.factor == 1 - Fraction(
+            omega, gl2 = gl2_counts(ell)
+            assert (1 - Fraction(omega, gl2)) / (1 - Fraction(1, ell)) == 1 - Fraction(
                 ell * ell - ell - 1, (ell - 1) ** 3 * (ell + 1)
             )
 
+    @pytest.mark.parametrize("ell", constants.HEAD_PRIMES[1:])
+    def test_closed_forms_match_enumeration(self, ell):
+        led = gl2_count(ell)
+        assert gl2_counts(ell) == (led.omega_prime_count, led.gl2_order)
+
     def test_domain_and_capacity(self):
-        with pytest.raises(DomainError):
-            gl2_count(2)
-        with pytest.raises(DomainError):
-            gl2_count(9)
+        for ell in (2, 9, 1, 0, -3):
+            with pytest.raises(DomainError):
+                gl2_counts(ell)
+        # the enumeration stops at its budget; the closed forms go on
         with pytest.raises(CapacityError):
             gl2_count(53)
+        assert gl2_counts(53) == (53**3 - 2 * 53, (53**2 - 1) * (53**2 - 53))
+        # primality is read from factorize, within its budget
+        big = 1_018_057  # the largest prime within MAX_FACTOR
+        assert gl2_counts(big) == (big**3 - 2 * big, (big * big - 1) * (big * big - big))
+        with pytest.raises(CapacityError):
+            gl2_counts(MAX_FACTOR + 1)
 
 
 class TestAverageConstant:

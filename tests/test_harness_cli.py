@@ -308,6 +308,17 @@ class TestVerify:
         assert not rep.passed and not row["passed"]
         assert row["detail"] == f"first mismatch at {point}"
 
+    def test_gl2_rows_check_the_identity(self, monkeypatch):
+        # one element too many in Omega' breaks the identity at every ell
+        true_fn = constants.gl2_counts
+        monkeypatch.setattr(
+            constants, "gl2_counts", lambda ell: (true_fn(ell)[0] + 1, true_fn(ell)[1])
+        )
+        rep = harness.run_verify("constants")
+        rows = [row for row in rep.rows if row["check"].startswith("gl2 local factor")]
+        assert not rep.passed and len(rows) == 5
+        assert not any(row["passed"] for row in rows)
+
     def test_report_json_shape(self):
         rep = harness.run_verify("deuring")
         payload = json.loads(rep.to_json())
@@ -466,6 +477,13 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["cr", "--r", "3", option, "10"])
             assert exc.value.code == 2
+
+    def test_theorem1_box_is_required(self, capsys):
+        # no default box: the one at A = B = 0 holds only the singular pair
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem1", "--x", "500"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --A, --B" in capsys.readouterr().err
 
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["theorem2", "--pmax", "5"]) == 1

@@ -125,12 +125,11 @@ def test_record_fields_are_read():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy's import alone was most of the CLI's start-up time, and the
-    # test dependencies are not runtime dependencies
-    code = (
-        "import sys, koblitz.cli; "
-        "print([m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules])"
-    )
+    # scipy's import alone was most of the CLI's start-up time, the test
+    # dependencies are not runtime dependencies, and Fraction arithmetic
+    # (fractions imports decimal) belongs to the GL2 enumeration oracle
+    modules = ("scipy", "mpmath", "hypothesis", "pytest", "fractions", "decimal")
+    code = f"import sys, koblitz.cli; print([m for m in {modules} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(koblitz.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
