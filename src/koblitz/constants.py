@@ -111,18 +111,19 @@ def _c_r_base() -> float:
 def C_r(r: int) -> float:
     """The positive constant attached to an odd shift r != 1.
 
-    The base product, memoized, times finite corrections from the odd
-    primes dividing r-1 and r(r-2), each within factorize's budget.
+    The base product, memoized, times one correction per odd prime p of
+    (m - 1) m (m + 1), m = |r - 1|, in ascending p: 1 + (p + 1)/(p^2 - 2p - 2)
+    when p divides m, else 1 + 1/(p^2 - 2p - 2).  As m is the same for r and
+    2 - r, so is C_r, bit for bit.  m + 1 must lie within factorize's budget.
     """
     if r % 2 == 0 or r == 1:
         raise DomainError("r must be odd and != 1")
-    if max(abs(r), abs(r - 2)) > MAX_FACTOR:
-        raise CapacityError(f"r={r}: |r| or |r - 2| exceeds factorization budget {MAX_FACTOR}")
+    m = abs(r - 1)
+    if m + 1 > MAX_FACTOR:
+        raise CapacityError(f"r={r}: |r - 1| + 1 exceeds factorization budget {MAX_FACTOR}")
     val = _c_r_base()
-    for p, _ in factorize(abs(r - 1))[1:]:  # r - 1 is even: the pairs after (2, e)
-        val *= 1.0 + (p + 1.0) / (p * p - 2.0 * p - 2.0)
-    for p in {p for p, _ in factorize(abs(r))} | {p for p, _ in factorize(abs(r - 2))}:
-        val *= 1.0 + 1.0 / (p * p - 2.0 * p - 2.0)
+    for p in sorted({p for n in (m - 1, m, m + 1) for p, _ in factorize(n)} - {2}):
+        val *= 1.0 + (p + 1.0 if m % p == 0 else 1.0) / (p * p - 2.0 * p - 2.0)
     return val
 
 
@@ -143,16 +144,11 @@ def gallagher_sum(R: int) -> GallagherAverage:
         raise DomainError("R must be >= 100")
     frak_c = average_constant()
     sum_pos = 0.0
-    sum_neg = 0.0
-    start = -R if R % 2 else -R + 1
-    for r in range(start, R + 1, 2):
-        if r == 1:
-            continue
-        v = C_r(r)
-        if r > 1:
-            sum_pos += v
-        else:
-            sum_neg += v
+    for r in range(3, R + 1, 2):
+        sum_pos += C_r(r)
+    # C_r = C_{2-r}, and 2 - r runs over the odd 3 <= r <= R + 1 + R % 2
+    # as r runs over the odd -R <= r < 0
+    sum_neg = sum_pos + C_r(R + 1 + R % 2)
     return GallagherAverage(
         ratio=sum_pos / (frak_c * R),
         ratio_two_sided=(sum_pos + sum_neg) / (frak_c * R),

@@ -9,9 +9,11 @@ gives w[v] = sum of chi(x + 1) over the x != -1 with x^3/(x + 1) = v.
 Rescaling (a, b) -> (l^2 a, l^3 b) multiplies a_p by chi(l), so for a = g^i
 and b = g^j the pair has the trace chi(ab) t_cc[a^3 b^-2] = (-1)^(k + j)
 t_cc[g^k] of its log class k = 3i - 2j mod p - 1 (k = i mod 2).  A box
-weighing the pair w_a(a) w_b(b) thus puts on class k, per parity of j, the
-cyclic convolution of w_a(g^i) binned at 3i with w_b(g^j) binned at -2j.  The
-class log(-27/4) is exactly the singular class with ab != 0.
+weighing the pair w_a(a) w_b(b) thus puts on class k, per parity of j,
+sum_v x[v] y[v + k]: x is w_b(g^j) binned at 2j and y is w_a(g^i) binned at
+3i and written out twice, the same correlation that reads chi(v + c) off
+[chi, chi] in a census.  The class log(-27/4) is exactly the singular class
+with ab != 0.
 
 With l = g^2 the rescaling keeps the trace, so a_p(E(g^i, 0)) depends only on
 i mod gcd(4, p - 1) and a_p(E(0, g^i)) only on i mod gcd(6, p - 1).  With
@@ -21,9 +23,10 @@ five direct sums, at g^0, g^1 and at g^0..g^2, weighed per coset.
 
 One assembly, _histograms, turns class and coset weights into histograms.  A
 census is the all-ones box |a|, |b| <= (p - 1)/2: (p - 1)/2 per class and
-parity, (p - 1)/gcd per coset, and no convolution, so it costs O(p log p).
-Transforms run at lengths 2 * 2^a 3^b 5^c, which numpy's FFT factors fully:
-for p > 100 the length n stays below 1.11 * 2p, where the next power of two
+parity, (p - 1)/gcd per coset, and no further transform, so it costs
+O(p log p).  Both correlate through primes._exact_correlation at the length
+primes._length gives, 2 * 2^a 3^b 5^c, which numpy's FFT factors fully: for
+p > 100 the length n stays below 1.11 * 2p, where the next power of two
 reaches 4p.  `censuses` builds the tables of consecutive primes together, as
 many as fit a budget of cells at the batch's longest length, one zero-padded
 row per prime, and assembles the batch's histograms in one bincount.
@@ -34,7 +37,6 @@ deuring_batches lays the Deuring counts of a run of primes end to end in it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import _least_primitive_root, sieve
+from .primes import _exact_correlation, _least_primitive_root, _length, sieve
 
 # Largest p for the length-p trace tables behind census and
 # box_trace_histogram: the class-number route's budget 10^5.
@@ -76,23 +78,6 @@ def _check_primes(primes: list[int]) -> None:
             raise DomainError(f"p={p} must be a prime > 3")
 
 
-# Every 2^a 3^b 5^c up to 2^21, ascending: each odd part 3^b 5^c times its powers of two
-_SMOOTH = tuple(sorted(
-    m << a for m in (3**b * 5**c for b in range(14) for c in range(10)) for a in range(22)
-    if m << a <= 1 << 21
-))
-
-
-def _smooth(k: int) -> int:
-    """The least 2^a 3^b 5^c >= k, for k <= 2^21."""
-    return _SMOOTH[bisect.bisect_left(_SMOOTH, k)]
-
-
-def _length(p: int) -> int:
-    """The transform length n of p's correlation: p <= n/2."""
-    return 2 * _smooth(p)
-
-
 class _TraceTables(NamedTuple):
     """A batch's tables, one row per prime p; a row's columns k < p - 1 are its own."""
 
@@ -118,31 +103,6 @@ def _power_table(primes: list[int], width: int) -> np.ndarray:
         pw[:, s : s + t] = pw[:, :t] * (pw[:, s - 1 : s] * g % p) % p
         s += t
     return pw
-
-
-def _exact_convolution(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Circular convolution mod n of the integer rows of x and y, broadcast, exactly.
-
-    Every value is rounded and checked to lie within 0.25 of an integer.
-    """
-    conv = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)
-    out = np.rint(conv)
-    conv -= out
-    err = float(np.abs(conv, out=conv).max())
-    if err > 0.25:
-        raise AssertionError(f"convolution of length {n} lies {err:.3g} from an integer")
-    return out.astype(np.int64)
-
-
-def _correlate_chi(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """[sum_v w[v] d[v + c] for c < width] per row of integer w, exactly.
-
-    The sum is entry width - 1 + c of reversed w convolved with d mod n, the
-    length of d; for n >= 2 width - 1 that wraps only below width - 1.  With
-    d = [chi, chi] it is sum_v w[v] chi(v + c mod p) for c < p <= width.
-    """
-    width = w.shape[-1]
-    return _exact_convolution(w[..., ::-1], d, d.shape[-1])[..., width - 1 : 2 * width - 1]
 
 
 def _trace_tables(primes: list[int]) -> _TraceTables:
@@ -181,7 +141,7 @@ def _trace_tables(primes: list[int]) -> _TraceTables:
     # x + 1 = g^k runs over x != -1 with (x + 1)^-1 = g^(p-1-k); x = -1 adds chi(-1)
     x = pw - 1
     w_cc = binned(x * x % p * x % p * pw[row, p - 1 - k] % p, k < p - 1, sign)
-    corr = _correlate_chi(w_cc, d)
+    corr = _exact_correlation(w_cc, d)
     return _TraceTables(
         pw=pw,
         k_singular=np.argmax(pw == [[-27 * pow(4, -1, q) % q] for q in primes], axis=1),
@@ -350,7 +310,7 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
 
     Pairs singular mod p are skipped.  Each side weighs residue v by q + e[v]
     with e[v] 0 or 1, so the transforms see only the rows e and 1 binned by
-    log, at most 3 to a bin, and q scales their convolutions in int64.  The
+    log, at most 3 to a bin, and q scales their correlations in int64.  The
     histogram must total the box's pairs less its singular ones, which mod p
     are exactly (-3t^2, 2t^3) for t in F_p.
     """
@@ -371,10 +331,10 @@ def box_trace_histogram(p: int, box_a: int, box_b: int) -> np.ndarray:
         return np.stack(rows), [1, q][: len(rows)]
 
     rows_a, ca = log_rows(qa, ea, 3 * k % m, m)  # a = g^i at 3i
-    rows_b, cb = log_rows(qb, eb, -2 * k % m + m * (k & 1), 2 * m)  # b = g^j at (j % 2, -2j)
-    n = 2 * _smooth(m)
-    conv = _exact_convolution(rows_a[:, None, None], rows_b.reshape(-1, 2, m), n)
-    w_class = np.einsum("x,y,xysk->sk", ca, cb, conv[..., :m] + conv[..., m : 2 * m])
+    rows_b, cb = log_rows(qb, eb, 2 * k % m + m * (k & 1), 2 * m)  # b = g^j at (j % 2, 2j)
+    d = np.pad(np.tile(rows_a, 2), ((0, 0), (0, _length(m) - 2 * m)))
+    corr = _exact_correlation(rows_b.reshape(1, -1, 2, m), d[:, None, None])
+    w_class = np.einsum("x,y,xysk->sk", ca, cb, corr)
     # (g^i, 0) and (0, g^j) by log: the coset traces at g^0..g^5 repeat with
     # period gcd(4 or 6, p - 1), so i mod 4 and j mod 6 pick theirs
     w_a, w_b = qa + ea, qb + eb

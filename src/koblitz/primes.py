@@ -1,4 +1,4 @@
-"""Integer primitives: sieves, primality and factorization.
+"""Integer primitives: sieves, primality, factorization and exact transforms.
 
 Everything here is pure and deterministic and keeps no state between calls.
 The heavier callers (window statistics, census prime lists) lean on the
@@ -6,11 +6,16 @@ numpy-backed sieves, which all read one odd-only sieve of a window,
 _odd_flags.  Primality is read off those flags.  factorize() is trial
 division by the primes below 1000, so it splits every n <= MAX_FACTOR =
 1009^2 - 1: the p - 1 behind primitive roots, the q of phi and rho, and the
-r - 2, r - 1 and r of C_r.
+m - 1, m and m + 1 of C_r, m = |r - 1|.
+
+Every FFT of the package is one exact integer correlation,
+_exact_correlation, at a length from one rule, _length: twice the least
+2^a 3^b 5^c at or above the window, a length numpy's FFT factors fully.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -121,3 +126,38 @@ def _least_primitive_root(p: int) -> int:
     """Least primitive root mod p, for a p the caller has checked to be prime."""
     divs = [d for d, _ in factorize(p - 1)]
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // d, p) != 1 for d in divs))
+
+
+# Every 2^a 3^b 5^c up to 2^21, ascending: each odd part 3^b 5^c times its powers of two
+_SMOOTH = tuple(sorted(
+    m << a for m in (3**b * 5**c for b in range(14) for c in range(10)) for a in range(22)
+    if m << a <= 1 << 21
+))
+
+
+def _smooth(k: int) -> int:
+    """The least 2^a 3^b 5^c >= k, for k <= 2^21."""
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, k)]
+
+
+def _length(k: int) -> int:
+    """The transform length n of a correlation over a window of k: k <= n/2."""
+    return 2 * _smooth(k)
+
+
+def _exact_correlation(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[sum_v w[v] d[v + c] for c < width] per row of integer w and d, broadcast, exactly.
+
+    The sum is entry width - 1 + c of reversed w convolved with d mod n, the
+    length of d; for n >= 2 width - 1 that wraps only below width - 1.  Every
+    entry of the whole convolution is rounded and checked to lie within 0.25
+    of an integer before the window is cut out.
+    """
+    width, n = w.shape[-1], d.shape[-1]
+    conv = np.fft.irfft(np.fft.rfft(w[..., ::-1], n) * np.fft.rfft(d, n), n)
+    out = np.rint(conv)
+    conv -= out
+    err = float(np.abs(conv, out=conv).max())
+    if err > 0.25:
+        raise AssertionError(f"correlation of length {n} lies {err:.3g} from an integer")
+    return out[..., width - 1 : 2 * width - 1].astype(np.int64)

@@ -407,9 +407,9 @@ class TestLocalSums:
 
 class TestCr:
     def test_symmetry_r_and_two_minus_r(self):
-        # the divisor data of r-1 and r(r-2) is invariant under r -> 2-r
-        assert C_r(3) == pytest.approx(C_r(-1), rel=1e-14)
-        assert C_r(5) == pytest.approx(C_r(-3), rel=1e-14)
+        # r and 2 - r share m = |r - 1|, so their corrections multiply in one
+        # order and the two floats are equal, not merely close
+        assert all(C_r(r) == C_r(2 - r) for r in range(3, 10**4 + 1, 2))
 
     def test_base_factor_at_three(self):
         assert Fraction(9 * (9 - 6 - 2), 8 * 4) == Fraction(9, 32)

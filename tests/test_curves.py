@@ -22,7 +22,7 @@ from koblitz.curves import (
     trace_grid,
 )
 from koblitz.errors import CapacityError, DomainError
-from koblitz.primes import _least_primitive_root, sieve
+from koblitz.primes import _exact_correlation, _least_primitive_root, _length, _smooth, sieve
 from oracles import (
     CurveModP,
     deuring_counts,
@@ -73,7 +73,7 @@ def _oracle_trace_grid(p):
 
 def _doubled(chi):
     """[chi, chi], zero-padded to the transform length of its prime."""
-    d = np.zeros(curves._length(len(chi)), dtype=np.int64)
+    d = np.zeros(_length(len(chi)), dtype=np.int64)
     d[: 2 * len(chi)] = np.tile(chi, 2)
     return d
 
@@ -140,7 +140,7 @@ class TestTrace:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
     def test_power_table(self, p):
-        for width in (1, 2, 3, p - 1, curves._length(p) // 2):
+        for width in (1, 2, 3, p - 1, _length(p) // 2):
             pw = curves._power_table([p, 7], width)
             assert pw.shape == (2, width)
             for row, q in zip(pw, (p, 7)):
@@ -152,13 +152,13 @@ class TestTrace:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**6))
     def test_smooth_is_least_5_smooth(self, k):
-        assert curves._smooth(k) == next(s for s in SMOOTH if s >= k)
+        assert _smooth(k) == next(s for s in SMOOTH if s >= k)
 
     def test_length_rule(self):
         # even, so d = [chi, chi] splits in halves; each half holds a row of
         # p >= 5 columns, enough for the coset gathers at g^0..g^2
         for p in np.flatnonzero(sieve(MAX_CENSUS_PRIME))[2:].tolist():
-            n = curves._length(p)
+            n = _length(p)
             assert n % 2 == 0 and n >= 2 * p, p
 
     def test_capacity_checked_before_allocation(self):
@@ -177,34 +177,55 @@ class TestTrace:
         chi = np.array([0, 1, -1, -1, 1])
         w = np.array([0.5, 0, 0, 0, 0])
         with pytest.raises(AssertionError):
-            curves._correlate_chi(w, _doubled(chi))
+            _exact_correlation(w, _doubled(chi))
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([int(q) for q in np.flatnonzero(sieve(1000)) if q >= 5]),
         st.integers(1, 3),
+        st.integers(1, 3),
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_correlation_matches_direct_sum(self, p, k, one_row, seed):
+    def test_correlation_matches_direct_sum(self, p, k, j, one_row, seed):
         # oracle: sum_v w[v] chi((v + c) mod p), one np.roll of chi per lag c
+        rng = np.random.default_rng(seed)
         chi = kronecker_table(p, p)
-        w = np.random.default_rng(seed).integers(-p, p + 1, size=(k, p))
+        w = rng.integers(-p, p + 1, size=(k, p))
         if one_row:
             w = w[0]
         shifted = np.stack([np.roll(chi, -c) for c in range(p)]).astype(np.int64)
-        got = curves._correlate_chi(w, _doubled(chi))
+        got = _exact_correlation(w, _doubled(chi))
         assert got.shape == w.shape
         assert np.array_equal(got, w @ shifted.T)
+        # the box kernel's shapes: weight rows (1, k, 2, m) against rows
+        # (j, 1, 1, n) written out twice, oracle sum_v w[v] d[v + c], c < m
+        m = p - 1
+        w = rng.integers(-p, p + 1, size=(1, k, 2, m))
+        d = np.zeros((j, 1, 1, _length(m)), dtype=np.int64)
+        d[..., : 2 * m] = np.tile(rng.integers(-p, p + 1, size=(j, 1, 1, m)), 2)
+        windows = np.stack([d[..., c : c + m] for c in range(m)], axis=-2)
+        got = _exact_correlation(w, d)
+        assert got.shape == (j, k, 2, m)
+        assert np.array_equal(got, np.einsum("...v,...cv->...c", w, windows))
+
+    def test_inexact_entry_outside_the_window_raises(self):
+        # 0.5 d[n - 1] lands on entry width - 2 of the whole convolution,
+        # below the window: the check covers every entry, not only those returned
+        w = np.array([0.5, 0, 0, 0, 0])
+        d = np.zeros(_length(5), dtype=np.int64)
+        d[-1] = 1
+        with pytest.raises(AssertionError):
+            _exact_correlation(w, d)
 
     def test_inexact_last_row_of_batch_raises(self):
         chi = kronecker_table(5, 5)
         w = np.zeros((3, 5))
         w[:2] = [[1, 2, 3, 4, 5], [0, -1, 0, 1, 0]]
         w[2, 0] = 0.5
-        curves._correlate_chi(w[:2], _doubled(chi))  # the integer rows alone pass
+        _exact_correlation(w[:2], _doubled(chi))  # the integer rows alone pass
         with pytest.raises(AssertionError):
-            curves._correlate_chi(w, _doubled(chi))
+            _exact_correlation(w, _doubled(chi))
 
 
 def _by_r(p):
@@ -287,13 +308,13 @@ class TestBatchedTables:
         assert [p for b in batches for p in b] == primes
 
         def cells(batch):
-            return len(batch) * max(map(curves._length, batch))
+            return len(batch) * max(map(_length, batch))
 
         # each batch fits the budget or is one prime, and the next prime would
         # overflow it; at least one batch pads shorter rows to a longer length
         assert all(cells(b) <= curves._BATCH_CELLS or len(b) == 1 for b in batches)
         assert all(cells(b + c[:1]) > curves._BATCH_CELLS for b, c in zip(batches, batches[1:]))
-        assert any(len({curves._length(p) for p in b}) > 1 for b in batches)
+        assert any(len({_length(p) for p in b}) > 1 for b in batches)
         got = list(censuses(primes))
         assert [p for p, _ in got] == primes
         for p, hist in got:

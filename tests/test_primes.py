@@ -239,7 +239,7 @@ class TestFactorize:
         assert isinstance(fac, tuple) and math.prod(p**e for p, e in fac) == n
 
     def test_cr_cli_at_the_budget(self, capsys):
-        # C_r factors r - 2, r - 1 and r: the largest odd r within the budget
+        # C_r factors m - 1, m and m + 1, m = |r - 1|: the largest odd r within the budget
         # runs, and the next odd r is refused with an error naming it
         top = MAX_FACTOR - 1  # MAX_FACTOR = 1009^2 - 1 is even
         assert cli.main(["cr", "--r", str(top)]) == 0

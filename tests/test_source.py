@@ -152,24 +152,26 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert after == before
 
 
-def test_one_transform_site_in_curves():
-    # every census and box histogram transforms through _exact_convolution
-    path = Path(koblitz.__file__).parent / "curves.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+def test_one_fft_site_in_package():
+    # every census and box histogram, and any later transform, goes through
+    # primes._exact_correlation: no other function of the package names fft
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     (site,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_exact_convolution"
+        node for node in trees["primes"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_exact_correlation"
     ]
 
     def fft_refs(root):
         return [
             node
             for node in ast.walk(root)
-            if (isinstance(node, ast.Attribute) and node.attr == "fft")
+            if (isinstance(node, ast.Attribute) and "fft" in node.attr)
+            or (isinstance(node, ast.Name) and "fft" in node.id)
             or (isinstance(node, ast.alias) and "fft" in node.name)
         ]
 
-    assert fft_refs(site) and len(fft_refs(tree)) == len(fft_refs(site))
+    everywhere = [node for tree in trees.values() for node in fft_refs(tree)]
+    assert fft_refs(site) and len(everywhere) == len(fft_refs(site))
 
 
 def test_one_weighted_assembly_in_curves():
@@ -192,17 +194,30 @@ def test_one_weighted_assembly_in_curves():
     assert sites(ast.keyword, "arg") == {"_trace_tables"}
 
 
-def test_one_length_rule_in_curves():
-    # transform lengths are 2^a 3^b 5^c from _smooth, never a power of two
-    # rounded up by bit_length
-    path = Path(koblitz.__file__).parent / "curves.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+def test_one_length_rule_in_package():
+    # transform lengths are 2^a 3^b 5^c: primes._length is the only reader
+    # of _smooth, and no power of two is rounded up by bit_length anywhere
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    refs = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_smooth")
+        or (isinstance(node, ast.Attribute) and node.attr == "_smooth")
+        or (isinstance(node, ast.alias) and node.name == "_smooth")
+    ]
+    (length,) = [
+        node for node in trees["primes"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_length"
+    ]
+    inside = [node for node in ast.walk(length) if node in refs]
     found = [
-        node.lineno
+        f"{stem}:{node.lineno}"
+        for stem, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "bit_length"
     ]
-    assert found == []
+    assert inside and len(inside) == len(refs) and found == []
 
 
 def test_one_strike_site_in_primes():
